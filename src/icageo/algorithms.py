@@ -15,7 +15,8 @@ import numpy as np
 from .data import Dataset
 from .errors import (Diverged, InvalidConfig, NonFinite, SingularCovariance,
                      TooFewSamples)
-from .estimators import ScoreTable, _negentropy_raw, score_table
+from .estimators import (SCORE_TABLE_MIN_SAMPLES, ScoreTable, _negentropy_raw,
+                         score_table)
 from .gaussian import Covariance, correlation_C, sample_covariance, whitener
 
 SCORE_NAMES = ("tanh", "cube", "identity", "adaptive")
@@ -51,7 +52,7 @@ def make_score(name: str) -> ScoreModel:
     if name == "tanh":
         return ScoreModel("tanh", np.tanh, "1/cosh density (log-cosh model)")
     if name == "cube":
-        return ScoreModel("cube", lambda s: s ** 3, "exp(-s^4/4) model")
+        return ScoreModel("cube", lambda s: s * s * s, "exp(-s^4/4) model")
     if name == "identity":
         return ScoreModel("identity", lambda s: s,
                           "gaussian (negative control)")
@@ -179,6 +180,9 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
         raise TooFewSamples("need T > 10 N for separation")
     models = config.score_models(n)
     adaptive = [m.name == "adaptive" for m in models]
+    if any(adaptive) and data.T < SCORE_TABLE_MIN_SAMPLES:
+        raise TooFewSamples(f"the adaptive score needs T >= "
+                            f"{SCORE_TABLE_MIN_SAMPLES} samples, got {data.T}")
     B = whitener(sample_covariance(data)).matrix.copy()
     mu = config.step
     psis = [None if a else _psi_of(m) for a, m in zip(adaptive, models)]

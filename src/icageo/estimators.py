@@ -3,8 +3,8 @@ and nonparametric score functions.
 
 Defaults favor tuning-light classical estimators: m-spacing entropy with
 digamma bias reduction, k-nearest-neighbor mutual information in the
-Chebyshev metric, and a kernel density score table with a smoothing-bias
-correction.  All are deterministic functions of their inputs.
+Chebyshev metric, and a binned kernel density score table with a
+smoothing-bias correction.  All are deterministic functions of their inputs.
 """
 import math
 from dataclasses import dataclass, field
@@ -25,6 +25,10 @@ MI_METHODS = ("knn_kl", "histogram")
 # raw mutual information above this fraction of the estimator's saturation
 # value is reported as near-deterministic dependence
 SATURATION_FRACTION = 0.9
+# smallest sample a kernel score table is estimated from
+SCORE_TABLE_MIN_SAMPLES = 1000
+# fine binning grid points per score-table node interval
+FINE_BINS_PER_NODE = 16
 
 
 @dataclass(frozen=True)
@@ -254,18 +258,35 @@ class ScoreTable:
             object.__setattr__(self, name, arr)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        return np.interp(s, self.grid, self.psi)
+        # the grid is uniform, so the node left of s is found by arithmetic
+        last = self.grid.size - 1
+        step = (self.grid[-1] - self.grid[0]) / last
+        pos = np.clip((s - self.grid[0]) / step, 0.0, last)
+        k = np.minimum(pos.astype(np.intp), last - 1)
+        w = pos - k
+        return (1.0 - w) * self.psi[k] + w * self.psi[k + 1]
 
 
 def score_table(x, bins: int = 256) -> ScoreTable:
     """Kernel-density score estimate psi-hat = -q'/q on a regular grid.
 
-    The Gaussian-kernel bandwidth uses the robust sd/IQR scale at the
+    The Gaussian-kernel bandwidth h uses the robust sd/IQR scale at the
     n^(-1/7) rate appropriate for a density-derivative ratio, and the
     returned score is rescaled by (sd^2 + h^2)/sd^2 to undo the variance
     inflation the kernel smoothing introduces.
+
+    The estimate is binned (Silverman 1982; Wand 1994): the sample is
+    linearly binned onto a fine grid of M = 16 (bins - 1) + 1 points over
+    the same span [min - 3h, max + 3h], so every table node is a fine-grid
+    node, and the bin counts are convolved by FFT with the kernel and its
+    derivative, both truncated at 8h.  The cost is O(T + M log M) against
+    O(T bins) for the direct sum.  Against the direct sum, the density is
+    within 1e-4 of its peak and the score at the samples within 1e-3 of
+    its largest magnitude (tested).  Nodes whose density falls below
+    1e-10 of the peak, far from every sample, read as empty: density and
+    score 0, as the direct sum gives where its kernels underflow.
     """
-    v = _check_vector(x, 1000)
+    v = _check_vector(x, SCORE_TABLE_MIN_SAMPLES)
     n = v.size
     sd = float(v.std())
     if sd == 0.0:
@@ -273,15 +294,35 @@ def score_table(x, bins: int = 256) -> ScoreTable:
     q75, q25 = np.percentile(v, [75.0, 25.0])
     scale = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
     h = 1.5 * scale * n ** (-1.0 / 7.0)
-    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, int(bins))
-    q = np.zeros(grid.size)
-    dq = np.zeros(grid.size)
-    step = max(1, 2_000_000 // grid.size)
-    for start in range(0, n, step):
-        u = (grid[None, :] - v[start:start + step, None]) / h
-        kern = np.exp(-0.5 * u * u)
-        q += kern.sum(axis=0)
-        dq += (-u * kern).sum(axis=0)
+    bins = int(bins)
+    if bins < 2:
+        raise InvalidConfig("a score table needs at least 2 bins")
+    lo, hi = v.min() - 3.0 * h, v.max() + 3.0 * h
+    grid = np.linspace(lo, hi, bins)
+    m = FINE_BINS_PER_NODE * (bins - 1) + 1
+    delta = (hi - lo) / (m - 1)
+    # linear binning: each sample splits its unit weight between the two
+    # fine nodes around it
+    pos = (v - lo) / delta
+    j = np.minimum(pos.astype(np.intp), m - 2)
+    w = pos - j
+    counts = np.bincount(j, 1.0 - w, m) + np.bincount(j + 1, w, m)
+    # kernel K(u) and derivative -u K(u) at fine-grid offsets |k| <= 8h,
+    # stored circularly; length >= m + reach keeps the wrap-around off
+    # every output node
+    reach = min(math.ceil(8.0 * h / delta), m - 1)
+    size = 1 << (m + reach - 1).bit_length()
+    u = np.arange(-reach, reach + 1) * (delta / h)
+    kern = np.zeros((2, size))
+    kern[0, :u.size] = np.exp(-0.5 * u * u)
+    kern[1, :u.size] = -u * kern[0, :u.size]
+    kern = np.roll(kern, -reach, axis=1)
+    conv = np.fft.irfft(np.fft.rfft(counts, size) * np.fft.rfft(kern, size),
+                        size)
+    q, dq = conv[:, :m:FINE_BINS_PER_NODE]
+    empty = q < 1e-10 * q.max()  # FFT round-off only
+    q[empty] = 0.0
+    dq[empty] = 0.0
     root = math.sqrt(2.0 * math.pi)
     q /= n * h * root
     dq /= n * h * h * root

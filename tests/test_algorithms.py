@@ -129,6 +129,17 @@ def test_relative_gradient_needs_enough_rows():
                               SolverConfig(score="tanh"))
 
 
+def test_relative_gradient_adaptive_needs_1000_rows():
+    # T = 500 passes the T > 10 N check but is too short for a score table;
+    # the solver says so before its first iteration
+    X = Dataset(np.random.default_rng(0).laplace(size=(500, 2)))
+    with pytest.raises(TooFewSamples, match="adaptive score needs T >= 1000"):
+        relative_gradient_ica(X, SolverConfig(score="adaptive"))
+    with pytest.raises(TooFewSamples, match="adaptive"):
+        relative_gradient_ica(X, SolverConfig(score=["tanh", "adaptive"]))
+    assert relative_gradient_ica(X, SolverConfig(score="tanh")).iterations > 0
+
+
 # -- orthogonal solver ----------------------------------------------------------------
 
 def test_orthogonal_separates_and_decorrelates():

@@ -181,6 +181,19 @@ def test_separate_input_errors(tmp_path, capsys):
     assert "row" in err  # NonFinite location diagnostics survive to stderr
 
 
+def test_separate_adaptive_on_short_input_is_input_error(tmp_path, capsys):
+    x = np.random.default_rng(5).laplace(size=(500, 2))
+    src = tmp_path / "short.csv"
+    src.write_text("a,b\n" + "\n".join(f"{r[0]:.17g},{r[1]:.17g}"
+                                       for r in x) + "\n")
+    code = run(["separate", src, "--score", "adaptive",
+                "--output-dir", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "adaptive score needs T >= 1000" in err
+    assert "Traceback" not in err
+
+
 # -- diagnose ---------------------------------------------------------------------
 
 def test_diagnose_correlated_gaussian(tmp_path):
@@ -273,3 +286,13 @@ def test_console_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "icageo" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal roughly doubles the start-up import time of the CLI
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import icageo.cli, sys; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -235,6 +235,8 @@ def test_score_table_validation():
         score_table(np.random.default_rng(0).standard_normal(999))
     with pytest.raises(DegenerateSample):
         score_table(np.full(2000, 1.0))
+    with pytest.raises(InvalidConfig):
+        score_table(np.random.default_rng(0).standard_normal(2000), bins=1)
 
 
 def test_score_table_is_deterministic():
@@ -242,3 +244,70 @@ def test_score_table_is_deterministic():
     t1, t2 = score_table(x), score_table(x)
     assert_array_equal(t1.psi, t2.psi)
     assert_array_equal(t1.grid, t2.grid)
+
+
+def direct_score_table(x, bins):
+    """The O(T bins) direct Gaussian-kernel sum, kept as the reference for
+    the binned estimate: same bandwidth, grid and inflation correction."""
+    v = np.asarray(x, dtype=float)
+    n = v.size
+    sd = float(v.std())
+    q75, q25 = np.percentile(v, [75.0, 25.0])
+    scale = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
+    h = 1.5 * scale * n ** (-1.0 / 7.0)
+    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, bins)
+    q = np.zeros(bins)
+    dq = np.zeros(bins)
+    step = max(1, 2_000_000 // bins)
+    for start in range(0, n, step):
+        u = (grid[None, :] - v[start:start + step, None]) / h
+        kern = np.exp(-0.5 * u * u)
+        q += kern.sum(axis=0)
+        dq += (-u * kern).sum(axis=0)
+    root = math.sqrt(2.0 * math.pi)
+    q /= n * h * root
+    dq /= n * h * h * root
+    psi = -dq / np.maximum(q, 1e-300)
+    psi *= (sd * sd + h * h) / (sd * sd)
+    return grid, q, psi, h
+
+
+@pytest.mark.parametrize("family", ["laplace", "uniform", "gaussian"])
+@pytest.mark.parametrize("n", [1000, 20000, 100000])
+@pytest.mark.parametrize("bins", [128, 256])
+def test_score_table_matches_direct_kernel_sum(family, n, bins):
+    x = draw(family, n, 90 + n // 1000)
+    table = score_table(x, bins=bins)
+    grid, q, psi, h = direct_score_table(x, bins)
+    assert_array_equal(table.grid, grid)
+    assert table.bandwidth == h
+    assert np.max(np.abs(table.density - q)) <= 1e-4 * q.max()
+    ref = np.interp(x, grid, psi)
+    assert np.max(np.abs(table(x) - ref)) <= 1e-3 * np.max(np.abs(ref))
+
+
+def test_score_table_lookup_equals_linear_interpolation():
+    x = draw("laplace", 5000, 3)
+    table = score_table(x)
+    gen = np.random.default_rng(4)
+    lo, hi = table.grid[0], table.grid[-1]
+    s = np.concatenate([gen.uniform(lo, hi, 5000),
+                        gen.uniform(lo - 10.0, lo, 100),
+                        gen.uniform(hi, hi + 10.0, 100),
+                        table.grid, [lo, hi]])
+    expected = np.interp(s, table.grid, table.psi)
+    assert_allclose(table(s), expected, rtol=0,
+                    atol=1e-12 * np.max(np.abs(table.psi)))
+
+
+def test_score_table_far_from_every_sample_reads_empty():
+    # nodes in the gap before a distant outlier hold only FFT round-off;
+    # they read as zero density and zero score, never as huge scores
+    x = np.concatenate([draw("gaussian", 5000, 8), [200.0]])
+    table = score_table(x)
+    gap = (table.grid > 10.0) & (table.grid < 190.0)
+    assert gap.sum() > 200
+    assert np.all(table.density[gap] == 0.0)
+    assert np.all(table.psi[gap] == 0.0)
+    assert np.all(table.density >= 0.0)
+    assert np.all(np.isfinite(table.psi))
