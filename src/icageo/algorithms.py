@@ -249,8 +249,10 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     Givens angle is located by a coarse scan over (-pi/4, pi/4] followed by
     golden-section refinement.  A rotation is kept when it improves the
     pair's negentropy sum by more than config.tol; sweeping stops when no
-    pair improves by that much.  The returned demixing is the rotation
-    times the whitener, so the recovered channels are exactly decorrelated.
+    pair improves by that much.  A rejected pair is not searched again
+    until one of its columns has been rotated.  The returned demixing is
+    the rotation times the whitener, so the recovered channels are exactly
+    decorrelated.
     """
     X = data.samples
     n = data.N
@@ -263,10 +265,17 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     best_gain_ever = 0.0
     converged = False
     coarse = -0.25 * math.pi + 0.5 * math.pi * (np.arange(1, 17) / 16.0)
+    rotated = [0] * n  # rotations applied to each column so far
+    # pair -> rotation counts of its columns when its search was rejected
+    rejected = {}
     for _ in range(MAX_SWEEPS):
         sweep_best = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):
+                if rejected.get((i, j)) == (rotated[i], rotated[j]):
+                    # same columns give the same search and the same
+                    # rejection; best_gain_ever already holds its gain
+                    continue
                 yi = Y[:, i].copy()
                 yj = Y[:, j].copy()
                 base = _negentropy_raw(yi) + _negentropy_raw(yj)
@@ -293,6 +302,10 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
                     rot[i, j] = -s
                     rot[j, i] = s
                     U = rot @ U
+                    rotated[i] += 1
+                    rotated[j] += 1
+                else:
+                    rejected[i, j] = (rotated[i], rotated[j])
         sweep_gains.append(sweep_best)
         if sweep_best <= config.tol:
             converged = True

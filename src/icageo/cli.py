@@ -202,12 +202,16 @@ def cmd_separate(opts: _Options) -> int:
                 fh.write(f"{k},{v:.17g}\n")
     except OSError as exc:
         raise IoError(f"cannot write trace.csv: {exc}") from exc
+    orthogonal = algorithm == "orthogonal"
+    # the orthogonal solver uses no score, and its trajectory holds the
+    # best rotation gain of each sweep
+    final = "last_sweep_gain" if orthogonal else "stationarity_norm"
     report = {
         "algorithm": algorithm,
-        "score": score,
+        "score": None if orthogonal else score,
         "converged": result.converged,
         "iterations": result.iterations,
-        "stationarity_norm": float(result.trajectory[-1]),
+        final: float(result.trajectory[-1]),
         "no_improvement": result.no_improvement,
         "correlation_C": correlation_C(sample_covariance(result.recovered)),
     }
@@ -217,7 +221,7 @@ def cmd_separate(opts: _Options) -> int:
         report["amari_index"] = amari_index(result.demixing @ model.mixing).value
     _json_dump(out / "report.json", report)
     print(f"converged={report['converged']} iterations={report['iterations']} "
-          f"stationarity_norm={report['stationarity_norm']:.3e}"
+          f"{final}={report[final]:.3e}"
           + (f" amari_index={report['amari_index']:.4f}"
              if "amari_index" in report else ""))
     return 0

@@ -7,6 +7,7 @@ specs and is the ground truth against which separation quality is scored.
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,26 +152,61 @@ def random_mixing(n: int, rng: Rng, cond: float = 5.0) -> np.ndarray:
 
 
 # -- CSV interchange ------------------------------------------------------
-# Header row of channel names, one observation per row, '.' decimal point.
-# %.17g round-trips float64 exactly, keeping reruns byte-identical.
+# Header row of channel names, one observation per row, '.' decimal point,
+# '\r\n' line ends (the csv module's).  %.17g round-trips float64 exactly,
+# keeping reruns byte-identical.
+
+# rows formatted by one string operation; bounds the text held in memory
+CSV_BLOCK_ROWS = 8192
+
 
 def write_csv(path, data: Dataset) -> None:
+    row = ",".join(["%.17g"] * data.N) + "\r\n"
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(data.names())
-            for row in np.asarray(data.samples):
-                w.writerow([f"{v:.17g}" for v in row])
+            csv.writer(fh).writerow(data.names())
+            for start in range(0, data.T, CSV_BLOCK_ROWS):
+                block = data.samples[start:start + CSV_BLOCK_ROWS]
+                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def read_csv(path) -> Dataset:
+    """Read a CSV written by write_csv, or any file of that shape.
+
+    The numeric body is parsed in C; a file that parse refuses is read again
+    row by row, which names the offending line in its IoError.
+    """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return _parse_csv(fh, str(path))
+            data = _load_numeric(fh)
+            if data is None:
+                fh.seek(0)
+                data = _parse_csv(fh, str(path))
+            return data
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_numeric(fh: io.TextIOBase) -> Dataset | None:
+    # None for any file _parse_csv must judge: an empty header name, no
+    # data rows, or a body loadtxt cannot read as a T x N matrix of floats
+    # (wrong field count, quoted, empty or non-numeric field).  A quoted
+    # header name spanning lines leaves its closing quote in the body.
+    names = tuple(h.strip() for h in next(csv.reader([fh.readline()]), []))
+    if not names or any(not n for n in names):
+        return None
+    with warnings.catch_warnings():
+        # loadtxt warns on a body without rows
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if body.shape[0] == 0 or body.shape[1] != len(names):
+        return None
+    return validate_dataset(body, names)
 
 
 def _parse_csv(fh: io.TextIOBase, label: str) -> Dataset:

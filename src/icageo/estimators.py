@@ -6,11 +6,11 @@ digamma bias reduction, k-nearest-neighbor mutual information in the
 Chebyshev metric, and a binned kernel density score table with a
 smoothing-bias correction.  All are deterministic functions of their inputs.
 """
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .data import Dataset
@@ -77,18 +77,29 @@ def _check_vector(x, minimum: int) -> np.ndarray:
     return v
 
 
+@functools.lru_cache(maxsize=32)
+def _spacing_bias(n: int, m: int) -> float:
+    # digamma bias-reduction terms for the m-spacing estimator; they depend
+    # on n and m only, and solver loops ask for the same pair every call
+    i = np.arange(1, m + 1)
+    return (math.log(2.0 * m / n) - (1.0 - 2.0 * m / n) * digamma(2 * m)
+            + digamma(n + 1) - (2.0 / n) * float(np.sum(digamma(i + m - 1))))
+
+
 def _vasicek(x: np.ndarray, m: int) -> float:
     n = x.size
     xs = np.sort(x)
-    padded = np.concatenate([np.full(m, xs[0]), xs, np.full(m, xs[-1])])
-    gaps = padded[2 * m:] - padded[:n]
-    gaps = np.maximum(gaps, 1e-300)
-    base = float(np.mean(np.log(n / (2.0 * m) * gaps)))
-    # digamma bias-reduction terms for the m-spacing estimator
-    i = np.arange(1, m + 1)
-    corr = (math.log(2.0 * m / n) - (1.0 - 2.0 * m / n) * digamma(2 * m)
-            + digamma(n + 1) - (2.0 / n) * float(np.sum(digamma(i + m - 1))))
-    return base + corr
+    # m-spacings xs[min(k + m, n - 1)] - xs[max(k - m, 0)], built in one
+    # buffer, which then holds the floored, scaled logs
+    gaps = np.empty(n)
+    gaps[:n - m] = xs[m:]
+    gaps[n - m:] = xs[-1]
+    gaps[m:] -= xs[:n - m]
+    gaps[:m] -= xs[0]
+    np.maximum(gaps, 1e-300, out=gaps)
+    np.multiply(n / (2.0 * m), gaps, out=gaps)
+    np.log(gaps, out=gaps)
+    return float(np.mean(gaps)) + _spacing_bias(n, m)
 
 
 def _hist_entropy(x: np.ndarray, bins: int) -> float:
@@ -167,6 +178,10 @@ def _marginal_digamma_counts(column: np.ndarray, eps: np.ndarray) -> float:
 
 
 def _knn_mi(Y: np.ndarray, k: int) -> tuple[float, float]:
+    # imported here: scipy.spatial adds a fifth to the CLI's start-up time,
+    # and only this estimator needs it
+    from scipy.spatial import cKDTree
+
     T, N = Y.shape
     dist, _ = cKDTree(Y).query(Y, k=k + 1, p=np.inf)
     eps = dist[:, -1]

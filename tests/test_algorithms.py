@@ -8,9 +8,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
                     ScoreModel, SolverConfig, SourceSpec, TooFewSamples,
                     amari_index, correlation_C, make_score, objective_trace,
-                    orthogonal_ica, relative_gradient_ica, sample_covariance,
-                    simulate, stationarity_matrix)
-from icageo.algorithms import SCORE_NAMES
+                    orthogonal_ica, parse_source, random_mixing, relative_gradient_ica,
+                    sample_covariance, simulate, stationarity_matrix)
+from icageo import algorithms
+from icageo.algorithms import ANGLE_TOL, NO_IMPROVEMENT_FLOOR, SCORE_NAMES
+from icageo.gaussian import whitener
 
 
 def mixed_pair(seed, T=20000, families=("laplace", "uniform")):
@@ -175,6 +177,93 @@ def test_orthogonal_is_deterministic():
     r1 = orthogonal_ica(X, SolverConfig())
     r2 = orthogonal_ica(X, SolverConfig())
     assert_array_equal(r1.demixing, r2.demixing)
+
+
+def reference_orthogonal_ica(data, config):
+    """The Jacobi sweep as first written, searching every pair in every
+    sweep: (demixing, trajectory, iterations, no_improvement)."""
+    X = data.samples
+    n = data.N
+    W = whitener(sample_covariance(data)).matrix
+    Y = X @ W.T
+    U = np.eye(n)
+    sweep_gains = []
+    best_gain_ever = 0.0
+    coarse = -0.25 * math.pi + 0.5 * math.pi * (np.arange(1, 17) / 16.0)
+    negentropy = algorithms._negentropy_raw
+    for _ in range(algorithms.MAX_SWEEPS):
+        sweep_best = 0.0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                yi = Y[:, i].copy()
+                yj = Y[:, j].copy()
+                base = negentropy(yi) + negentropy(yj)
+
+                def gain(theta):
+                    c, s = math.cos(theta), math.sin(theta)
+                    return (negentropy(c * yi - s * yj)
+                            + negentropy(s * yi + c * yj) - base)
+
+                values = [gain(t) for t in coarse]
+                k = int(np.argmax(values))
+                span = 0.5 * math.pi / 16.0
+                theta, improvement = algorithms._golden_section(
+                    gain, coarse[k] - span, coarse[k] + span, ANGLE_TOL)
+                best_gain_ever = max(best_gain_ever, improvement, max(values))
+                if improvement > config.tol:
+                    sweep_best = max(sweep_best, improvement)
+                    c, s = math.cos(theta), math.sin(theta)
+                    Y[:, i] = c * yi - s * yj
+                    Y[:, j] = s * yi + c * yj
+                    rot = np.eye(n)
+                    rot[i, i] = rot[j, j] = c
+                    rot[i, j] = -s
+                    rot[j, i] = s
+                    U = rot @ U
+        sweep_gains.append(sweep_best)
+        if sweep_best <= config.tol:
+            break
+    return (U @ W, np.asarray(sweep_gains), len(sweep_gains),
+            best_gain_ever < NO_IMPROVEMENT_FLOOR)
+
+
+def mixed(families, T, seed):
+    n = len(families)
+    model = MixingModel(random_mixing(n, Rng(seed).child(1000), 3.0),
+                        tuple(parse_source(f) for f in families))
+    return simulate(model, T, Rng(seed))[0]
+
+
+@pytest.mark.parametrize("families", [
+    ("laplace", "uniform"),
+    ("uniform", "laplace", "uniform"),
+    ("laplace", "uniform", "cosh-reciprocal", "generalized-gaussian(4)"),
+    ("gaussian", "gaussian", "laplace", "uniform"),
+])
+def test_orthogonal_equals_reference_with_fewer_searches(monkeypatch,
+                                                         families):
+    X = mixed(families, 5000, len(families))
+    calls = []
+
+    def counted(v):
+        calls.append(v.size)
+        return negentropy(v)
+
+    negentropy = algorithms._negentropy_raw
+    monkeypatch.setattr(algorithms, "_negentropy_raw", counted)
+    config = SolverConfig()
+    result = orthogonal_ica(X, config)
+    fast_calls = len(calls)
+    B, trajectory, iterations, no_improvement = reference_orthogonal_ica(
+        X, config)
+    assert_array_equal(result.demixing, B)
+    assert_array_equal(result.trajectory, trajectory)
+    assert result.iterations == iterations
+    assert result.no_improvement == no_improvement
+    assert result.converged
+    if len(families) == 4:
+        # the final sweep re-searches no pair whose columns are unchanged
+        assert fast_calls < len(calls) - fast_calls
 
 
 def test_objective_trace_is_deterministic_and_ordered():

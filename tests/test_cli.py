@@ -140,7 +140,7 @@ def test_separate_adaptive_end_to_end(tmp_path):
     assert B.shape == (2, 2)
 
 
-def test_separate_orthogonal_records_decorrelation(tmp_path):
+def test_separate_orthogonal_records_decorrelation(tmp_path, capsys):
     sim = simulate_into(tmp_path / "sim")
     out = tmp_path / "orth"
     code = run(["separate", sim / "X.csv", "--algorithm", "orthogonal",
@@ -151,6 +151,13 @@ def test_separate_orthogonal_records_decorrelation(tmp_path):
     assert report["amari_index"] < 0.05
     assert report["correlation_C"] < 1e-10
     assert report["no_improvement"] is False
+    # the solver uses no score, and its trajectory holds sweep gains
+    assert report["score"] is None
+    assert "stationarity_norm" not in report
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert report["last_sweep_gain"] == float(trace[-1].split(",")[1])
+    assert report["last_sweep_gain"] <= 1e-4  # the default tol
+    assert "last_sweep_gain=" in capsys.readouterr().out
 
 
 def test_separate_is_byte_identical_across_runs(tmp_path):
@@ -288,11 +295,21 @@ def test_console_entrypoint_runs():
     assert "icageo" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal roughly doubles the start-up import time of the CLI
+def loaded_by_cli_import(module):
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import icageo.cli, sys; print('scipy.signal' in sys.modules)"],
+         f"import icageo.cli, sys; print({module!r} in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal roughly doubles the start-up import time of the CLI
+    assert not loaded_by_cli_import("scipy.signal")
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # only the kNN mutual information needs scipy.spatial, which adds
+    # about a fifth to the start-up import time of the CLI
+    assert not loaded_by_cli_import("scipy.spatial")

@@ -1,9 +1,13 @@
 """Tests for errors, seeding, source families, and dataset handling."""
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from icageo import (Dataset, EmptyChannels, IcageoError, InvalidDistribution,
@@ -11,6 +15,7 @@ from icageo import (Dataset, EmptyChannels, IcageoError, InvalidDistribution,
                     SourceSpec, TooFewSamples, exit_code_for, parse_source,
                     random_mixing, read_csv, simulate, validate_dataset,
                     write_csv)
+from icageo.data import CSV_BLOCK_ROWS
 from icageo.sources import FAMILIES, GAUSSIAN_ENTROPY
 
 # closed-form differential entropies for the unit-variance families,
@@ -259,3 +264,142 @@ def test_read_csv_flags_nan_cells(tmp_path):
     path.write_text("a,b\n1.0,2.0\nnan,4.0\n")
     with pytest.raises(NonFinite):
         read_csv(path)
+
+
+# -- CSV against the row-by-row references ------------------------------------
+
+def reference_write_csv(path, data):
+    """One csv.writer row per observation: the format write_csv keeps."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(data.names())
+        for row in np.asarray(data.samples):
+            w.writerow([f"{v:.17g}" for v in row])
+
+
+def reference_read_csv(path):
+    """float() on every field of every csv.reader row: the values and the
+    errors read_csv keeps."""
+    label = str(path)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IoError(f"{label}: empty file") from None
+        names = tuple(h.strip() for h in header)
+        if not names or any(not n for n in names):
+            raise IoError(f"{label}: malformed header row")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise IoError(f"{label}: line {lineno}: expected "
+                              f"{len(names)} fields, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise IoError(f"{label}: line {lineno}: non-numeric field") from None
+        if not rows:
+            raise IoError(f"{label}: no data rows")
+        return validate_dataset(np.array(rows, dtype=float), names)
+
+
+def outcome(read, path):
+    """(names, sample bits) on success, (error type, message) on failure,
+    and the warnings the call emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            data = read(path)
+            result = (data.names(), data.samples.tobytes())
+        except IcageoError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+# zeros of both signs, the smallest subnormal, the smallest normal, and
+# magnitudes near the float64 range ends
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  -1e-308, 1e308, -1e308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e-5, 0.1, 1.0 / 3.0]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROWS = st.sampled_from([2, 3, 17, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                        CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 5])
+# derandomized: every run of the suite tries the same examples
+CSV_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@CSV_SETTINGS
+@given(values=st.lists(FINITE, min_size=1, max_size=30), T=ROWS,
+       N=st.integers(1, 4))
+def test_write_csv_bytes_equal_row_by_row_writer(tmp_path, values, T, N):
+    gen = np.random.default_rng(len(values))
+    pool = np.array(values + SPECIAL_VALUES)
+    data = Dataset(pool[gen.integers(0, pool.size, (T, N))])
+    write_csv(tmp_path / "fast.csv", data)
+    reference_write_csv(tmp_path / "ref.csv", data)
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+    back = read_csv(tmp_path / "fast.csv")
+    assert back.samples.tobytes() == data.samples.tobytes()
+
+
+NAME = st.text("abcxyz_019 ", min_size=1, max_size=6).filter(str.strip)
+# renderings float() reads back exactly, and two that round (%.3e can
+# round past the largest float64 to inf)
+EXACT_FORMATS = ["%.17g", "%r", "%.25g"]
+FORMATS = EXACT_FORMATS + ["%.3e", "%.6f"]
+
+
+@CSV_SETTINGS
+@given(values=st.lists(FINITE, min_size=1, max_size=40),
+       names=st.lists(NAME, min_size=1, max_size=4),
+       fmt=st.sampled_from(FORMATS), eol=st.sampled_from(["\r\n", "\n"]),
+       final_eol=st.booleans())
+def test_read_csv_equals_row_by_row_reader(tmp_path, values, names, fmt, eol,
+                                           final_eol):
+    N = len(names)
+    values = values * N * 2
+    rows = [values[k:k + N] for k in range(0, len(values) - N + 1, N)]
+    text = eol.join([",".join(names)]
+                    + [",".join(fmt % v for v in row) for row in rows])
+    path = tmp_path / "in.csv"
+    path.write_bytes((text + (eol if final_eol else "")).encode())
+    got, caught = outcome(read_csv, path)
+    assert caught == []
+    assert got == outcome(reference_read_csv, path)[0]
+    if fmt in EXACT_FORMATS:
+        assert got == (tuple(n.strip() for n in names),
+                       np.array(rows).tobytes())
+
+
+FIELDS = st.sampled_from(["1", "-0", "2.5e-3", "1e308", "", " ", " 3 ", "\t4",
+                          "nan", "-inf", "#", "#1", '"1"', '"1,2"', '"',
+                          "1_0", "x", "5e", "0x10", "\x0c", "\u0663"])
+LINE = st.one_of(st.lists(FIELDS, max_size=4).map(",".join),
+                 st.sampled_from(["", " ", "# comment", ",", "1,2,"]))
+HEADER = st.sampled_from(["a,b", "a", "a,b,c", '"a",b', '"a,b"', "", " ",
+                          "a,,b", " a , b ", "#a,b"])
+
+
+@settings(CSV_SETTINGS, max_examples=300)
+@given(header=HEADER, lines=st.lists(LINE, max_size=6),
+       eol=st.sampled_from(["\r\n", "\n", "\r"]), final_eol=st.booleans())
+@example(header="a,b", lines=["1,2,3", "4,5,6"], eol="\n", final_eol=True)
+@example(header="a", lines=["# comment", "1", "2"], eol="\n", final_eol=True)
+@example(header="a", lines=["1", "", "2"], eol="\r\n", final_eol=False)
+@example(header="", lines=[], eol="\n", final_eol=False)  # empty file
+@example(header="a", lines=[], eol="\n", final_eol=True)  # header only
+@example(header="a,b", lines=["", ""], eol="\r\n", final_eol=True)
+def test_read_csv_malformed_input_matches_row_by_row_reader(
+        tmp_path, header, lines, eol, final_eol):
+    text = eol.join([header] + lines) + (eol if final_eol else "")
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    got, caught = outcome(read_csv, path)
+    assert caught == []
+    assert got == outcome(reference_read_csv, path)[0]
+

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import digamma
 
 from icageo import (Dataset, DegenerateSample, DimensionMismatch,
                     DimensionTooHigh, EstimatorFailure, InvalidConfig,
                     SourceSpec, TooFewSamples, entropy_scalar,
                     mutual_information, negentropy_scalar, score_table)
+from icageo.estimators import _negentropy_raw
 from icageo.sources import GAUSSIAN_ENTROPY
 
 GAUSS_H = 1.4189385332046727
@@ -93,6 +95,36 @@ def test_negentropy_gate_rejects_implausible_estimates():
 def test_negentropy_allows_small_negative_noise():
     est = negentropy_scalar(draw("gaussian", 5000, 12))
     assert est.value > -0.1  # mild negatives pass through un-gated
+
+
+def reference_vasicek(x, m):
+    """The m-spacing entropy as first written: padded copies and the bias
+    term recomputed on every call."""
+    n = x.size
+    xs = np.sort(x)
+    padded = np.concatenate([np.full(m, xs[0]), xs, np.full(m, xs[-1])])
+    gaps = padded[2 * m:] - padded[:n]
+    gaps = np.maximum(gaps, 1e-300)
+    base = float(np.mean(np.log(n / (2.0 * m) * gaps)))
+    i = np.arange(1, m + 1)
+    corr = (math.log(2.0 * m / n) - (1.0 - 2.0 * m / n) * digamma(2 * m)
+            + digamma(n + 1) - (2.0 / n) * float(np.sum(digamma(i + m - 1))))
+    return base + corr
+
+
+@pytest.mark.parametrize("n", [10, 1000, 20001])
+def test_negentropy_raw_bitwise_equals_reference(n):
+    m = max(1, int(math.sqrt(n)))
+    for seed in range(4):
+        # rounding makes ties, i.e. zero spacings that hit the 1e-300 floor
+        x = np.round(draw("laplace", n, seed), 1 + seed % 3)
+        want = (GAUSSIAN_ENTROPY + 0.5 * math.log(float(np.var(x)))
+                - reference_vasicek(x, m))
+        got = _negentropy_raw(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for m_test in (1, 2, m, (n - 1) // 2):
+            got = entropy_scalar(x, m=m_test).value
+            assert got == reference_vasicek(x, m_test)
 
 
 # -- mutual information -------------------------------------------------------
