@@ -187,6 +187,8 @@ def read_csv(path) -> Dataset:
             return data
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not a UTF-8 text file") from exc
 
 
 def _load_numeric(fh: io.TextIOBase) -> Dataset | None:

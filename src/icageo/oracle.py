@@ -22,12 +22,15 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientCoverage,
                      InvalidDistribution, IoError, SingularTransform)
-from .sources import SourceSpec
+from .sources import SourceSpec, parse_source
 
 # density values below this are treated as exact zeros in integrands
 DENSITY_FLOOR = 1e-300
 # allowed deviation of quadrature mass from 1
 MASS_TOL = 1e-4
+# grid points a quadrature evaluates at once, whatever the step: blocks of
+# 2**15 to 2**16 points stay in cache and ran the default grids fastest
+QUAD_BLOCK_POINTS = 1 << 15
 
 
 # -- discrete world -------------------------------------------------------
@@ -169,55 +172,40 @@ class AnalyticDensity2D:
         return (min(lo, hi), max(lo, hi))
 
 
-def _as_density(form, pdf, frame, base_support, params) -> AnalyticDensity2D:
-    return AnalyticDensity2D(form, pdf, np.asarray(frame, dtype=float),
-                             tuple(base_support), params)
-
-
 def gaussian_density(cov) -> AnalyticDensity2D:
     """Zero-mean bivariate Gaussian; base coordinates are standard normal."""
     cov = np.array(cov, dtype=float)
     if cov.shape != (2, 2):
         raise DimensionMismatch("need a 2x2 covariance")
-    chol = np.linalg.cholesky(0.5 * (cov + cov.T))
-    prec = np.linalg.inv(cov)
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+    cov = 0.5 * (cov + cov.T)
 
     def pdf(points):
         pts = np.asarray(points, dtype=float)
-        quad = np.einsum("...i,ij,...j->...", pts, prec, pts)
-        return norm * np.exp(-0.5 * quad)
+        return np.exp(_log_gauss_2d(pts[..., 0], pts[..., 1], cov))
 
-    return _as_density("gaussian", pdf, chol, (None, None),
-                       {"cov": cov.tolist()})
+    return AnalyticDensity2D("gaussian", pdf, np.linalg.cholesky(cov),
+                             (None, None), {"cov": cov.tolist()})
 
 
 def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
     """Mixture of bivariate Gaussians with overall mean zero."""
     w = np.asarray(weights, dtype=float)
     mu = np.asarray(means, dtype=float).reshape(len(w), 2)
-    sig = [np.array(c, dtype=float) for c in covs]
-    if len(sig) != len(w) or (w <= 0).any():
+    parts = [gaussian_density(c) for c in covs]
+    if len(parts) != len(w) or (w <= 0).any():
         raise InvalidDistribution("mixture needs one positive weight per part")
     if abs(w.sum() - 1.0) > 1e-12:
         raise InvalidDistribution("mixture weights must sum to 1")
     if np.abs(w @ mu).max() > 1e-12:
         raise InvalidDistribution("mixture must have overall mean zero")
-    precs = [np.linalg.inv(c) for c in sig]
-    norms = [1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(c))) for c in sig]
 
     def pdf(points):
         pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for wi, mi, pr, nm in zip(w, mu, precs, norms):
-            d = pts - mi
-            quad = np.einsum("...i,ij,...j->...", d, pr, d)
-            out += wi * nm * np.exp(-0.5 * quad)
-        return out
+        return sum(wi * g.pdf(pts - mi) for wi, mi, g in zip(w, mu, parts))
 
-    return _as_density("gaussian_mixture", pdf, np.eye(2), (None, None),
-                       {"weights": w.tolist(), "means": mu.tolist(),
-                        "covs": [c.tolist() for c in sig]})
+    return AnalyticDensity2D("gaussian_mixture", pdf, np.eye(2), (None, None),
+                             {"weights": w.tolist(), "means": mu.tolist(),
+                              "covs": [part.params["cov"] for part in parts]})
 
 
 def product_density(s1: SourceSpec, s2: SourceSpec) -> AnalyticDensity2D:
@@ -227,9 +215,9 @@ def product_density(s1: SourceSpec, s2: SourceSpec) -> AnalyticDensity2D:
         pts = np.asarray(points, dtype=float)
         return s1.pdf(pts[..., 0]) * s2.pdf(pts[..., 1])
 
-    return _as_density("product_of_1d", pdf, np.eye(2),
-                       (s1.support(), s2.support()),
-                       {"sources": [s1.label(), s2.label()]})
+    return AnalyticDensity2D("product_of_1d", pdf, np.eye(2),
+                             (s1.support(), s2.support()),
+                             {"sources": [s1.label(), s2.label()]})
 
 
 def rotated_product_density(s1: SourceSpec, s2: SourceSpec,
@@ -244,10 +232,10 @@ def rotated_product_density(s1: SourceSpec, s2: SourceSpec,
         b1 = -s * pts[..., 0] + c * pts[..., 1]
         return s1.pdf(b0) * s2.pdf(b1)
 
-    return _as_density("rotated_product", pdf, R,
-                       (s1.support(), s2.support()),
-                       {"sources": [s1.label(), s2.label()],
-                        "angle_rad": angle_rad})
+    return AnalyticDensity2D("rotated_product", pdf, R,
+                             (s1.support(), s2.support()),
+                             {"sources": [s1.label(), s2.label()],
+                              "angle_rad": angle_rad})
 
 
 def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
@@ -265,8 +253,8 @@ def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
         pts = np.asarray(points, dtype=float)
         return base(pts @ Ainv.T) / abs(det)
 
-    return _as_density(p.form, pdf, A @ p.frame, p.base_support,
-                       dict(p.params, transformed=True))
+    return AnalyticDensity2D(p.form, pdf, A @ p.frame, p.base_support,
+                             dict(p.params, transformed=True))
 
 
 # -- quadrature grids -----------------------------------------------------
@@ -325,16 +313,16 @@ def _mass_ok(mass: float) -> bool:
     return (1.0 - MASS_TOL) <= mass <= (1.0 + MASS_TOL)
 
 
-def _base_grid(p: AnalyticDensity2D, grid: GridSpec,
-               extend: tuple | None = None):
-    """Cell centers (in base coordinates), widths, and mapped y points."""
-    sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step,
-                         None if extend is None else extend[0])
-    sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step,
-                         None if extend is None else extend[1])
-    S = np.stack(np.meshgrid(sx, sy, indexing="ij"), axis=-1)
-    Y = S @ p.frame.T
-    return sx, sy, hx, hy, Y
+def _grid_blocks(frame: np.ndarray, sx: np.ndarray, sy: np.ndarray):
+    """(rows, Y) for each slice of QUAD_BLOCK_POINTS points (or one row) of
+    the tensor grid sx x sy, Y holding its points y = frame s, shape
+    (rows, len(sy), 2); each coordinate plane Y[..., k] is contiguous."""
+    step = max(1, QUAD_BLOCK_POINTS // len(sy))
+    for start in range(0, len(sx), step):
+        s1 = sx[start:start + step, None]
+        yield slice(start, start + step), np.stack(
+            [frame[0, 0] * s1 + frame[0, 1] * sy,
+             frame[1, 0] * s1 + frame[1, 1] * sy]).transpose(1, 2, 0)
 
 
 def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
@@ -349,27 +337,26 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     grid = GridSpec() if grid is None else grid
     # y-space box that q's mass lives in: exact support image if bounded,
     # else the grid box
-    corners = []
-    for cx in q.base_support[0] or grid.axis_range(0):
-        for cy in q.base_support[1] or grid.axis_range(1):
-            corners.append(q.frame @ np.array([cx, cy]))
-    corners = np.array(corners)
-    pulled = np.linalg.solve(p.frame, corners.T).T
-    extend = ((float(pulled[:, 0].min()), float(pulled[:, 0].max())),
-              (float(pulled[:, 1].min()), float(pulled[:, 1].max())))
-    sx, sy, hx, hy, Y = _base_grid(p, grid, extend)
+    box = [q.base_support[k] or grid.axis_range(k) for k in (0, 1)]
+    corners = np.array([q.frame @ [cx, cy] for cx in box[0] for cy in box[1]])
+    pulled = np.linalg.solve(p.frame, corners.T)
+    sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step,
+                         (float(pulled[0].min()), float(pulled[0].max())))
+    sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step,
+                         (float(pulled[1].min()), float(pulled[1].max())))
     cell = hx * hy * abs(np.linalg.det(p.frame))
-    P = p.pdf(Y)
-    Q = q.pdf(Y)
-    mass_p = float(P.sum() * cell)
-    mass_q = float(Q.sum() * cell)
+    sums = np.zeros(3)  # masses of p and q, KLD, each over the cell size
+    for _, Y in _grid_blocks(p.frame, sx, sy):
+        P, Q = p.pdf(Y), q.pdf(Y)
+        mask = P > DENSITY_FLOOR
+        sums += [P.sum(), Q.sum(), np.sum(P[mask] * np.log(
+            P[mask] / np.maximum(Q[mask], DENSITY_FLOOR)))]
+    mass_p, mass_q, kld = sums * cell
     if not (_mass_ok(mass_p) and _mass_ok(mass_q)):
         raise InsufficientCoverage(
             f"grid captures mass p={mass_p:.6f}, q={mass_q:.6f}; "
             "enlarge the box")
-    mask = P > DENSITY_FLOOR
-    vals = P[mask] * np.log(P[mask] / np.maximum(Q[mask], DENSITY_FLOOR))
-    return float(vals.sum() * cell)
+    return float(kld)
 
 
 # -- the joint-identity report -------------------------------------------
@@ -389,6 +376,46 @@ def _log_gauss_2d(xx, yy, m2: np.ndarray) -> np.ndarray:
     return -0.5 * quad - math.log(2.0 * math.pi) - 0.5 * math.log(det)
 
 
+def _grid_measure(p: AnalyticDensity2D, frame: np.ndarray, sx: np.ndarray,
+                  sy: np.ndarray, cell: float):
+    """Normalized cell masses pi of p on the tensor grid sx x sy mapped
+    through y = frame s, the mass the grid captures, and the uncentered
+    second moments of pi in y, which its zero-mean Gaussian fit matches."""
+    pi = np.empty((len(sx), len(sy)))
+    mass = 0.0
+    for rows, Y in _grid_blocks(frame, sx, sy):
+        P = p.pdf(Y)
+        mass += float(P.sum()) * cell
+        pi[rows] = np.where(P > DENSITY_FLOOR, P * cell, 0.0)
+    if not _mass_ok(mass):
+        raise InsufficientCoverage(f"grid captures mass {mass:.6f}; "
+                                   "enlarge the box")
+    pi /= pi.sum()
+    cross = sx @ (pi @ sy)
+    m2 = frame @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
+                           [cross, pi.sum(axis=0) @ (sy * sy)]]) @ frame.T
+    return pi, mass, m2
+
+
+def _divergences(pi: np.ndarray, frame: np.ndarray, sx: np.ndarray,
+                 sy: np.ndarray, log_cell: float, m2: np.ndarray,
+                 *products) -> list[float]:
+    """sum pi (log pi - log q), point by point over a grid measure on the
+    points y = frame s, for q the zero-mean Gaussian with second moments m2
+    times the cell size, then for each product a (x) b given as the logs
+    (a, b) of its factors."""
+    sums = [0.0] * (1 + len(products))
+    for rows, Y in _grid_blocks(frame, sx, sy):
+        mask = pi[rows] > 0
+        cells = pi[rows][mask]
+        log_cells = np.log(cells)
+        log_fit = _log_gauss_2d(Y[..., 0], Y[..., 1], m2) + log_cell
+        for k, log_q in enumerate([log_fit] + [a[rows, None] + b
+                                               for a, b in products]):
+            sums[k] += float(np.sum(cells * (log_cells - log_q[mask])))
+    return sums
+
+
 def verify_four_point_identity(p: AnalyticDensity2D,
                                grid: GridSpec | None = None) -> IdentityReport:
     """Check the joint divergence identity on one density.
@@ -403,39 +430,20 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     grid = GridSpec() if grid is None else grid
     xs, hx = _axis_cells(p.y_axis_support(0), grid.axis_range(0), grid.step)
     ys, hy = _axis_cells(p.y_axis_support(1), grid.axis_range(1), grid.step)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    P = p.pdf(np.stack([xx, yy], axis=-1))
-    w = hx * hy
-    mass = float(P.sum() * w)
-    if not _mass_ok(mass):
-        raise InsufficientCoverage(f"grid captures mass {mass:.6f}; "
-                                   "enlarge the box")
-    pi = np.where(P > DENSITY_FLOOR, P * w, 0.0)
-    pi /= pi.sum()
+    eye = np.eye(2)
+    pi, mass, m2 = _grid_measure(p, eye, xs, ys, hx * hy)
     px = pi.sum(axis=1)
     py = pi.sum(axis=0)
-    # uncentered second moments of the grid measure (zero-mean convention)
-    m2 = np.empty((2, 2))
-    m2[0, 0] = float(np.sum(px * xs * xs))
-    m2[1, 1] = float(np.sum(py * ys * ys))
-    m2[0, 1] = m2[1, 0] = float(np.sum(pi * xx * yy))
-
+    # a zero marginal cell carries no grid mass, so its log is never used
+    log_px = np.log(px, out=np.zeros_like(px), where=px > 0)
+    log_py = np.log(py, out=np.zeros_like(py), where=py > 0)
     log_phi1 = _log_gauss_1d(xs, m2[0, 0]) + math.log(hx)
     log_phi2 = _log_gauss_1d(ys, m2[1, 1]) + math.log(hy)
-    log_phi_joint = _log_gauss_2d(xx, yy, m2) + math.log(w)
-    log_phi_indep = log_phi1[:, None] + log_phi2[None, :]
-
-    mask = pi > 0
-    log_pi = np.log(pi[mask])
-    mx = px > 0
-    my = py > 0
-
-    log_pxpy = np.log((px[:, None] * py[None, :])[mask])
-    mutual_info = float(np.sum(pi[mask] * (log_pi - log_pxpy)))
-    g1 = float(np.sum(px[mx] * (np.log(px[mx]) - log_phi1[mx])))
-    g2 = float(np.sum(py[my] * (np.log(py[my]) - log_phi2[my])))
-    g_joint = float(np.sum(pi[mask] * (log_pi - log_phi_joint[mask])))
-    hyp = float(np.sum(pi[mask] * (log_pi - log_phi_indep[mask])))
+    g_joint, mutual_info, hyp = _divergences(
+        pi, eye, xs, ys, math.log(hx * hy), m2,
+        (log_px, log_py), (log_phi1, log_phi2))
+    g1 = float(px @ (log_px - log_phi1))
+    g2 = float(py @ (log_py - log_phi2))
     corr = 0.5 * (math.log(m2[0, 0] * m2[1, 1])
                   - math.log(m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2))
 
@@ -457,23 +465,11 @@ def verify_four_point_identity(p: AnalyticDensity2D,
 
 def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
     """Joint non-Gaussianity by pullback quadrature in base coordinates."""
-    sx, sy, hx, hy, Y = _base_grid(p, grid)
+    sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step)
+    sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step)
     cell = hx * hy * abs(np.linalg.det(p.frame))
-    P = p.pdf(Y)
-    mass = float(P.sum() * cell)
-    if not _mass_ok(mass):
-        raise InsufficientCoverage(f"grid captures mass {mass:.6f}")
-    pi = np.where(P > DENSITY_FLOOR, P * cell, 0.0)
-    pi /= pi.sum()
-    y1 = Y[..., 0]
-    y2 = Y[..., 1]
-    m2 = np.empty((2, 2))
-    m2[0, 0] = float(np.sum(pi * y1 * y1))
-    m2[1, 1] = float(np.sum(pi * y2 * y2))
-    m2[0, 1] = m2[1, 0] = float(np.sum(pi * y1 * y2))
-    log_phi = _log_gauss_2d(y1, y2, m2) + math.log(cell)
-    mask = pi > 0
-    return float(np.sum(pi[mask] * (np.log(pi[mask]) - log_phi[mask])))
+    pi, _, m2 = _grid_measure(p, p.frame, sx, sy, cell)
+    return _divergences(pi, p.frame, sx, sy, math.log(cell), m2)[0]
 
 
 def gaussianity_invariance_check(p: AnalyticDensity2D, transform,
@@ -546,8 +542,8 @@ def builtin_suite(step: float = 0.01) -> list[dict]:
     grid = GridSpec(step=step)
     rho = gaussian_density([[1.0, 0.5], [0.5, 1.0]])
     iso = gaussian_density([[1.0, 0.0], [0.0, 1.0]])
-    checks.append(_check("quad_kld_gaussian_rho_half",
-                         quad_kld_2d(rho, iso, grid),
+    kld_rho = quad_kld_2d(rho, iso, grid)
+    checks.append(_check("quad_kld_gaussian_rho_half", kld_rho,
                          gg.gaussian_kld(gg.Covariance(rho.params["cov"]),
                                          gg.Covariance(iso.params["cov"])),
                          1e-4))
@@ -588,9 +584,8 @@ def builtin_suite(step: float = 0.01) -> list[dict]:
                          gaussianity_invariance_check(lap_prod, rot37, grid),
                          0.0, 1e-3))
     A = np.array([[1.1, 0.4], [-0.3, 0.9]])
-    lhs = quad_kld_2d(rho, iso, grid)
     rhs = quad_kld_2d(linear_image(rho, A), linear_image(iso, A), grid)
-    checks.append(_check("kld_invariance_linear_map", lhs, rhs, 1e-3))
+    checks.append(_check("kld_invariance_linear_map", kld_rho, rhs, 1e-3))
     return checks
 
 
@@ -628,7 +623,9 @@ def load_verify_spec(path) -> list[dict]:
                                     verify_product_pythagoras(joint, tm), 1e-12))
     if "density" in spec:
         dens = _density_from_json(spec["density"], path)
-        step = float(spec.get("step", 0.01))
+        step = spec.get("step", 0.01)
+        if not isinstance(step, (int, float)):
+            raise InvalidDistribution(f"{path}: field 'step' must be a number")
         checks.append(_report_check("user_four_point_identity",
                                     verify_four_point_identity(
                                         dens, GridSpec(step=step)), 1e-3))
@@ -649,15 +646,14 @@ def _density_from_json(obj, path) -> AnalyticDensity2D:
             return gaussian_mixture_density(obj["weights"], obj["means"],
                                             obj["covs"])
         if form == "product_of_1d":
-            from .sources import parse_source
             a, b = obj["sources"]
             return product_density(parse_source(a), parse_source(b))
         if form == "rotated_product":
-            from .sources import parse_source
             a, b = obj["sources"]
             return rotated_product_density(parse_source(a), parse_source(b),
                                            math.radians(float(obj["angle_deg"])))
-    except KeyError as exc:
-        raise InvalidDistribution(
-            f"{path}: density form {form!r} is missing field {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        # absent keys, wrong types, ragged matrices, a source list of one
+        raise InvalidDistribution(f"{path}: density form {form!r} has a "
+                                  f"missing or malformed field: {exc}") from exc
     raise InvalidDistribution(f"{path}: unknown density form {form!r}")

@@ -235,6 +235,13 @@ def test_diagnose_five_channels_omits_mi(tmp_path):
     assert "correlation" in report and "objective_proxy" in report
 
 
+def test_separate_non_utf8_csv_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    assert run(["separate", bad, "--output-dir", tmp_path / "out"]) == 2
+    assert "bad.csv: not a UTF-8 text file" in capsys.readouterr().err
+
+
 def test_diagnose_empty_file_is_io_error(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -275,6 +282,48 @@ def test_verify_malformed_spec_is_input_error(tmp_path, capsys):
     bad.write_text("{ not json")
     assert run(["verify", "--spec", bad, "--output-dir", tmp_path]) == 2
     assert "line" in capsys.readouterr().err
+
+
+GAUSS_EYE = {"form": "gaussian", "cov": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"density": GAUSS_EYE, "step": "abc"},
+    {"density": GAUSS_EYE, "step": None},
+    {"density": {"form": "rotated_product", "sources": ["laplace", "laplace"],
+                 "angle_deg": "abc"}},
+    {"density": {"form": "gaussian", "cov": [[1, 2], [2, 1]]}},  # not PD
+    {"density": {"form": "gaussian_mixture", "weights": [0.5, 0.5],
+                 "means": [[1, 0], [-1, 0]],
+                 "covs": [[[1, 0], [0, 1]], [[1, 1], [1, 1]]]}},  # singular
+    {"density": {"form": "gaussian", "cov": [[1, 0], [0]]}},  # ragged
+    {"density": {"form": "product_of_1d", "sources": ["laplace"]}},
+], ids=["step-text", "step-null", "angle-text", "cov-not-pd",
+        "mixture-singular-cov", "cov-ragged", "one-source"])
+def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert run(["verify", "--spec", bad, "--output-dir", tmp_path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_reruns_are_byte_identical(tmp_path, capsys):
+    # the README's spec example, and a built-in suite coarse enough to be
+    # quick (at most steps from 0.035 up, the Laplace cusp's midpoint error
+    # exceeds the 1e-4 coverage tolerance)
+    spec = tmp_path / "rotated.json"
+    spec.write_text(json.dumps({
+        "density": {"form": "rotated_product",
+                    "sources": ["laplace", "laplace"], "angle_deg": 30},
+        "step": 0.01}))
+    for args in (["--step", 0.03], ["--spec", spec]):
+        docs = []
+        for k in range(2):
+            out = tmp_path / f"ver{k}"
+            assert run(["verify", *args, "--output-dir", out]) == 0
+            docs.append((out / "identities.json").read_bytes())
+        assert docs[0] == docs[1]
+    capsys.readouterr()
 
 
 def test_verify_failing_check_exits_one(tmp_path, capsys, monkeypatch):

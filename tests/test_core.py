@@ -259,6 +259,16 @@ def test_read_csv_diagnoses_bad_rows(tmp_path):
         read_csv(empty)
 
 
+def test_read_csv_rejects_non_utf8(tmp_path):
+    # in the header, and in the body past what the fast parser reads first
+    for name, text in (("head.csv", b"a,\xffb\n1,2\n"),
+                       ("body.csv", b"a,b\n1,2\n3,\xff\n")):
+        path = tmp_path / name
+        path.write_bytes(text)
+        with pytest.raises(IoError, match=f"{name}: not a UTF-8 text file"):
+            read_csv(path)
+
+
 def test_read_csv_flags_nan_cells(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("a,b\n1.0,2.0\nnan,4.0\n")

@@ -1,0 +1,319 @@
+"""The blocked quadrature against the whole-grid code it replaced.
+
+The references below evaluate each grid at once, with the Gaussian pdfs'
+quadratic forms taken by einsum.  The blocked code sums the same terms in
+another order, so every value must agree to 1e-12, and the coverage check
+must fail on the same inputs.
+"""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from icageo import (GridSpec, IcageoError, InsufficientCoverage,
+                    builtin_suite, gaussian_density, gaussian_mixture_density,
+                    linear_image, product_density, quad_kld_2d,
+                    rotated_product_density, verify_four_point_identity)
+from icageo.oracle import (DENSITY_FLOOR, QUAD_BLOCK_POINTS, AnalyticDensity2D,
+                           _axis_cells, _grid_blocks, _mass_ok,
+                           _negentropy_quad)
+from icageo.sources import parse_source
+
+TOL = 1e-12
+
+
+# -- the whole-grid references -------------------------------------------------
+
+def reference_gaussian_density(cov):
+    cov = np.array(cov, dtype=float)
+    chol = np.linalg.cholesky(0.5 * (cov + cov.T))
+    prec = np.linalg.inv(cov)
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+
+    def pdf(points):
+        pts = np.asarray(points, dtype=float)
+        quad = np.einsum("...i,ij,...j->...", pts, prec, pts)
+        return norm * np.exp(-0.5 * quad)
+
+    return AnalyticDensity2D("gaussian", pdf, chol, (None, None),
+                             {"cov": cov.tolist()})
+
+
+def reference_gaussian_mixture_density(weights, means, covs):
+    w = np.asarray(weights, dtype=float)
+    mu = np.asarray(means, dtype=float).reshape(len(w), 2)
+    sig = [np.array(c, dtype=float) for c in covs]
+    precs = [np.linalg.inv(c) for c in sig]
+    norms = [1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(c))) for c in sig]
+
+    def pdf(points):
+        pts = np.asarray(points, dtype=float)
+        out = np.zeros(pts.shape[:-1])
+        for wi, mi, pr, nm in zip(w, mu, precs, norms):
+            d = pts - mi
+            quad = np.einsum("...i,ij,...j->...", d, pr, d)
+            out += wi * nm * np.exp(-0.5 * quad)
+        return out
+
+    return AnalyticDensity2D("gaussian_mixture", pdf, np.eye(2), (None, None))
+
+
+def reference_base_grid(p, grid, extend=None):
+    sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step,
+                         None if extend is None else extend[0])
+    sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step,
+                         None if extend is None else extend[1])
+    S = np.stack(np.meshgrid(sx, sy, indexing="ij"), axis=-1)
+    Y = S @ p.frame.T
+    return sx, sy, hx, hy, Y
+
+
+def reference_quad_kld_2d(p, q, grid):
+    corners = []
+    for cx in q.base_support[0] or grid.axis_range(0):
+        for cy in q.base_support[1] or grid.axis_range(1):
+            corners.append(q.frame @ np.array([cx, cy]))
+    corners = np.array(corners)
+    pulled = np.linalg.solve(p.frame, corners.T).T
+    extend = ((float(pulled[:, 0].min()), float(pulled[:, 0].max())),
+              (float(pulled[:, 1].min()), float(pulled[:, 1].max())))
+    sx, sy, hx, hy, Y = reference_base_grid(p, grid, extend)
+    cell = hx * hy * abs(np.linalg.det(p.frame))
+    P = p.pdf(Y)
+    Q = q.pdf(Y)
+    mass_p = float(P.sum() * cell)
+    mass_q = float(Q.sum() * cell)
+    if not (_mass_ok(mass_p) and _mass_ok(mass_q)):
+        raise InsufficientCoverage("reference grid misses mass")
+    mask = P > DENSITY_FLOOR
+    vals = P[mask] * np.log(P[mask] / np.maximum(Q[mask], DENSITY_FLOOR))
+    return float(vals.sum() * cell)
+
+
+def reference_log_gauss_1d(x, var):
+    return -0.5 * (x * x / var + math.log(2.0 * math.pi * var))
+
+
+def reference_log_gauss_2d(xx, yy, m2):
+    det = m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2
+    a = m2[1, 1] / det
+    b = m2[0, 0] / det
+    c = -m2[0, 1] / det
+    quad = a * xx * xx + 2.0 * c * xx * yy + b * yy * yy
+    return -0.5 * quad - math.log(2.0 * math.pi) - 0.5 * math.log(det)
+
+
+def reference_four_point(p, grid):
+    """lhs, rhs, residual and terms of the whole-grid joint identity."""
+    xs, hx = _axis_cells(p.y_axis_support(0), grid.axis_range(0), grid.step)
+    ys, hy = _axis_cells(p.y_axis_support(1), grid.axis_range(1), grid.step)
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    P = p.pdf(np.stack([xx, yy], axis=-1))
+    w = hx * hy
+    mass = float(P.sum() * w)
+    if not _mass_ok(mass):
+        raise InsufficientCoverage("reference grid misses mass")
+    pi = np.where(P > DENSITY_FLOOR, P * w, 0.0)
+    pi /= pi.sum()
+    px = pi.sum(axis=1)
+    py = pi.sum(axis=0)
+    m2 = np.empty((2, 2))
+    m2[0, 0] = float(np.sum(px * xs * xs))
+    m2[1, 1] = float(np.sum(py * ys * ys))
+    m2[0, 1] = m2[1, 0] = float(np.sum(pi * xx * yy))
+    log_phi1 = reference_log_gauss_1d(xs, m2[0, 0]) + math.log(hx)
+    log_phi2 = reference_log_gauss_1d(ys, m2[1, 1]) + math.log(hy)
+    log_phi_joint = reference_log_gauss_2d(xx, yy, m2) + math.log(w)
+    log_phi_indep = log_phi1[:, None] + log_phi2[None, :]
+    mask = pi > 0
+    log_pi = np.log(pi[mask])
+    mx = px > 0
+    my = py > 0
+    log_pxpy = np.log((px[:, None] * py[None, :])[mask])
+    mutual_info = float(np.sum(pi[mask] * (log_pi - log_pxpy)))
+    g1 = float(np.sum(px[mx] * (np.log(px[mx]) - log_phi1[mx])))
+    g2 = float(np.sum(py[my] * (np.log(py[my]) - log_phi2[my])))
+    g_joint = float(np.sum(pi[mask] * (log_pi - log_phi_joint[mask])))
+    hyp = float(np.sum(pi[mask] * (log_pi - log_phi_indep[mask])))
+    corr = 0.5 * (math.log(m2[0, 0] * m2[1, 1])
+                  - math.log(m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2))
+    lhs = mutual_info + g1 + g2
+    rhs = corr + g_joint
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
+            "mutual_information": mutual_info, "marginal_negentropy_1": g1,
+            "marginal_negentropy_2": g2, "sum_marginal_negentropies": g1 + g2,
+            "correlation": corr, "joint_negentropy": g_joint,
+            "hypotenuse_kld": hyp, "residual_product_route": abs(hyp - lhs),
+            "residual_gaussian_route": abs(hyp - rhs), "mass": mass}
+
+
+def reference_negentropy_quad(p, grid):
+    sx, sy, hx, hy, Y = reference_base_grid(p, grid)
+    cell = hx * hy * abs(np.linalg.det(p.frame))
+    P = p.pdf(Y)
+    mass = float(P.sum() * cell)
+    if not _mass_ok(mass):
+        raise InsufficientCoverage("reference grid misses mass")
+    pi = np.where(P > DENSITY_FLOOR, P * cell, 0.0)
+    pi /= pi.sum()
+    y1 = Y[..., 0]
+    y2 = Y[..., 1]
+    m2 = np.empty((2, 2))
+    m2[0, 0] = float(np.sum(pi * y1 * y1))
+    m2[1, 1] = float(np.sum(pi * y2 * y2))
+    m2[0, 1] = m2[1, 0] = float(np.sum(pi * y1 * y2))
+    log_phi = reference_log_gauss_2d(y1, y2, m2) + math.log(cell)
+    mask = pi > 0
+    return float(np.sum(pi[mask] * (np.log(pi[mask]) - log_phi[mask])))
+
+
+# -- drawn densities and grids -------------------------------------------------
+
+SOURCES = ["uniform", "laplace", "generalized-gaussian(4)"]
+
+
+def build(case):
+    """(density, reference density) for one drawn case."""
+    kind, args, image = case
+    if kind == "gaussian":
+        v1, v2, r = args
+        cov = [[v1, r * math.sqrt(v1 * v2)], [r * math.sqrt(v1 * v2), v2]]
+        pair = gaussian_density(cov), reference_gaussian_density(cov)
+    elif kind == "mixture":
+        parts = ([0.4, 0.6], [[1.2, 0.6], [-0.8, -0.4]],
+                 [[[0.5, 0.1], [0.1, 0.4]], [[0.6, -0.1], [-0.1, 0.5]]])
+        pair = (gaussian_mixture_density(*parts),
+                reference_gaussian_mixture_density(*parts))
+    else:
+        a, b, angle = args
+        s1, s2 = parse_source(a), parse_source(b)
+        dens = (product_density(s1, s2) if kind == "product"
+                else rotated_product_density(s1, s2, math.radians(angle)))
+        pair = dens, dens  # these pdfs are unchanged
+    if image is not None:
+        pair = tuple(linear_image(d, image) for d in pair)
+    return pair
+
+
+CASE = st.one_of(
+    st.tuples(st.just("gaussian"),
+              st.tuples(st.floats(0.4, 2.0), st.floats(0.4, 2.0),
+                        st.floats(-0.8, 0.8))),
+    st.tuples(st.sampled_from(["product", "rotated"]),
+              st.tuples(st.sampled_from(SOURCES), st.sampled_from(SOURCES),
+                        st.floats(0.0, 90.0))),
+    st.tuples(st.just("mixture"), st.just(None)),
+).flatmap(lambda c: st.tuples(
+    st.just(c[0]), st.just(c[1]),
+    st.one_of(st.none(), st.sampled_from(
+        [[[1.1, 0.4], [-0.3, 0.9]], [[0.8, 0.0], [0.5, 1.2]],
+         [[1.3, -0.2], [0.0, 0.7]]]))))
+# boxes: the default, two that make row counts no multiple of a block, and
+# a +-2 box that misses Gaussian mass
+BOX = st.sampled_from([(-8.0, 8.0, -8.0, 8.0), (-9.3, 7.1, -8.2, 8.7),
+                       (-6.5, 7.5, -7.7, 7.2), (-2.0, 2.0, -2.0, 2.0)])
+STEP = st.floats(0.02, 0.05)
+
+QUAD_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+GAUSS = ("gaussian", (1.0, 1.0, 0.5), None)
+UNIFORM_PAIR = ("product", ("uniform", "uniform", 0.0), None)
+
+
+def grid_of(box, step):
+    return GridSpec(*box, step=step)
+
+
+def outcome(fn, *args):
+    """The value, or the type of the error raised."""
+    try:
+        return fn(*args)
+    except IcageoError as exc:
+        return type(exc)
+
+
+def assert_same(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    if isinstance(want, dict):
+        assert set(got) == set(want)
+        for k in want:
+            assert abs(got[k] - want[k]) <= TOL, k
+    else:
+        assert abs(got - want) <= TOL
+
+
+@QUAD_SETTINGS
+@given(case=CASE, target=CASE, box=BOX, step=STEP)
+@example(case=GAUSS, target=GAUSS, box=(-2.0, 2.0, -2.0, 2.0), step=0.02)
+def test_quad_kld_2d_matches_whole_grid(case, target, box, step):
+    (p, p_ref), (q, q_ref) = build(case), build(target)
+    grid = grid_of(box, step)
+    assert_same(outcome(quad_kld_2d, p, q, grid),
+                outcome(reference_quad_kld_2d, p_ref, q_ref, grid))
+
+
+def four_point(p, grid):
+    rep = verify_four_point_identity(p, grid)
+    return {"lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
+            **rep.terms}
+
+
+@QUAD_SETTINGS
+@given(case=CASE, box=BOX, step=STEP)
+@example(case=GAUSS, box=(-2.0, 2.0, -2.0, 2.0), step=0.02)
+@example(case=UNIFORM_PAIR, box=(-2.0, 2.0, -2.0, 2.0), step=0.05)
+def test_four_point_identity_matches_whole_grid(case, box, step):
+    p, p_ref = build(case)
+    grid = grid_of(box, step)
+    assert_same(outcome(four_point, p, grid),
+                outcome(reference_four_point, p_ref, grid))
+
+
+@QUAD_SETTINGS
+@given(case=CASE, box=BOX, step=STEP)
+@example(case=GAUSS, box=(-2.0, 2.0, -2.0, 2.0), step=0.02)
+@example(case=UNIFORM_PAIR, box=(-8.0, 8.0, -8.0, 8.0), step=0.05)
+def test_negentropy_quad_matches_whole_grid(case, box, step):
+    p, p_ref = build(case)
+    grid = grid_of(box, step)
+    assert_same(outcome(_negentropy_quad, p, grid),
+                outcome(reference_negentropy_quad, p_ref, grid))
+
+
+@pytest.mark.parametrize("nx, ny", [
+    (3, 80),                                  # fewer rows than one block
+    (5 * (QUAD_BLOCK_POINTS // 800), 800),    # a multiple of the block
+    (1001, 1600),                             # not a multiple
+    (4, QUAD_BLOCK_POINTS + 1),               # rows wider than a block
+])
+def test_grid_blocks_tile_the_whole_grid(nx, ny):
+    frame = np.array([[0.8, -0.6], [0.6, 0.8]])
+    sx = np.linspace(-1.0, 1.0, nx)
+    sy = np.linspace(-2.0, 2.0, ny)
+    blocks = list(_grid_blocks(frame, sx, sy))
+    rows = [range(nx)[r] for r, _ in blocks]
+    assert [i for r in rows for i in r] == list(range(nx))
+    for r, Y in blocks:
+        assert Y.shape == (len(range(nx)[r]), ny, 2)
+        assert Y.shape[0] * ny <= max(QUAD_BLOCK_POINTS, ny)
+    S = np.stack(np.meshgrid(sx, sy, indexing="ij"), axis=-1)
+    np.testing.assert_allclose(np.concatenate([Y for _, Y in blocks]),
+                               S @ frame.T, rtol=0, atol=1e-15)
+
+
+def test_builtin_suite_memory_is_bounded():
+    # the whole-grid suite peaked at 275 MiB
+    tracemalloc.start()
+    try:
+        builtin_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
