@@ -18,8 +18,8 @@ from .rng import Rng
 from .sources import FAMILIES, SourceSpec, parse_source
 from .data import (Dataset, MixingModel, random_mixing, read_csv, simulate,
                    validate_dataset, write_csv)
-from .gaussian import (Covariance, GaussianApprox, WhiteningTransform,
-                       correlation_C, gaussian_kld, sample_covariance,
+from .gaussian import (Covariance, WhiteningTransform, correlation_C,
+                       gaussian_kld, sample_covariance,
                        verify_gaussian_pythagoras, whitener)
 from .estimators import (EntropyEstimate, MIEstimate, NegentropyEstimate,
                          ScoreTable, entropy_scalar, mutual_information,
@@ -48,7 +48,7 @@ __all__ = [
     "FAMILIES", "SourceSpec", "parse_source",
     "Dataset", "MixingModel", "simulate", "random_mixing",
     "read_csv", "write_csv", "validate_dataset",
-    "Covariance", "GaussianApprox", "WhiteningTransform",
+    "Covariance", "WhiteningTransform",
     "sample_covariance", "gaussian_kld", "correlation_C", "whitener",
     "verify_gaussian_pythagoras",
     "EntropyEstimate", "NegentropyEstimate", "MIEstimate", "ScoreTable",

@@ -8,7 +8,7 @@ then rotates, maximizing the summed marginal non-Gaussianity pair by pair,
 which enforces exact output decorrelation by construction.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,23 +42,23 @@ class ScoreModel:
 
     name: str
     psi: object
-    density_name: str
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.psi(s)
 
 
 def make_score(name: str) -> ScoreModel:
+    # working densities: tanh the 1/cosh (log-cosh) model, cube exp(-s^4/4),
+    # identity the Gaussian negative control; adaptive scores are kernel
+    # tables refreshed from the outputs
     if name == "tanh":
-        return ScoreModel("tanh", np.tanh, "1/cosh density (log-cosh model)")
+        return ScoreModel("tanh", np.tanh)
     if name == "cube":
-        return ScoreModel("cube", lambda s: s * s * s, "exp(-s^4/4) model")
+        return ScoreModel("cube", lambda s: s * s * s)
     if name == "identity":
-        return ScoreModel("identity", lambda s: s,
-                          "gaussian (negative control)")
+        return ScoreModel("identity", lambda s: s)
     if name == "adaptive":
-        return ScoreModel("adaptive", None,
-                          "nonparametric kernel score, refreshed from outputs")
+        return ScoreModel("adaptive", None)
     raise InvalidConfig(f"unknown score {name!r}; choose from "
                         f"{', '.join(SCORE_NAMES)}")
 
@@ -71,7 +71,6 @@ class SolverConfig:
     max_iter: int = 2000
     tol: float = 1e-4
     score: object = "adaptive"
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
@@ -155,12 +154,13 @@ def _offdiag_norm(F: np.ndarray) -> float:
 
 
 def _objective_value(Y: np.ndarray) -> float:
-    # correlation-plus-negentropy proxy of the mutual information
-    cov = Y.T @ Y / Y.shape[0]
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
+    """C(Y) - sum G(Y_i), which equals I(Y) - G(Y); G(Y) is a linear
+    invariant, so this proxy falls exactly as the mutual information does.
+    A singular output covariance reads +inf."""
+    try:
+        corr = correlation_C(Covariance(Y.T @ Y / Y.shape[0]))
+    except SingularCovariance:
         return math.inf
-    corr = 0.5 * (float(np.sum(np.log(np.diag(cov)))) - logdet)
     return corr - sum(_negentropy_raw(Y[:, i]) for i in range(Y.shape[1]))
 
 
@@ -319,15 +319,7 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
 
 
 def objective_trace(data: Dataset, B_sequence) -> list[float]:
-    """Correlation-minus-negentropy proxy of the mutual information for
-    each demixing matrix in a trajectory."""
-    X = data.samples
-    values = []
-    for B in B_sequence:
-        B = np.asarray(B, dtype=float)
-        Y = X @ B.T
-        cov = Covariance(Y.T @ Y / Y.shape[0])
-        corr = correlation_C(cov)
-        values.append(corr - sum(_negentropy_raw(Y[:, i])
-                                 for i in range(Y.shape[1])))
-    return values
+    """The objective proxy of the outputs of each demixing matrix in a
+    trajectory."""
+    return [_objective_value(data.samples @ np.asarray(B, dtype=float).T)
+            for B in B_sequence]

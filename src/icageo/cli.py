@@ -186,8 +186,7 @@ def cmd_separate(opts: _Options) -> int:
     config = SolverConfig(step=opts.get("step", 0.1, float),
                           max_iter=opts.get("max_iter", 2000, int),
                           tol=opts.get("tol", 1e-4, float),
-                          score=score,
-                          seed=opts.seed())
+                          score=score)
     if algorithm == "relative_gradient":
         result = relative_gradient_ica(data, config)
     else:

@@ -19,9 +19,6 @@ from .errors import (DegenerateSample, DimensionMismatch, DimensionTooHigh,
                      TooFewSamples)
 from .sources import GAUSSIAN_ENTROPY
 
-ENTROPY_METHODS = ("vasicek_spacing", "histogram")
-MI_METHODS = ("knn_kl", "histogram")
-
 # raw mutual information above this fraction of the estimator's saturation
 # value is reported as near-deterministic dependence
 SATURATION_FRACTION = 0.9

@@ -6,13 +6,12 @@ the joint divergence identity for a dataset: mutual information (low
 dimension only), correlation, and marginal negentropies, plus the
 correlation-minus-negentropy objective proxy.
 """
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateGain, DimensionTooHigh
+from .errors import DegenerateGain
 from .estimators import (MIEstimate, NegentropyEstimate, mutual_information,
                          negentropy_scalar)
 from .gaussian import correlation_C, sample_covariance
@@ -61,18 +60,15 @@ class DecompositionReport:
 
     mi is only estimable for N <= 3 and is None otherwise.  The joint
     non-Gaussianity G(Y) needs joint density estimation and is never
-    estimated from samples, so identity_residual stays None here; the
-    oracle module produces it for analytic densities.  objective_proxy is
-    correlation minus summed marginal negentropy, the quantity the
-    linear-search objective minimizes.
+    estimated from samples; the oracle module audits the identity on
+    analytic densities.  objective_proxy is C(Y) - sum G(Y_i) = I(Y) - G(Y),
+    the quantity the solvers minimize.
     """
 
     correlation: float
     marginal_negentropies: tuple[NegentropyEstimate, ...]
     objective_proxy: float
     mi: MIEstimate | None = None
-    identity_residual: float | None = None
-    seed: int = 0
 
     def to_json(self) -> dict:
         out = {
@@ -86,25 +82,19 @@ class DecompositionReport:
             out["mi_method"] = self.mi.method
             out["near_deterministic_dependence"] = \
                 self.mi.near_deterministic_dependence
-        if self.identity_residual is not None:
-            out["identity_residual"] = self.identity_residual
         return out
 
 
-def diagnose(data: Dataset, seed: int = 0, center: bool = False) -> DecompositionReport:
-    """Estimate the decomposition terms for a dataset.
+def diagnose(data: Dataset, seed: int = 0) -> DecompositionReport:
+    """Estimate the decomposition terms for a dataset (zero-mean convention:
+    center the data first if its mean is not structurally zero).
 
     The seed only feeds deterministic tie-breaking inside the mutual
     information estimator; every term is otherwise a pure function of the
     data.
     """
-    corr = correlation_C(sample_covariance(data, center=center))
+    corr = correlation_C(sample_covariance(data))
     negs = tuple(negentropy_scalar(data.column(i)) for i in range(data.N))
     proxy = corr - sum(g.value for g in negs)
-    mi = None
-    if data.N <= 3:
-        try:
-            mi = mutual_information(data, seed=seed)
-        except DimensionTooHigh:  # pragma: no cover - guarded by N check
-            mi = None
-    return DecompositionReport(corr, negs, proxy, mi, None, seed)
+    mi = mutual_information(data, seed=seed) if data.N <= 3 else None
+    return DecompositionReport(corr, negs, proxy, mi)

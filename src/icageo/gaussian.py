@@ -42,25 +42,6 @@ class Covariance:
 
 
 @dataclass(frozen=True)
-class GaussianApprox:
-    """Zero-mean Gaussian with the given covariance (the projection of a
-    distribution onto the Gaussian family keeps only its covariance)."""
-
-    cov: Covariance
-
-    def logpdf(self, points: np.ndarray) -> np.ndarray:
-        """Log-density at an M x N array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.cov.N
-        if pts.shape[1] != n:
-            raise DimensionMismatch("points do not match covariance dimension")
-        sign, logdet = np.linalg.slogdet(self.cov.matrix)
-        quad = np.einsum("ij,ij->i", pts,
-                         np.linalg.solve(self.cov.matrix, pts.T).T)
-        return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
-
-
-@dataclass(frozen=True)
 class WhiteningTransform:
     """Matrix W with W source_cov W^T = identity."""
 
@@ -77,18 +58,16 @@ class WhiteningTransform:
             raise SingularCovariance("whitening residual exceeds tolerance")
 
 
-def sample_covariance(data: Dataset, center: bool = False) -> Covariance:
+def sample_covariance(data: Dataset) -> Covariance:
     """Second-moment matrix (1/T) sum_t x_t x_t^T.
 
-    The zero-mean convention is the default: no mean subtraction.  Pass
-    center=True for real data whose mean is not structurally zero.
+    The zero-mean convention holds: no mean subtraction, so center real
+    data whose mean is not structurally zero first (the CLI's --center).
     Requires T > N so the estimate is almost surely positive definite.
     """
     X = data.samples
     if data.T <= data.N:
         raise SingularCovariance("need more observations than channels")
-    if center:
-        X = X - X.mean(axis=0)
     return Covariance(X.T @ X / data.T)
 
 

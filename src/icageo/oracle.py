@@ -31,6 +31,9 @@ MASS_TOL = 1e-4
 # grid points a quadrature evaluates at once, whatever the step: blocks of
 # 2**15 to 2**16 points stay in cache and ran the default grids fastest
 QUAD_BLOCK_POINTS = 1 << 15
+# most cells a grid box may hold at its step: at the bound the one cell-mass
+# array of a grid measure takes 256 MiB
+MAX_GRID_CELLS = 1 << 25
 
 
 # -- discrete world -------------------------------------------------------
@@ -270,8 +273,16 @@ class GridSpec:
     step: float = 0.01
 
     def __post_init__(self):
-        if not (self.step > 0 and self.xhi > self.xlo and self.yhi > self.ylo):
-            raise InvalidDistribution("grid box must be nonempty with step > 0")
+        if not (0 < self.step < math.inf and self.xhi > self.xlo
+                and self.yhi > self.ylo):
+            raise InvalidDistribution(
+                "grid box must be nonempty with a finite step > 0")
+        cells = (self.xhi - self.xlo) / self.step * (
+            (self.yhi - self.ylo) / self.step)
+        if not cells <= MAX_GRID_CELLS:
+            raise InvalidDistribution(
+                f"grid box at step {self.step:g} holds {cells:.3g} cells, "
+                f"more than {MAX_GRID_CELLS}; coarsen the step")
 
     def axis_range(self, axis: int) -> tuple[float, float]:
         return (self.xlo, self.xhi) if axis == 0 else (self.ylo, self.yhi)
@@ -354,8 +365,8 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     mass_p, mass_q, kld = sums * cell
     if not (_mass_ok(mass_p) and _mass_ok(mass_q)):
         raise InsufficientCoverage(
-            f"grid captures mass p={mass_p:.6f}, q={mass_q:.6f}; "
-            "enlarge the box")
+            f"grid captures mass p={mass_p:.6f}, q={mass_q:.6f} at step "
+            f"{grid.step:g}; refine the step or enlarge the box")
     return float(kld)
 
 
@@ -377,10 +388,11 @@ def _log_gauss_2d(xx, yy, m2: np.ndarray) -> np.ndarray:
 
 
 def _grid_measure(p: AnalyticDensity2D, frame: np.ndarray, sx: np.ndarray,
-                  sy: np.ndarray, cell: float):
+                  sy: np.ndarray, cell: float, step: float):
     """Normalized cell masses pi of p on the tensor grid sx x sy mapped
     through y = frame s, the mass the grid captures, and the uncentered
-    second moments of pi in y, which its zero-mean Gaussian fit matches."""
+    second moments of pi in y, which its zero-mean Gaussian fit matches.
+    step is the grid's nominal step, named if the mass check fails."""
     pi = np.empty((len(sx), len(sy)))
     mass = 0.0
     for rows, Y in _grid_blocks(frame, sx, sy):
@@ -388,8 +400,9 @@ def _grid_measure(p: AnalyticDensity2D, frame: np.ndarray, sx: np.ndarray,
         mass += float(P.sum()) * cell
         pi[rows] = np.where(P > DENSITY_FLOOR, P * cell, 0.0)
     if not _mass_ok(mass):
-        raise InsufficientCoverage(f"grid captures mass {mass:.6f}; "
-                                   "enlarge the box")
+        raise InsufficientCoverage(f"grid captures mass {mass:.6f} at step "
+                                   f"{step:g}; refine the step or enlarge "
+                                   "the box")
     pi /= pi.sum()
     cross = sx @ (pi @ sy)
     m2 = frame @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
@@ -431,7 +444,7 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     xs, hx = _axis_cells(p.y_axis_support(0), grid.axis_range(0), grid.step)
     ys, hy = _axis_cells(p.y_axis_support(1), grid.axis_range(1), grid.step)
     eye = np.eye(2)
-    pi, mass, m2 = _grid_measure(p, eye, xs, ys, hx * hy)
+    pi, mass, m2 = _grid_measure(p, eye, xs, ys, hx * hy, grid.step)
     px = pi.sum(axis=1)
     py = pi.sum(axis=0)
     # a zero marginal cell carries no grid mass, so its log is never used
@@ -468,7 +481,7 @@ def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
     sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step)
     sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step)
     cell = hx * hy * abs(np.linalg.det(p.frame))
-    pi, _, m2 = _grid_measure(p, p.frame, sx, sy, cell)
+    pi, _, m2 = _grid_measure(p, p.frame, sx, sy, cell, grid.step)
     return _divergences(pi, p.frame, sx, sy, math.log(cell), m2)[0]
 
 

@@ -247,8 +247,7 @@ def test_acceptance_6_relative_gradient_separation():
     for trial in range(20):
         X, A = _mixed_mixture(trial, MIXED_FAMILIES)
         t0 = time.perf_counter()
-        result = relative_gradient_ica(X, SolverConfig(score="adaptive",
-                                                       seed=trial))
+        result = relative_gradient_ica(X, SolverConfig(score="adaptive"))
         worst_trial_s = max(worst_trial_s, time.perf_counter() - t0)
         if amari_index(result.demixing @ A).value < 0.05:
             hits += 1
@@ -256,8 +255,7 @@ def test_acceptance_6_relative_gradient_separation():
     tanh_hits = 0
     for trial in range(20):
         X, A = _mixed_mixture(100 + trial, ("laplace",) * 4)
-        result = relative_gradient_ica(X, SolverConfig(score="tanh",
-                                                       seed=trial))
+        result = relative_gradient_ica(X, SolverConfig(score="tanh"))
         if amari_index(result.demixing @ A).value < 0.05:
             tanh_hits += 1
 
@@ -267,8 +265,7 @@ def test_acceptance_6_relative_gradient_separation():
     for trial in range(20):
         X, A = _mixed_mixture(200 + trial, ("uniform",) * 4)
         try:
-            result = relative_gradient_ica(X, SolverConfig(score="tanh",
-                                                           seed=trial))
+            result = relative_gradient_ica(X, SolverConfig(score="tanh"))
             if amari_index(result.demixing @ A).value > 0.2:
                 tanh_misses += 1
         except Diverged:
@@ -288,7 +285,7 @@ def test_acceptance_7_orthogonal_separation():
     decorrelated = 0
     for trial in range(20):
         X, A = _mixed_mixture(trial, MIXED_FAMILIES)
-        result = orthogonal_ica(X, SolverConfig(seed=trial))
+        result = orthogonal_ica(X, SolverConfig())
         if amari_index(result.demixing @ A).value < 0.05:
             hits += 1
         c = correlation_C(sample_covariance(result.recovered))
@@ -325,7 +322,7 @@ def test_acceptance_9_gaussian_non_identifiability_control():
     specs = tuple(parse_source("gaussian") for _ in range(3))
     A = random_mixing(3, rng.child(0), 5.0)
     X, _ = simulate(MixingModel(A, specs), 20000, rng.child(1))
-    result = orthogonal_ica(X, SolverConfig(seed=0))
+    result = orthogonal_ica(X, SolverConfig())
     # the Amari index is deliberately NOT checked: any rotation of a white
     # Gaussian vector is an equally valid answer
     report = diagnose(result.recovered, seed=0)

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface (in-process)."""
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from icageo import Dataset, read_csv, write_csv
 from icageo.cli import main
 
 TABLE_MI = 0.19274475702175753  # exact MI of [[0.4,0.1],[0.1,0.4]]
@@ -201,6 +204,43 @@ def test_separate_adaptive_on_short_input_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_separate_adaptive_on_short_collinear_input_is_input_error(tmp_path,
+                                                                 capsys):
+    # the sample-size checks come before whitening, which would fail first
+    # on a singular covariance
+    x = np.random.default_rng(6).laplace(size=500)
+    src = tmp_path / "collinear.csv"
+    src.write_text("a,b\n" + "\n".join(f"{v:.17g},{2.0 * v:.17g}"
+                                       for v in x) + "\n")
+    code = run(["separate", src, "--score", "adaptive",
+                "--output-dir", tmp_path / "out"])
+    assert code == 2
+    assert "adaptive score needs T >= 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["separate"], ["separate", "--algorithm", "orthogonal"], ["diagnose"]],
+    ids=["relative-gradient", "orthogonal", "diagnose"])
+def test_center_flag_equals_centering_the_csv_first(tmp_path, capsys,
+                                                     command):
+    sim = simulate_into(tmp_path / "sim", samples=5000)
+    shifted = read_csv(sim / "X.csv").samples + np.array([3.0, -2.0])
+    write_csv(tmp_path / "shifted.csv", Dataset(shifted))
+    write_csv(tmp_path / "centered.csv",
+              Dataset(shifted - shifted.mean(axis=0)))
+    assert run([*command, tmp_path / "shifted.csv", "--center",
+                "--output-dir", tmp_path / "flag"]) == 0
+    assert run([*command, tmp_path / "centered.csv",
+                "--output-dir", tmp_path / "pre"]) == 0
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pre").iterdir())
+    assert len(names) >= 2
+    for name in names:
+        assert ((tmp_path / "flag" / name).read_bytes()
+                == (tmp_path / "pre" / name).read_bytes())
+    capsys.readouterr()
+
+
 # -- diagnose ---------------------------------------------------------------------
 
 def test_diagnose_correlated_gaussian(tmp_path):
@@ -305,6 +345,30 @@ def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     bad.write_text(json.dumps(spec))
     assert run(["verify", "--spec", bad, "--output-dir", tmp_path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--spec", {"density": GAUSS_EYE, "step": 1e-5}],
+    ["--spec", {"density": GAUSS_EYE, "step": math.inf}],
+    ["--step", "inf"],
+], ids=["spec-step-too-fine", "spec-step-infinite", "flag-step-infinite"])
+def test_verify_unusable_grid_step_is_input_error(tmp_path, capsys, args):
+    if args[0] == "--spec":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(args[1]))  # math.inf as JSON Infinity
+        args = ["--spec", spec]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        assert run(["verify", *args, "--output-dir", tmp_path / "v"]) == 2
+    err = capsys.readouterr().err
+    assert "step" in err and "Traceback" not in err
+
+
+def test_verify_coverage_error_names_the_step(tmp_path, capsys):
+    # the midpoint rule misses the Laplace cusp's mass at a coarse step
+    assert run(["verify", "--step", 0.05, "--output-dir", tmp_path]) == 1
+    assert ("at step 0.05; refine the step or enlarge the box"
+            in capsys.readouterr().err)
 
 
 def test_verify_reruns_are_byte_identical(tmp_path, capsys):

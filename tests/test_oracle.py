@@ -175,6 +175,16 @@ def test_grid_spec_validation_and_halving():
     assert GridSpec(step=0.02).halved().step == 0.01
 
 
+def test_grid_spec_rejects_unbounded_work():
+    for step in (math.inf, math.nan, 1e-5, 1e-320):
+        with pytest.raises(InvalidDistribution):
+            GridSpec(step=step)
+    with pytest.raises(InvalidDistribution):
+        GridSpec(xhi=math.inf)
+    # the finest grid the tests build stays admitted
+    assert GridSpec(step=0.005).step == 0.005
+
+
 # -- the four-point identity ----------------------------------------------------------
 
 def test_four_point_identity_exact_on_references():
