@@ -1,11 +1,13 @@
 """The two separation procedures.
 
 relative_gradient_ica drives the maximum-likelihood stationarity
-conditions E{psi_i(Y_i) Y_j} = 0 (i != j) with multiplicative updates
-B <- (I - mu offdiag(F)) B, with fixed nonlinear scores or nonparametric
-scores re-estimated from the current outputs.  orthogonal_ica whitens and
-then rotates, maximizing the summed marginal non-Gaussianity pair by pair,
-which enforces exact output decorrelation by construction.
+conditions E{psi_i(Y_i) Y_j} = 0 (i != j) with multiplicative quasi-Newton
+updates B <- (I - mu D) B: D solves, pair by pair, the 2 x 2 blocks of the
+likelihood Hessian at separation in the relative parametrization, with
+fixed nonlinear scores or nonparametric scores re-estimated from the
+current outputs.  orthogonal_ica whitens and then rotates, maximizing the
+summed marginal non-Gaussianity pair by pair, which enforces exact output
+decorrelation by construction.
 """
 import math
 from dataclasses import dataclass
@@ -27,6 +29,8 @@ DIVERGENCE_BOUND = 1e12
 OBJECTIVE_NOISE_MARGIN = 0.01
 # cadence (iterations) for adaptive re-estimation and objective monitoring
 OUTER_CADENCE = 10
+# floor on the eigenvalues of each 2 x 2 Hessian block (Picard's lambda_min)
+HESSIAN_EIGENVALUE_FLOOR = 1e-2
 # best single-rotation gain below this many nats means the data offered the
 # rotation search nothing to work with (Gaussian-like input)
 NO_IMPROVEMENT_FLOOR = 0.02
@@ -38,10 +42,12 @@ ANGLE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class ScoreModel:
-    """A score function psi = -q'/q for a working source density q."""
+    """A score function psi = -q'/q for a working source density q, with
+    its derivative dpsi for the Newton step."""
 
     name: str
     psi: object
+    dpsi: object
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.psi(s)
@@ -52,13 +58,13 @@ def make_score(name: str) -> ScoreModel:
     # identity the Gaussian negative control; adaptive scores are kernel
     # tables refreshed from the outputs
     if name == "tanh":
-        return ScoreModel("tanh", np.tanh)
+        return ScoreModel("tanh", np.tanh, lambda s: 1.0 - np.tanh(s) ** 2)
     if name == "cube":
-        return ScoreModel("cube", lambda s: s * s * s)
+        return ScoreModel("cube", lambda s: s * s * s, lambda s: 3.0 * s * s)
     if name == "identity":
-        return ScoreModel("identity", lambda s: s)
+        return ScoreModel("identity", lambda s: s, np.ones_like)
     if name == "adaptive":
-        return ScoreModel("adaptive", None)
+        return ScoreModel("adaptive", None, None)
     raise InvalidConfig(f"unknown score {name!r}; choose from "
                         f"{', '.join(SCORE_NAMES)}")
 
@@ -67,7 +73,7 @@ def make_score(name: str) -> ScoreModel:
 class SolverConfig:
     """Step size, stopping rule, and score choice for the solvers."""
 
-    step: float = 0.1
+    step: float = 1.0
     max_iter: int = 2000
     tol: float = 1e-4
     score: object = "adaptive"
@@ -101,6 +107,9 @@ class SeparationResult:
     the per-sweep best rotation gain for the orthogonal one.
     no_improvement marks runs where no rotation ever improved the
     non-Gaussianity objective beyond the noise floor (Gaussian-like data).
+    stability_margins (relative gradient only) holds each output channel's
+    kappa_i = E psi_i'(Y_i) E Y_i^2 - E psi_i(Y_i) Y_i; the solution is a
+    stable point of the likelihood when every margin is positive.
     """
 
     demixing: np.ndarray
@@ -110,6 +119,7 @@ class SeparationResult:
     trajectory: np.ndarray
     no_improvement: bool = False
     score_tables: tuple | None = None
+    stability_margins: np.ndarray | None = None
 
 
 def stationarity_matrix(Y: Dataset, scores) -> np.ndarray:
@@ -133,6 +143,12 @@ def _psi_of(model):
     return model
 
 
+def _dpsi_of(model):
+    if isinstance(model, ScoreModel):
+        return model.dpsi
+    return model.derivative
+
+
 def _stationarity(Y: np.ndarray, psis) -> np.ndarray:
     T, n = Y.shape
     Psi = np.empty_like(Y)
@@ -146,6 +162,40 @@ def _stationarity(Y: np.ndarray, psis) -> np.ndarray:
     if not np.isfinite(F).all():
         raise NonFinite(context="stationarity matrix")
     return F
+
+
+def _newton_terms(Y: np.ndarray, psis, dpsis):
+    """F, a_i = E psi_i'(Y_i) and v_i = E Y_i^2 of the outputs Y."""
+    try:
+        F = _stationarity(Y, psis)
+    except NonFinite as exc:
+        raise Diverged("score or stationarity overflow") from exc
+    a = np.array([np.mean(d(Y[:, i])) for i, d in enumerate(dpsis)])
+    return F, a, np.mean(Y * Y, axis=0)
+
+
+def _newton_direction(F: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Regularized pairwise Newton direction D (zero diagonal).
+
+    For each pair i < j, (D_ij, D_ji) solves the Hessian block
+    [[a_i v_j, 1], [1, a_j v_i]] (D_ij, D_ji) = (F_ij, F_ji) once the
+    block's eigenvalues are clipped from below at HESSIAN_EIGENVALUE_FLOOR
+    (Ablin, Cardoso & Gramfort 2018).  Evaluated for all ordered pairs at
+    once: entry (i, j) is the first row of block (i, j)'s inverse, and
+    entry (j, i) the second.
+    """
+    p = np.outer(a, v)  # block (i, j) is [[p_ij, 1], [1, p_ji]]
+    half = 0.5 * (p - p.T)
+    r = np.sqrt(half * half + 1.0)
+    mid = 0.5 * (p + p.T)
+    inv_hi = 1.0 / np.maximum(mid + r, HESSIAN_EIGENVALUE_FLOOR)
+    inv_lo = 1.0 / np.maximum(mid - r, HESSIAN_EIGENVALUE_FLOOR)
+    # eigenvectors (c, s) and (-s, c) of the larger and smaller eigenvalue
+    cc = 0.5 + 0.5 * half / r
+    cs = 0.5 / r
+    D = F * (cc * inv_hi + (1.0 - cc) * inv_lo) + F.T * (cs * (inv_hi - inv_lo))
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 def _offdiag_norm(F: np.ndarray) -> float:
@@ -165,14 +215,17 @@ def _objective_value(Y: np.ndarray) -> float:
 
 
 def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
-    """Multiplicative-update maximum-likelihood ICA.
+    """Multiplicative-update maximum-likelihood ICA with a quasi-Newton step.
 
-    Starts from the whitener of the data and iterates
-    B <- (I - mu offdiag F(Y)) B with Y recomputed each step.  Every
+    Starts from the whitener of the data and iterates B <- (I - mu D) B
+    with Y recomputed each step, where D is the relative gradient
+    offdiag F(Y) preconditioned by the regularized 2 x 2 Hessian blocks
+    built from a_i = E psi_i'(Y_i) and v_i = E Y_i^2 (_newton_direction).
+    mu starts at config.step (1 is the full Newton step).  Every
     OUTER_CADENCE iterations the objective proxy is monitored (halving mu
     if it rose beyond estimator noise) and adaptive score tables are
     refreshed.  Stops when the off-diagonal stationarity norm falls below
-    tol.
+    tol.  The result carries the stability margins of the final outputs.
     """
     X = data.samples
     n = data.N
@@ -186,6 +239,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     B = whitener(sample_covariance(data)).matrix.copy()
     mu = config.step
     psis = [None if a else _psi_of(m) for a, m in zip(adaptive, models)]
+    dpsis = [None if a else _dpsi_of(m) for a, m in zip(adaptive, models)]
     tables: list[ScoreTable | None] = [None] * n
     trajectory = []
     converged = False
@@ -199,28 +253,28 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
                     if adaptive[i]:
                         tables[i] = score_table(Y[:, i])
                         psis[i] = tables[i]
+                        dpsis[i] = tables[i].derivative
             obj = _objective_value(Y)
             if prev_obj is not None and obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
                 mu *= 0.5
             prev_obj = obj
-        try:
-            F = _stationarity(Y, psis)
-        except NonFinite as exc:
-            raise Diverged("score or stationarity overflow") from exc
+        F, a, v = _newton_terms(Y, psis, dpsis)
         norm = _offdiag_norm(F)
         trajectory.append(norm)
         iterations = it + 1
         if norm < config.tol:
             converged = True
             break
-        off = F - np.diag(np.diag(F))
-        B = (np.eye(n) - mu * off) @ B
+        B = (np.eye(n) - mu * _newton_direction(F, a, v)) @ B
         if not np.isfinite(B).all() or np.abs(B).max() > DIVERGENCE_BOUND:
             raise Diverged("demixing matrix left the trust region")
-    recovered = Dataset(X @ B.T)
-    return SeparationResult(B, recovered, iterations, converged,
+    if not converged:
+        Y = X @ B.T
+        F, a, v = _newton_terms(Y, psis, dpsis)
+    return SeparationResult(B, Dataset(Y), iterations, converged,
                             np.asarray(trajectory),
-                            score_tables=tuple(tables) if any(adaptive) else None)
+                            score_tables=tuple(tables) if any(adaptive) else None,
+                            stability_margins=a * v - np.diag(F))
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -18,7 +18,8 @@ from . import __version__
 from .algorithms import (SolverConfig, orthogonal_ica, relative_gradient_ica)
 from .data import (Dataset, MixingModel, random_mixing, read_csv, simulate,
                    write_csv)
-from .errors import IcageoError, InvalidConfig, IoError, exit_code_for
+from .errors import (DegenerateSample, IcageoError, InvalidConfig, IoError,
+                     exit_code_for)
 from .estimators import score_table
 from .evaluation import amari_index, diagnose
 from .gaussian import correlation_C, sample_covariance
@@ -103,11 +104,19 @@ def _outdir(opts: _Options) -> Path:
     return out
 
 
-def _centered(data: Dataset, center: bool) -> Dataset:
-    if not center:
+def _read_input(opts: _Options) -> Dataset:
+    """The input CSV, centered under --center.  A constant column carries
+    no information about any source, so it is rejected by name."""
+    data = read_csv(opts.get("input"))
+    X = data.samples
+    constant = np.flatnonzero(X.min(axis=0) == X.max(axis=0))
+    if constant.size:
+        names = ", ".join(repr(data.names()[i]) for i in constant)
+        raise DegenerateSample(f"constant column {names}: all its values "
+                               "are equal")
+    if not opts.get("center", False):
         return data
-    return Dataset(data.samples - data.samples.mean(axis=0),
-                   data.channel_names)
+    return Dataset(X - X.mean(axis=0), data.channel_names)
 
 
 # -- simulate --------------------------------------------------------------
@@ -173,8 +182,7 @@ def _load_model(path) -> MixingModel:
 
 
 def cmd_separate(opts: _Options) -> int:
-    data = read_csv(opts.get("input"))
-    data = _centered(data, bool(opts.get("center", False)))
+    data = _read_input(opts)
     algorithm = opts.get("algorithm", "relative_gradient")
     if algorithm not in CLI_ALGORITHMS:
         raise InvalidConfig(f"unknown algorithm {algorithm!r}; choose from "
@@ -183,9 +191,10 @@ def cmd_separate(opts: _Options) -> int:
     if score not in CLI_SCORES:
         raise InvalidConfig(f"unknown score {score!r}; choose from "
                             f"{', '.join(CLI_SCORES)}")
-    config = SolverConfig(step=opts.get("step", 0.1, float),
-                          max_iter=opts.get("max_iter", 2000, int),
-                          tol=opts.get("tol", 1e-4, float),
+    defaults = SolverConfig()
+    config = SolverConfig(step=opts.get("step", defaults.step, float),
+                          max_iter=opts.get("max_iter", defaults.max_iter, int),
+                          tol=opts.get("tol", defaults.tol, float),
                           score=score)
     if algorithm == "relative_gradient":
         result = relative_gradient_ica(data, config)
@@ -214,6 +223,10 @@ def cmd_separate(opts: _Options) -> int:
         "no_improvement": result.no_improvement,
         "correlation_C": correlation_C(sample_covariance(result.recovered)),
     }
+    if not orthogonal:
+        margins = result.stability_margins
+        report["stability_margins"] = margins.tolist()
+        report["stable"] = bool((margins > 0.0).all())
     model_path = opts.get("model")
     if model_path:
         model = _load_model(model_path)
@@ -229,8 +242,7 @@ def cmd_separate(opts: _Options) -> int:
 # -- diagnose ----------------------------------------------------------------
 
 def cmd_diagnose(opts: _Options) -> int:
-    data = read_csv(opts.get("input"))
-    data = _centered(data, bool(opts.get("center", False)))
+    data = _read_input(opts)
     report = diagnose(data, seed=opts.seed())
     out = _outdir(opts)
     _json_dump(out / "report.json", report.to_json())
@@ -310,7 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="CSV of observations (header + rows)")
     p.add_argument("--algorithm", choices=CLI_ALGORITHMS, default=None)
     p.add_argument("--score", choices=CLI_SCORES, default=None)
-    p.add_argument("--step", type=float, default=None, help="gradient step size")
+    p.add_argument("--step", type=float, default=None,
+                   help="relative-gradient step in (0, 1], scaling the "
+                        "quasi-Newton direction (default: 1, the full "
+                        "Newton step)")
     p.add_argument("--tol", type=float, default=None,
                    help="stationarity/improvement stopping tolerance")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)

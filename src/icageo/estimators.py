@@ -254,8 +254,9 @@ class ScoreTable:
 
     Calling the table evaluates psi by linear interpolation between nodes;
     outside the grid the end values are held constant (clamped linear
-    extrapolation).  density carries the kernel density estimate on the
-    same grid for plotting.
+    extrapolation).  derivative is the matching slope: that of the node
+    interval holding s, and 0 outside the grid.  density carries the
+    kernel density estimate on the same grid for plotting.
     """
 
     grid: np.ndarray
@@ -269,14 +270,23 @@ class ScoreTable:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        # the grid is uniform, so the node left of s is found by arithmetic
+    def _locate(self, s: np.ndarray):
+        # the grid is uniform, so the node left of s is found by arithmetic:
+        # (position in node steps clamped to the grid, left node, node step)
         last = self.grid.size - 1
         step = (self.grid[-1] - self.grid[0]) / last
         pos = np.clip((s - self.grid[0]) / step, 0.0, last)
-        k = np.minimum(pos.astype(np.intp), last - 1)
+        return pos, np.minimum(pos.astype(np.intp), last - 1), step
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        pos, k, _ = self._locate(s)
         w = pos - k
         return (1.0 - w) * self.psi[k] + w * self.psi[k + 1]
+
+    def derivative(self, s: np.ndarray) -> np.ndarray:
+        _, k, step = self._locate(s)
+        slope = (self.psi[k + 1] - self.psi[k]) / step
+        return np.where((s < self.grid[0]) | (s > self.grid[-1]), 0.0, slope)
 
 
 def score_table(x, bins: int = 256) -> ScoreTable:

@@ -637,7 +637,8 @@ def load_verify_spec(path) -> list[dict]:
     if "density" in spec:
         dens = _density_from_json(spec["density"], path)
         step = spec.get("step", 0.01)
-        if not isinstance(step, (int, float)):
+        # a JSON boolean parses as a bool, which is an int
+        if isinstance(step, bool) or not isinstance(step, (int, float)):
             raise InvalidDistribution(f"{path}: field 'step' must be a number")
         checks.append(_report_check("user_four_point_identity",
                                     verify_four_point_identity(

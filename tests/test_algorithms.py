@@ -37,6 +37,18 @@ def test_make_score_families():
         make_score("sigmoid")
 
 
+@pytest.mark.parametrize("name", ["tanh", "cube", "identity"])
+def test_fixed_score_derivatives(name):
+    model = make_score(name)
+    s = np.linspace(-3.0, 3.0, 61)
+    expected = {"tanh": 1.0 - np.tanh(s) ** 2, "cube": 3.0 * s * s,
+                "identity": np.ones_like(s)}[name]
+    assert_allclose(model.dpsi(s), expected, rtol=1e-15, atol=0)
+    h = 1e-6
+    fd = (model(s + h) - model(s - h)) / (2.0 * h)
+    assert_allclose(model.dpsi(s), fd, rtol=0, atol=1e-7)
+
+
 def test_solver_config_validation():
     with pytest.raises(InvalidConfig):
         SolverConfig(step=0.0)
@@ -103,11 +115,115 @@ def test_relative_gradient_fixed_scores():
 
 def test_relative_gradient_is_deterministic():
     X, _ = mixed_pair(4)
-    cfg = SolverConfig(score="adaptive")
-    r1 = relative_gradient_ica(X, cfg)
-    r2 = relative_gradient_ica(X, cfg)
-    assert_array_equal(r1.demixing, r2.demixing)
-    assert_array_equal(r1.trajectory, r2.trajectory)
+    for score in ("adaptive", "tanh"):
+        cfg = SolverConfig(score=score)
+        r1 = relative_gradient_ica(X, cfg)
+        r2 = relative_gradient_ica(X, cfg)
+        assert_array_equal(r1.demixing, r2.demixing)
+        assert_array_equal(r1.trajectory, r2.trajectory)
+        assert_array_equal(r1.stability_margins, r2.stability_margins)
+
+
+def reference_newton_direction(F, a, v, floor):
+    """Pair by pair: clip the eigenvalues of the 2 x 2 Hessian block from
+    below at floor, then solve it for the gradient pair."""
+    n = F.shape[0]
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            H = np.array([[a[i] * v[j], 1.0], [1.0, a[j] * v[i]]])
+            lam, U = np.linalg.eigh(H)
+            H = (U * np.maximum(lam, floor)) @ U.T
+            D[i, j], D[j, i] = np.linalg.solve(H, [F[i, j], F[j, i]])
+    return D
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_newton_direction_matches_clipped_2x2_solves(case):
+    gen = np.random.default_rng(case)
+    n = 2 + case % 4
+    F = gen.standard_normal((n, n))
+    v = gen.uniform(0.5, 2.0, n)
+    # well-conditioned blocks, blocks with one eigenvalue near or below the
+    # floor, and blocks with negative curvature in both directions
+    a = {0: gen.uniform(1.5, 4.0, n), 1: gen.uniform(0.3, 1.2, n),
+         2: gen.uniform(-0.5, 0.5, n), 3: gen.uniform(-6.0, -3.0, n),
+         4: np.full(n, 1.0), 5: gen.uniform(-3.0, 3.0, n)}[case]
+    floor = algorithms.HESSIAN_EIGENVALUE_FLOOR
+    D = algorithms._newton_direction(F, a, v)
+    expected = reference_newton_direction(F, a, v, floor)
+    assert_allclose(D, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+    assert_array_equal(np.diag(D), np.zeros(n))
+
+
+def test_newton_direction_is_the_plain_inverse_when_nothing_is_clipped():
+    F = np.array([[0.7, 0.2], [-0.1, 1.3]])
+    a, v = np.array([2.0, 3.0]), np.array([1.0, 1.5])
+    p, q = a[0] * v[1], a[1] * v[0]
+    d = np.linalg.solve([[p, 1.0], [1.0, q]], [F[0, 1], F[1, 0]])
+    assert_allclose(algorithms._newton_direction(F, a, v),
+                    [[0.0, d[0]], [d[1], 0.0]], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("score,families", [
+    ("tanh", ("laplace", "laplace")),
+    ("adaptive", ("laplace", "uniform")),
+    ("cube", ("uniform", "uniform")),
+])
+def test_relative_gradient_newton_iteration_budget(score, families):
+    # the Newton step converges in tens of iterations where the plain
+    # relative gradient at step 0.1 took hundreds
+    for seed in (21, 22, 23):
+        X, A = mixed_pair(seed, families=families)
+        result = relative_gradient_ica(X, SolverConfig(score=score))
+        assert result.converged
+        assert result.iterations < 60
+        assert amari_index(result.demixing @ A).value < 0.05
+
+
+def test_stability_margins_are_computed_on_the_outputs():
+    X, _ = mixed_pair(24, families=("laplace", "uniform"))
+    for score in ("tanh", "cube"):
+        # max_iter = 3 stops early: the margins still describe the outputs
+        for max_iter in (3, 2000):
+            result = relative_gradient_ica(
+                X, SolverConfig(score=score, max_iter=max_iter))
+            assert result.converged is (max_iter == 2000)
+            Y = result.recovered.samples
+            model = make_score(score)
+            F = stationarity_matrix(result.recovered, [model] * 2)
+            expected = (model.dpsi(Y).mean(axis=0) * (Y * Y).mean(axis=0)
+                        - np.diag(F))
+            assert_allclose(result.stability_margins, expected,
+                            rtol=1e-12, atol=1e-14)
+
+
+def acceptance_mixture(trial, families):
+    """The acceptance suite's seeded mixing problem (T = 20000)."""
+    rng = Rng(61000 + trial)
+    specs = tuple(parse_source(f) for f in families)
+    cond = 1.0 + 9.0 * float(rng.child(0).generator().uniform())
+    A = random_mixing(len(specs), rng.child(1), cond)
+    return simulate(MixingModel(A, specs), 20000, rng.child(2))[0]
+
+
+@pytest.mark.parametrize("score,families,base,stable", [
+    ("adaptive", ("laplace", "laplace", "uniform", "uniform"), 0, True),
+    ("tanh", ("laplace",) * 4, 100, True),
+    ("cube", ("uniform",) * 4, 200, True),
+    ("tanh", ("uniform",) * 4, 200, False),
+])
+def test_stability_margins_flag_mismatched_scores(score, families, base,
+                                                  stable):
+    # tanh on uniform sources converges to a saddle of the likelihood: the
+    # stopping rule is met, but some margin is negative
+    for trial in range(3):
+        X = acceptance_mixture(base + trial, families)
+        result = relative_gradient_ica(X, SolverConfig(score=score))
+        margins = result.stability_margins
+        assert result.converged
+        assert margins.shape == (len(families),)
+        assert bool((margins > 0.0).all()) is stable
 
 
 def test_relative_gradient_objective_decreases_overall():

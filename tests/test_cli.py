@@ -175,6 +175,56 @@ def test_separate_is_byte_identical_across_runs(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_separate_reports_stability_margins(tmp_path):
+    sim = simulate_into(tmp_path / "sim", samples=5000)
+    for algorithm in ("relative_gradient", "orthogonal"):
+        out = tmp_path / algorithm
+        assert run(["separate", sim / "X.csv", "--algorithm", algorithm,
+                    "--output-dir", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        if algorithm == "orthogonal":
+            # no score, no likelihood Hessian: no margins to report
+            assert "stability_margins" not in report
+            assert "stable" not in report
+        else:
+            assert len(report["stability_margins"]) == 2
+            assert report["stable"] is True
+            assert report["stable"] == (min(report["stability_margins"]) > 0)
+
+
+def test_separate_default_step_is_the_full_newton_step(tmp_path):
+    sim = simulate_into(tmp_path / "sim", samples=5000)
+    for name, extra in (("default", []), ("one", ["--step", "1"])):
+        assert run(["separate", sim / "X.csv", "--output-dir",
+                    tmp_path / name, *extra]) == 0
+    for fname in ("B.json", "Y.csv", "trace.csv", "report.json"):
+        assert ((tmp_path / "default" / fname).read_bytes()
+                == (tmp_path / "one" / fname).read_bytes())
+    # a smaller step scales the Newton direction and takes longer
+    assert run(["separate", sim / "X.csv", "--step", "0.5", "--output-dir",
+                tmp_path / "half"]) == 0
+    full = json.loads((tmp_path / "one" / "report.json").read_text())
+    half = json.loads((tmp_path / "half" / "report.json").read_text())
+    assert half["converged"] and half["iterations"] > full["iterations"]
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
+@pytest.mark.parametrize("command", [
+    ["separate"], ["separate", "--algorithm", "orthogonal"], ["diagnose"]],
+    ids=["relative-gradient", "orthogonal", "diagnose"])
+def test_constant_column_is_input_error(tmp_path, capsys, command, center):
+    x = np.random.default_rng(8).laplace(size=(3000, 3))
+    x[:, 1] = 1.0
+    write_csv(tmp_path / "const.csv", Dataset(x, ("a", "b", "c")))
+    out = tmp_path / "out"
+    code = run([*command, tmp_path / "const.csv", "--output-dir", out,
+                *(["--center"] if center else [])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "constant column 'b'" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_separate_rejects_identity_score_on_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["separate", "x.csv", "--score", "identity"])
@@ -330,6 +380,7 @@ GAUSS_EYE = {"form": "gaussian", "cov": [[1, 0], [0, 1]]}
 @pytest.mark.parametrize("spec", [
     {"density": GAUSS_EYE, "step": "abc"},
     {"density": GAUSS_EYE, "step": None},
+    {"density": GAUSS_EYE, "step": True},  # a bool is an int: step 1
     {"density": {"form": "rotated_product", "sources": ["laplace", "laplace"],
                  "angle_deg": "abc"}},
     {"density": {"form": "gaussian", "cov": [[1, 2], [2, 1]]}},  # not PD
@@ -338,7 +389,7 @@ GAUSS_EYE = {"form": "gaussian", "cov": [[1, 0], [0, 1]]}
                  "covs": [[[1, 0], [0, 1]], [[1, 1], [1, 1]]]}},  # singular
     {"density": {"form": "gaussian", "cov": [[1, 0], [0]]}},  # ragged
     {"density": {"form": "product_of_1d", "sources": ["laplace"]}},
-], ids=["step-text", "step-null", "angle-text", "cov-not-pd",
+], ids=["step-text", "step-null", "step-true", "angle-text", "cov-not-pd",
         "mixture-singular-cov", "cov-ragged", "one-source"])
 def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     bad = tmp_path / "bad.json"

@@ -343,3 +343,28 @@ def test_score_table_far_from_every_sample_reads_empty():
     assert np.all(table.psi[gap] == 0.0)
     assert np.all(table.density >= 0.0)
     assert np.all(np.isfinite(table.psi))
+
+
+def test_score_table_derivative_is_the_slope_of_its_psi():
+    x = draw("laplace", 5000, 5)
+    table = score_table(x)
+    node_step = (table.grid[-1] - table.grid[0]) / (table.grid.size - 1)
+    # points strictly inside node intervals, with a finite-difference probe
+    # that stays in the same interval, where the interpolant is linear
+    gen = np.random.default_rng(6)
+    k = gen.integers(0, table.grid.size - 1, 2000)
+    s = table.grid[k] + node_step * gen.uniform(0.2, 0.8, k.size)
+    h = 0.1 * node_step
+    fd = (table(s + h) - table(s - h)) / (2.0 * h)
+    scale = np.max(np.abs(np.diff(table.psi))) / node_step
+    assert_allclose(table.derivative(s), fd, rtol=0, atol=1e-8 * scale)
+    assert_allclose(table.derivative(s),
+                    (table.psi[k + 1] - table.psi[k]) / node_step,
+                    rtol=1e-12, atol=0)
+    # outside the grid the held end values have zero slope
+    lo, hi = table.grid[0], table.grid[-1]
+    outside = np.array([lo - 50.0, lo - 1e-9, hi + 1e-9, hi + 50.0])
+    assert_array_equal(table.derivative(outside), np.zeros(4))
+    # the grid ends themselves belong to the end intervals
+    assert table.derivative(np.array([hi]))[0] == \
+        (table.psi[-1] - table.psi[-2]) / node_step
