@@ -16,10 +16,10 @@ import numpy as np
 
 from . import __version__
 from .algorithms import (SolverConfig, orthogonal_ica, relative_gradient_ica)
-from .data import (Dataset, MixingModel, random_mixing, read_csv, simulate,
-                   write_csv)
-from .errors import (DegenerateSample, IcageoError, InvalidConfig, IoError,
-                     exit_code_for)
+from .data import (Dataset, MixingModel, open_text, random_mixing, read_csv,
+                   read_json, simulate, write_csv)
+from .errors import (DegenerateSample, DimensionMismatch, IcageoError,
+                     InvalidConfig, IoError, exit_code_for)
 from .estimators import score_table
 from .evaluation import amari_index, diagnose
 from .gaussian import correlation_C, sample_covariance
@@ -32,30 +32,23 @@ CLI_ALGORITHMS = ("relative_gradient", "orthogonal")
 
 
 def _json_dump(path: Path, obj) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_text(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_config_file(path) -> dict:
     """Flat key=value file; '#' starts a comment, blank lines ignored."""
     out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise InvalidConfig(
-                        f"{path}: line {lineno}: expected key=value")
-                key, value = text.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise InvalidConfig(f"{path}: line {lineno}: expected key=value")
+            key, value = text.split("=", 1)
+            out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -86,13 +79,7 @@ class _Options:
         return value
 
     def seed(self) -> int:
-        value = self.get("seed")
-        if value is None:
-            value = os.environ.get("ICAGEO_SEED", "0")
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise InvalidConfig(f"seed must be an integer, got {value!r}") from exc
+        return self.get("seed", os.environ.get("ICAGEO_SEED", "0"), int)
 
 
 def _outdir(opts: _Options) -> Path:
@@ -114,7 +101,10 @@ def _read_input(opts: _Options) -> Dataset:
         names = ", ".join(repr(data.names()[i]) for i in constant)
         raise DegenerateSample(f"constant column {names}: all its values "
                                "are equal")
-    if not opts.get("center", False):
+    center = opts.get("center", "false")  # True from the flag
+    if center not in (True, "true", "false"):
+        raise InvalidConfig(f"center must be true or false, got {center!r}")
+    if center == "false":
         return data
     return Dataset(X - X.mean(axis=0), data.channel_names)
 
@@ -136,14 +126,7 @@ def cmd_simulate(opts: _Options) -> int:
     rng = Rng(seed)
     mixing_path = opts.get("mixing")
     if mixing_path:
-        try:
-            with open(mixing_path, "r", encoding="utf-8") as fh:
-                A = np.asarray(json.load(fh)["mixing"], dtype=float)
-        except OSError as exc:
-            raise IoError(f"cannot read {mixing_path}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise InvalidConfig(
-                f"{mixing_path}: expected JSON with a 'mixing' matrix") from exc
+        A = _read_mixing(mixing_path)[1]
     else:
         A = random_mixing(len(specs), rng.child(1000), cond)
     model = MixingModel(A, tuple(specs))
@@ -168,17 +151,25 @@ def cmd_simulate(opts: _Options) -> int:
 
 # -- separate ---------------------------------------------------------------
 
-def _load_model(path) -> MixingModel:
+def _read_mixing(path) -> tuple[dict, np.ndarray]:
+    """The JSON object of `simulate --mixing` or `separate --model`, and its
+    'mixing' field as a float array."""
+    obj = read_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        A = np.asarray(obj["mixing"], dtype=float)
-        specs = tuple(parse_source(s) for s in obj["sources"])
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidConfig(f"{path}: malformed model file") from exc
-    return MixingModel(A, specs)
+        return obj, np.asarray(obj["mixing"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{path}: needs a numeric 'mixing' matrix") from exc
+
+
+def _load_model(path, channels: int) -> MixingModel:
+    obj, A = _read_mixing(path)
+    sources = obj.get("sources")
+    if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
+        raise InvalidConfig(f"{path}: needs a 'sources' list of names")
+    if len(sources) != channels:
+        raise DimensionMismatch(f"{path} has {len(sources)} sources but the "
+                                f"input has {channels} channels")
+    return MixingModel(A, tuple(parse_source(s) for s in sources))
 
 
 def cmd_separate(opts: _Options) -> int:
@@ -196,6 +187,8 @@ def cmd_separate(opts: _Options) -> int:
                           max_iter=opts.get("max_iter", defaults.max_iter, int),
                           tol=opts.get("tol", defaults.tol, float),
                           score=score)
+    model_path = opts.get("model")
+    model = _load_model(model_path, data.N) if model_path else None
     if algorithm == "relative_gradient":
         result = relative_gradient_ica(data, config)
     else:
@@ -203,13 +196,10 @@ def cmd_separate(opts: _Options) -> int:
     out = _outdir(opts)
     _json_dump(out / "B.json", {"demixing": result.demixing.tolist()})
     write_csv(out / "Y.csv", result.recovered)
-    try:
-        with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-            fh.write("iteration,value\n")
-            for k, v in enumerate(result.trajectory):
-                fh.write(f"{k},{v:.17g}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write trace.csv: {exc}") from exc
+    with open_text(out / "trace.csv", "w") as fh:
+        fh.write("iteration,value\n")
+        for k, v in enumerate(result.trajectory):
+            fh.write(f"{k},{v:.17g}\n")
     orthogonal = algorithm == "orthogonal"
     # the orthogonal solver uses no score, and its trajectory holds the
     # best rotation gain of each sweep
@@ -227,9 +217,7 @@ def cmd_separate(opts: _Options) -> int:
         margins = result.stability_margins
         report["stability_margins"] = margins.tolist()
         report["stable"] = bool((margins > 0.0).all())
-    model_path = opts.get("model")
-    if model_path:
-        model = _load_model(model_path)
+    if model is not None:
         report["amari_index"] = amari_index(result.demixing @ model.mixing).value
     _json_dump(out / "report.json", report)
     print(f"converged={report['converged']} iterations={report['iterations']} "
@@ -246,16 +234,13 @@ def cmd_diagnose(opts: _Options) -> int:
     report = diagnose(data, seed=opts.seed())
     out = _outdir(opts)
     _json_dump(out / "report.json", report.to_json())
-    try:
-        with open(out / "plotdata.csv", "w", encoding="utf-8") as fh:
-            fh.write("channel,position,density,score\n")
-            if data.T >= 1000:
-                for i, name in enumerate(data.names()):
-                    table = score_table(data.column(i))
-                    for g, d, p in zip(table.grid, table.density, table.psi):
-                        fh.write(f"{name},{g:.17g},{d:.17g},{p:.17g}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write plotdata.csv: {exc}") from exc
+    with open_text(out / "plotdata.csv", "w") as fh:
+        fh.write("channel,position,density,score\n")
+        if data.T >= 1000:
+            for i, name in enumerate(data.names()):
+                table = score_table(data.column(i))
+                for g, d, p in zip(table.grid, table.density, table.psi):
+                    fh.write(f"{name},{g:.17g},{d:.17g},{p:.17g}\n")
     parts = [f"correlation={report.correlation:.4f}",
              "sum_negentropy={:.4f}".format(
                  sum(g.value for g in report.marginal_negentropies))]
@@ -329,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="stationarity/improvement stopping tolerance")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--center", action="store_true",
+    p.add_argument("--center", action="store_true", default=None,
                    help="subtract channel means first")
     p.add_argument("--model", default=None,
                    help="model.json with ground truth, enables the Amari index")
@@ -339,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "and negentropies")
     common(p)
     p.add_argument("input", help="CSV of observations")
-    p.add_argument("--center", action="store_true",
+    p.add_argument("--center", action="store_true", default=None,
                    help="subtract channel means first")
 
     p = sub.add_parser("verify", help="run the divergence-identity suite")

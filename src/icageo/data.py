@@ -1,19 +1,21 @@
-"""Datasets, mixing models, simulation, and CSV interchange.
+"""Datasets, mixing models, simulation, and file interchange.
 
 A Dataset is an immutable T x N sample matrix (rows = observations).
 MixingModel couples an invertible mixing matrix with per-channel source
 specs and is the ground truth against which separation quality is scored.
 """
+import contextlib
 import csv
 import io
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyChannels, InvalidConfig, IoError, NonFinite,
-                     SingularTransform, TooFewSamples)
+from .errors import (EmptyChannels, IcageoError, InvalidConfig, IoError,
+                     NonFinite, SingularTransform, TooFewSamples)
 from .rng import Rng
 from .sources import SourceSpec
 
@@ -151,6 +153,34 @@ def random_mixing(n: int, rng: Rng, cond: float = 5.0) -> np.ndarray:
     return (U * s) @ V.T
 
 
+@contextlib.contextmanager
+def open_text(path, mode: str = "r"):
+    """Open `path` as UTF-8 text, "r" or "w", line ends untranslated.  Any
+    failure to open, read, write or decode it raises IoError naming `path`."""
+    try:
+        with open(path, mode, newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        verb = "write" if mode == "w" else "read"
+        raise IoError(f"cannot {verb} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not a UTF-8 text file") from exc
+
+
+def read_json(path, error: type[IcageoError] = InvalidConfig) -> dict:
+    """The JSON object in a UTF-8 file.  Malformed JSON, or a top level that
+    is not an object, raises `error` naming the path."""
+    with open_text(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON at line {exc.lineno}, "
+                        f"column {exc.colno}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: top level must be an object")
+    return obj
+
+
 # -- CSV interchange ------------------------------------------------------
 # Header row of channel names, one observation per row, '.' decimal point,
 # '\r\n' line ends (the csv module's).  %.17g round-trips float64 exactly,
@@ -162,14 +192,11 @@ CSV_BLOCK_ROWS = 8192
 
 def write_csv(path, data: Dataset) -> None:
     row = ",".join(["%.17g"] * data.N) + "\r\n"
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(data.names())
-            for start in range(0, data.T, CSV_BLOCK_ROWS):
-                block = data.samples[start:start + CSV_BLOCK_ROWS]
-                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_text(path, "w") as fh:
+        csv.writer(fh).writerow(data.names())
+        for start in range(0, data.T, CSV_BLOCK_ROWS):
+            block = data.samples[start:start + CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> Dataset:
@@ -178,17 +205,12 @@ def read_csv(path) -> Dataset:
     The numeric body is parsed in C; a file that parse refuses is read again
     row by row, which names the offending line in its IoError.
     """
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            data = _load_numeric(fh)
-            if data is None:
-                fh.seek(0)
-                data = _parse_csv(fh, str(path))
-            return data
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise IoError(f"{path}: not a UTF-8 text file") from exc
+    with open_text(path) as fh:
+        data = _load_numeric(fh)
+        if data is None:
+            fh.seek(0)
+            data = _parse_csv(fh, str(path))
+        return data
 
 
 def _load_numeric(fh: io.TextIOBase) -> Dataset | None:

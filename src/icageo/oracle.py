@@ -14,14 +14,14 @@ measure, so the identity residuals reflect the identity itself rather than
 discretization error; the discretization error shows up in the individual
 terms and shrinks at first order or better as the step is refined.
 """
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_json
 from .errors import (DimensionMismatch, InsufficientCoverage,
-                     InvalidDistribution, IoError, SingularTransform)
+                     InvalidDistribution, SingularTransform)
 from .sources import SourceSpec, parse_source
 
 # density values below this are treated as exact zeros in integrands
@@ -611,29 +611,20 @@ def load_verify_spec(path) -> list[dict]:
     discrete table, or {"density": {"form": ..., ...}, "step": 0.01} for an
     analytic density fed to the joint-identity check.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidDistribution(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(spec, dict):
-        raise InvalidDistribution(f"{path}: top level must be an object")
+    spec = read_json(path, InvalidDistribution)
     checks = []
     if "joint" in spec:
-        joint = DiscreteJoint(spec["joint"])
-        if "targets" in spec:
-            targets = spec["targets"]
-            if (not isinstance(targets, list)) or len(targets) != 2:
-                raise InvalidDistribution(
-                    f"{path}: field 'targets' must hold two marginal vectors")
-            tm = (np.asarray(targets[0], float), np.asarray(targets[1], float))
-        else:
-            tm = joint.marginals()
-        checks.append(_report_check("user_product_pythagoras",
-                                    verify_product_pythagoras(joint, tm), 1e-12))
+        targets = spec.get("targets")
+        if "targets" in spec and not (isinstance(targets, list) and len(targets) == 2):
+            raise InvalidDistribution(
+                f"{path}: field 'targets' must hold two marginal vectors")
+        try:
+            joint = DiscreteJoint(spec["joint"])
+            report = verify_product_pythagoras(joint, targets or joint.marginals())
+        except (TypeError, ValueError) as exc:
+            raise InvalidDistribution(f"{path}: field 'joint' or 'targets' is not "
+                                      f"a numeric table: {exc}") from exc
+        checks.append(_report_check("user_product_pythagoras", report, 1e-12))
     if "density" in spec:
         dens = _density_from_json(spec["density"], path)
         step = spec.get("step", 0.01)

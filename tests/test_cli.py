@@ -450,6 +450,109 @@ def test_verify_failing_check_exits_one(tmp_path, capsys, monkeypatch):
     assert "FAIL synthetic" in capsys.readouterr().out
 
 
+# -- input files and options -------------------------------------------------------
+
+SIMULATE = ["simulate", "--sources", "laplace,uniform", "--samples", 2000]
+MODEL = {"mixing": [[1.0, 0.0], [0.0, 1.0]], "sources": ["laplace", "uniform"]}
+
+
+def as_json(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("command,content,message", [
+    (["verify", "--spec"], b'{"joint": "\xff"}', "not a UTF-8 text file"),
+    (["verify", "--spec"], as_json({"joint": "abc"}), "'joint'"),
+    (["verify", "--spec"], as_json({"joint": [[0.4, 0.1], [0.1, 0.4]],
+                                    "targets": [[0.5, 0.5], "ab"]}), "'targets'"),
+    ([*SIMULATE, "--mixing"], b'{"mixing": "\xff"}', "not a UTF-8 text file"),
+    (["separate", "{csv}", "--model"], b'{"mixing": "\xff"}',
+     "not a UTF-8 text file"),
+    ([*SIMULATE, "--config"], b"seed = \xff\n", "not a UTF-8 text file"),
+    ([*SIMULATE, "--mixing"], as_json(MODEL["mixing"]),
+     "top level must be an object"),
+    ([*SIMULATE, "--mixing"], as_json({"mixing": "abc"}), "'mixing'"),
+    ([*SIMULATE, "--mixing"], as_json({"mixing": [[1.0, 0.0], [0.0]]}),
+     "'mixing'"),
+    (["separate", "{csv}", "--model"], as_json({**MODEL, "mixing": "abc"}),
+     "'mixing'"),
+    (["separate", "{csv}", "--model"], as_json({**MODEL, "sources": "laplace"}),
+     "'sources'"),
+    (["separate", "{csv}", "--model"], as_json(MODEL),
+     "has 2 sources but the input has 3 channels"),
+], ids=["spec-not-utf8", "spec-joint-text", "spec-targets-text",
+        "mixing-not-utf8", "model-not-utf8", "config-not-utf8",
+        "mixing-top-level-list", "mixing-text", "mixing-ragged",
+        "model-mixing-text", "model-sources-text", "model-channel-count"])
+def test_bad_input_file_is_input_error_naming_it(tmp_path, capsys, command,
+                                                 content, message):
+    csv = tmp_path / "x.csv"  # three channels
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 3))))
+    bad = tmp_path / "input.bad"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    args = [csv if a == "{csv}" else a for a in command]
+    assert run([*args, bad, "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err and "Traceback" not in err
+    assert not out.exists()  # rejected before any output is written
+
+
+@pytest.mark.parametrize("command,name", [
+    (["separate", "{csv}", "--max-iter", 5], "trace.csv"),
+    (["diagnose", "{csv}"], "plotdata.csv")],
+    ids=["separate-trace", "diagnose-plotdata"])
+def test_unwritable_output_is_io_error_naming_its_path(tmp_path, capsys,
+                                                       command, name):
+    csv = tmp_path / "x.csv"
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    blocked = tmp_path / "out" / name
+    blocked.mkdir(parents=True)  # a directory where the file should go
+    args = [csv if a == "{csv}" else a for a in command]
+    assert run([*args, "--output-dir", tmp_path / "out"]) == 2
+    assert f"cannot write {blocked}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["separate"], ["separate", "--algorithm", "orthogonal"], ["diagnose"]],
+    ids=["relative-gradient", "orthogonal", "diagnose"])
+def test_config_center_equals_the_flag(tmp_path, capsys, command):
+    sim = simulate_into(tmp_path / "sim", samples=5000)
+    shifted = tmp_path / "shifted.csv"
+    write_csv(shifted, Dataset(read_csv(sim / "X.csv").samples + 5.0))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("center = true\n")
+    assert run([*command, shifted, "--center",
+                "--output-dir", tmp_path / "flag"]) == 0
+    assert run([*command, shifted, "--config", cfg,
+                "--output-dir", tmp_path / "cfg"]) == 0
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cfg").iterdir())
+    for name in names:
+        assert ((tmp_path / "flag" / name).read_bytes()
+                == (tmp_path / "cfg" / name).read_bytes())
+    cfg.write_text("center = maybe\n")
+    assert run([*command, shifted, "--config", cfg,
+                "--output-dir", tmp_path / "bad"]) == 2
+    assert "center must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "max"])
+def test_simulate_seed_extremes_rerun_byte_identically(tmp_path, seed):
+    a = simulate_into(tmp_path / "a", samples=2000, seed=seed)
+    b = simulate_into(tmp_path / "b", samples=2000, seed=seed)
+    for name in ("X.csv", "S.csv", "model.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert json.loads((a / "model.json").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("seed", [2**64, -1], ids=["max-plus-one", "negative"])
+def test_simulate_seed_out_of_range_is_input_error(tmp_path, capsys, seed):
+    assert run([*SIMULATE, "--seed", seed, "--output-dir", tmp_path / "o"]) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # -- process-level sanity --------------------------------------------------------------
 
 def test_console_entrypoint_runs():

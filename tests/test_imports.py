@@ -1,4 +1,6 @@
-"""Static check: every module-level import of an icageo module is used."""
+"""Static checks over the icageo sources: every module-level import is used,
+and only `data.py`, whose opener maps every file failure onto IoError, calls
+the builtin `open`."""
 import ast
 from pathlib import Path
 
@@ -33,3 +35,24 @@ def test_unused_import_check_flags_an_unused_name(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path) == []
+
+
+def open_calls(path: Path) -> list[str]:
+    """Calls of the builtin `open` in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"]
+
+
+def test_open_call_check_flags_a_call(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import io\nio.open('a')\n\n\ndef f(p):\n"
+                   "    with open(p) as fh:\n        return fh.read()\n")
+    assert open_calls(mod) == ["mod.py:6"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "data.py"],
+                         ids=lambda p: p.name)
+def test_only_data_module_opens_files(path):
+    assert open_calls(path) == []
