@@ -36,8 +36,14 @@ HESSIAN_EIGENVALUE_FLOOR = 1e-2
 NO_IMPROVEMENT_FLOOR = 0.02
 # hard cap on Jacobi sweeps
 MAX_SWEEPS = 50
-# golden-section angle resolution, radians
+# angle resolution of the refined pair search, radians
 ANGLE_TOL = 1e-4
+# coarse Givens angles of the pair search: 16 steps of pi/32 over
+# (-pi/4, pi/4]; the eighth is exactly 0
+COARSE_ANGLES = (-0.25 * math.pi
+                 + 0.5 * math.pi * (np.arange(1, 17) / 16.0)).tolist()
+# half-width of the bracket refined around the best coarse angle
+COARSE_SPAN = 0.5 * math.pi / 16.0
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,13 @@ class ScoreModel:
     psi: object
     dpsi: object
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        return self.psi(s)
+    def __call__(self, s: np.ndarray, slope: bool = False):
+        """psi at s; with slope=True, (psi, dpsi) from one call."""
+        psi = self.psi(s)
+        if not slope:
+            return psi
+        # tanh' = 1 - tanh^2, taken from the psi just computed
+        return psi, (1.0 - psi ** 2 if self.psi is np.tanh else self.dpsi(s))
 
 
 def make_score(name: str) -> ScoreModel:
@@ -143,12 +154,6 @@ def _psi_of(model):
     return model
 
 
-def _dpsi_of(model):
-    if isinstance(model, ScoreModel):
-        return model.dpsi
-    return model.derivative
-
-
 def _stationarity(Y: np.ndarray, psis) -> np.ndarray:
     T, n = Y.shape
     Psi = np.empty_like(Y)
@@ -164,13 +169,25 @@ def _stationarity(Y: np.ndarray, psis) -> np.ndarray:
     return F
 
 
-def _newton_terms(Y: np.ndarray, psis, dpsis):
-    """F, a_i = E psi_i'(Y_i) and v_i = E Y_i^2 of the outputs Y."""
-    try:
-        F = _stationarity(Y, psis)
-    except NonFinite as exc:
-        raise Diverged("score or stationarity overflow") from exc
-    a = np.array([np.mean(d(Y[:, i])) for i, d in enumerate(dpsis)])
+def _newton_terms(Y: np.ndarray, scores):
+    """F, a_i = E psi_i'(Y_i) and v_i = E Y_i^2 of the outputs Y.
+
+    Each score is a ScoreModel or a ScoreTable; one call gives a channel's
+    psi and psi', so a table locates every sample on its grid once.
+    """
+    T, n = Y.shape
+    Psi = np.empty_like(Y)
+    a = np.empty(n)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for i, score in enumerate(scores):
+                Psi[:, i], dpsi = score(Y[:, i], slope=True)
+                a[i] = np.mean(dpsi)
+        except FloatingPointError as exc:
+            raise Diverged("score or stationarity overflow") from exc
+    F = Psi.T @ Y / T
+    if not np.isfinite(F).all():
+        raise Diverged("score or stationarity overflow")
     return F, a, np.mean(Y * Y, axis=0)
 
 
@@ -238,8 +255,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
                             f"{SCORE_TABLE_MIN_SAMPLES} samples, got {data.T}")
     B = whitener(sample_covariance(data)).matrix.copy()
     mu = config.step
-    psis = [None if a else _psi_of(m) for a, m in zip(adaptive, models)]
-    dpsis = [None if a else _dpsi_of(m) for a, m in zip(adaptive, models)]
+    scores = list(models)
     tables: list[ScoreTable | None] = [None] * n
     trajectory = []
     converged = False
@@ -251,14 +267,12 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
             if any(adaptive):
                 for i in range(n):
                     if adaptive[i]:
-                        tables[i] = score_table(Y[:, i])
-                        psis[i] = tables[i]
-                        dpsis[i] = tables[i].derivative
+                        tables[i] = scores[i] = score_table(Y[:, i])
             obj = _objective_value(Y)
             if prev_obj is not None and obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
                 mu *= 0.5
             prev_obj = obj
-        F, a, v = _newton_terms(Y, psis, dpsis)
+        F, a, v = _newton_terms(Y, scores)
         norm = _offdiag_norm(F)
         trajectory.append(norm)
         iterations = it + 1
@@ -270,38 +284,108 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
             raise Diverged("demixing matrix left the trust region")
     if not converged:
         Y = X @ B.T
-        F, a, v = _newton_terms(Y, psis, dpsis)
+        F, a, v = _newton_terms(Y, scores)
     return SeparationResult(B, Dataset(Y), iterations, converged,
                             np.asarray(trajectory),
                             score_tables=tuple(tables) if any(adaptive) else None,
                             stability_margins=a * v - np.diag(F))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # maximize f on [lo, hi]; returns (argmax, max)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _brent_max(f, x: float, fx: float, lo: float, hi: float,
+               tol: float) -> tuple[float, float]:
+    """Maximize f on [lo, hi] by Brent's method (Brent 1973, ch. 5).
+
+    Starts from x in [lo, hi], whose value fx is already known, and
+    alternates parabolic steps through the three best points with golden
+    sections.  Stops once both ends of the bracket lie within tol of the
+    best point, so the maximizer of an f unimodal on [lo, hi] is located
+    to tol.  Returns (argmax, max) over the points evaluated.
+    """
+    cgold = 0.5 * (3.0 - math.sqrt(5.0))
+    tol1 = 0.5 * tol
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            # vertex of the parabola through (x, fx), (w, fw), (v, fv)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = (a - x) if x >= xm else (b - x)
+            d = cgold * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _search_pair(yi: np.ndarray, yj: np.ndarray) -> tuple[float, float]:
+    """Givens angle and gain of the best rotation of one output pair.
+
+    The gain of rotating (yi, yj) by theta is the rise of the pair's summed
+    negentropy.  It is scanned at the 15 nonzero COARSE_ANGLES (at theta =
+    0 it is exactly 0) and refined by _brent_max on the best coarse angle
+    +- COARSE_SPAN to ANGLE_TOL, starting from that angle and its gain.
+    Every variance is taken from the pair's centred 2 x 2 second moments:
+    var(c yi - s yj) = c^2 S_ii + s^2 S_jj - 2 c s S_ij.
+    """
+    pair = np.column_stack((yi, yj))
+    pair -= pair.mean(axis=0)
+    (sii, sij), (_, sjj) = (pair.T @ pair / pair.shape[0]).tolist()
+    base = _negentropy_raw(yi, var=sii) + _negentropy_raw(yj, var=sjj)
+
+    def gain(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        cross = 2.0 * c * s * sij
+        return (_negentropy_raw(c * yi - s * yj,
+                                var=c * c * sii + s * s * sjj - cross)
+                + _negentropy_raw(s * yi + c * yj,
+                                  var=s * s * sii + c * c * sjj + cross)
+                - base)
+
+    values = [gain(t) if t else 0.0 for t in COARSE_ANGLES]
+    k = int(np.argmax(values))
+    peak = COARSE_ANGLES[k]
+    return _brent_max(gain, peak, values[k], peak - COARSE_SPAN,
+                      peak + COARSE_SPAN, ANGLE_TOL)
 
 
 def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     """Whiten, then rotate to maximize summed marginal non-Gaussianity.
 
     Jacobi sweeps over channel pairs in lexicographic order; each pair's
-    Givens angle is located by a coarse scan over (-pi/4, pi/4] followed by
-    golden-section refinement.  A rotation is kept when it improves the
+    Givens angle is located by _search_pair: a scan of 15 coarse angles
+    over (-pi/4, pi/4], then Brent's method to ANGLE_TOL around the best
+    one.  A rotation is kept when it improves the
     pair's negentropy sum by more than config.tol; sweeping stops when no
     pair improves by that much.  A rejected pair is not searched again
     until one of its columns has been rotated.  The returned demixing is
@@ -318,7 +402,6 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     sweep_gains = []
     best_gain_ever = 0.0
     converged = False
-    coarse = -0.25 * math.pi + 0.5 * math.pi * (np.arange(1, 17) / 16.0)
     rotated = [0] * n  # rotations applied to each column so far
     # pair -> rotation counts of its columns when its search was rejected
     rejected = {}
@@ -332,20 +415,9 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
                     continue
                 yi = Y[:, i].copy()
                 yj = Y[:, j].copy()
-                base = _negentropy_raw(yi) + _negentropy_raw(yj)
-
-                def gain(theta):
-                    c, s = math.cos(theta), math.sin(theta)
-                    return (_negentropy_raw(c * yi - s * yj)
-                            + _negentropy_raw(s * yi + c * yj) - base)
-
-                values = [gain(t) for t in coarse]
-                k = int(np.argmax(values))
-                span = 0.5 * math.pi / 16.0
-                theta, improvement = _golden_section(
-                    gain, coarse[k] - span, coarse[k] + span, ANGLE_TOL)
-                best_gain_ever = max(best_gain_ever, improvement,
-                                     max(values))
+                theta, improvement = _search_pair(yi, yj)
+                # the search never returns less than its best coarse gain
+                best_gain_ever = max(best_gain_ever, improvement)
                 if improvement > config.tol:
                     sweep_best = max(sweep_best, improvement)
                     c, s = math.cos(theta), math.sin(theta)

@@ -19,7 +19,8 @@ from .algorithms import (SolverConfig, orthogonal_ica, relative_gradient_ica)
 from .data import (Dataset, MixingModel, open_text, random_mixing, read_csv,
                    read_json, simulate, write_csv)
 from .errors import (DegenerateSample, DimensionMismatch, IcageoError,
-                     InvalidConfig, IoError, exit_code_for)
+                     InvalidConfig, InvalidDistribution, IoError, NonFinite,
+                     SingularTransform, exit_code_for)
 from .estimators import score_table
 from .evaluation import amari_index, diagnose
 from .gaussian import correlation_C, sample_covariance
@@ -126,10 +127,13 @@ def cmd_simulate(opts: _Options) -> int:
     rng = Rng(seed)
     mixing_path = opts.get("mixing")
     if mixing_path:
-        A = _read_mixing(mixing_path)[1]
+        # the sources come from --sources; the file's list is only checked
+        model = _mixing_model(mixing_path, _read_mixing(mixing_path)[0],
+                              specs)
     else:
-        A = random_mixing(len(specs), rng.child(1000), cond)
-    model = MixingModel(A, tuple(specs))
+        model = MixingModel(random_mixing(len(specs), rng.child(1000), cond),
+                            tuple(specs))
+    A = model.mixing
     X, S = simulate(model, T, rng)
     if all(s.family == "gaussian" for s in specs):
         print("warning: Gaussian-only mixture is not blindly separable; "
@@ -151,25 +155,43 @@ def cmd_simulate(opts: _Options) -> int:
 
 # -- separate ---------------------------------------------------------------
 
-def _read_mixing(path) -> tuple[dict, np.ndarray]:
-    """The JSON object of `simulate --mixing` or `separate --model`, and its
-    'mixing' field as a float array."""
+def _read_mixing(path) -> tuple[np.ndarray, tuple | None]:
+    """The 'mixing' field of a `simulate --mixing` or `separate --model`
+    JSON file as a float array, and its 'sources' parsed, None when the
+    file has no such field.  Errors name the file."""
     obj = read_json(path)
     try:
-        return obj, np.asarray(obj["mixing"], dtype=float)
+        A = np.asarray(obj["mixing"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"{path}: needs a numeric 'mixing' matrix") from exc
+    sources = obj.get("sources")
+    if sources is None:
+        return A, None
+    if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
+        raise InvalidConfig(f"{path}: needs a 'sources' list of names")
+    try:
+        return A, tuple(parse_source(s) for s in sources)
+    except InvalidDistribution as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
+
+
+def _mixing_model(path, A: np.ndarray, specs) -> MixingModel:
+    """MixingModel(A, specs), its errors re-raised naming the file A came
+    from."""
+    try:
+        return MixingModel(A, tuple(specs))
+    except (InvalidConfig, NonFinite, SingularTransform) as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
 
 
 def _load_model(path, channels: int) -> MixingModel:
-    obj, A = _read_mixing(path)
-    sources = obj.get("sources")
-    if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
+    A, specs = _read_mixing(path)
+    if specs is None:
         raise InvalidConfig(f"{path}: needs a 'sources' list of names")
-    if len(sources) != channels:
-        raise DimensionMismatch(f"{path} has {len(sources)} sources but the "
+    if len(specs) != channels:
+        raise DimensionMismatch(f"{path} has {len(specs)} sources but the "
                                 f"input has {channels} channels")
-    return MixingModel(A, tuple(parse_source(s) for s in sources))
+    return _mixing_model(path, A, specs)
 
 
 def cmd_separate(opts: _Options) -> int:

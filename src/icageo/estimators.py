@@ -130,13 +130,16 @@ def entropy_scalar(x, method: str = "vasicek_spacing",
     raise InvalidConfig(f"unknown entropy method {method!r}")
 
 
-def _negentropy_raw(v: np.ndarray) -> float:
+def _negentropy_raw(v: np.ndarray, var: float | None = None) -> float:
     """Vasicek-based negentropy as a bare float, no plausibility gate.
 
     Used inside solver loops where transient estimates on partly separated
-    data are monitoring signals, not reported results.
+    data are monitoring signals, not reported results.  var, when given,
+    is the variance of v as the caller already knows it (the orthogonal
+    search takes it from a pair's 2 x 2 second moments); np.var otherwise.
     """
-    var = float(np.var(v))
+    if var is None:
+        var = float(np.var(v))
     if var <= 0.0:
         raise DegenerateSample("zero variance")
     m = max(1, int(math.sqrt(v.size)))
@@ -278,15 +281,19 @@ class ScoreTable:
         pos = np.clip((s - self.grid[0]) / step, 0.0, last)
         return pos, np.minimum(pos.astype(np.intp), last - 1), step
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        pos, k, _ = self._locate(s)
+    def __call__(self, s: np.ndarray, slope: bool = False):
+        """psi at s; with slope=True, (psi, derivative) from one lookup."""
+        pos, k, step = self._locate(s)
         w = pos - k
-        return (1.0 - w) * self.psi[k] + w * self.psi[k + 1]
+        psi = (1.0 - w) * self.psi[k] + w * self.psi[k + 1]
+        if not slope:
+            return psi
+        d = (np.diff(self.psi) / step)[k]
+        d[(s < self.grid[0]) | (s > self.grid[-1])] = 0.0
+        return psi, d
 
     def derivative(self, s: np.ndarray) -> np.ndarray:
-        _, k, step = self._locate(s)
-        slope = (self.psi[k + 1] - self.psi[k]) / step
-        return np.where((s < self.grid[0]) | (s > self.grid[-1]), 0.0, slope)
+        return self(s, slope=True)[1]
 
 
 def score_table(x, bins: int = 256) -> ScoreTable:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
@@ -12,7 +14,8 @@ from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
                     orthogonal_ica, parse_source, random_mixing, relative_gradient_ica,
                     sample_covariance, simulate, stationarity_matrix)
 from icageo import algorithms
-from icageo.algorithms import ANGLE_TOL, NO_IMPROVEMENT_FLOOR, SCORE_NAMES
+from icageo.algorithms import (ANGLE_TOL, COARSE_ANGLES, COARSE_SPAN,
+                               NO_IMPROVEMENT_FLOOR, SCORE_NAMES)
 from icageo.gaussian import whitener
 
 
@@ -306,27 +309,14 @@ def reference_orthogonal_ica(data, config):
     U = np.eye(n)
     sweep_gains = []
     best_gain_ever = 0.0
-    coarse = -0.25 * math.pi + 0.5 * math.pi * (np.arange(1, 17) / 16.0)
-    negentropy = algorithms._negentropy_raw
     for _ in range(algorithms.MAX_SWEEPS):
         sweep_best = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):
                 yi = Y[:, i].copy()
                 yj = Y[:, j].copy()
-                base = negentropy(yi) + negentropy(yj)
-
-                def gain(theta):
-                    c, s = math.cos(theta), math.sin(theta)
-                    return (negentropy(c * yi - s * yj)
-                            + negentropy(s * yi + c * yj) - base)
-
-                values = [gain(t) for t in coarse]
-                k = int(np.argmax(values))
-                span = 0.5 * math.pi / 16.0
-                theta, improvement = algorithms._golden_section(
-                    gain, coarse[k] - span, coarse[k] + span, ANGLE_TOL)
-                best_gain_ever = max(best_gain_ever, improvement, max(values))
+                theta, improvement = algorithms._search_pair(yi, yj)
+                best_gain_ever = max(best_gain_ever, improvement)
                 if improvement > config.tol:
                     sweep_best = max(sweep_best, improvement)
                     c, s = math.cos(theta), math.sin(theta)
@@ -362,9 +352,9 @@ def test_orthogonal_equals_reference_with_fewer_searches(monkeypatch,
     X = mixed(families, 5000, len(families))
     calls = []
 
-    def counted(v):
+    def counted(v, var=None):
         calls.append(v.size)
-        return negentropy(v)
+        return negentropy(v, var=var)
 
     negentropy = algorithms._negentropy_raw
     monkeypatch.setattr(algorithms, "_negentropy_raw", counted)
@@ -381,6 +371,143 @@ def test_orthogonal_equals_reference_with_fewer_searches(monkeypatch,
     if len(families) == 4:
         # the final sweep re-searches no pair whose columns are unchanged
         assert fast_calls < len(calls) - fast_calls
+
+
+FOUR_CHANNEL_FAMILIES = [
+    ("laplace", "uniform", "cosh-reciprocal", "generalized-gaussian(4)"),
+    ("gaussian", "gaussian", "laplace", "uniform"),
+]
+
+
+def golden_section(f, lo, hi, tol):
+    """The golden-section refinement the pair search used before Brent's
+    method: maximize f on [lo, hi]; returns (argmax, max)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def golden_pair_search(yi, yj):
+    """The pair search before Brent's method: np.var variances, all 16
+    coarse angles, then golden section; returns (angle, gain)."""
+    negentropy = algorithms._negentropy_raw
+    base = negentropy(yi) + negentropy(yj)
+
+    def gain(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return (negentropy(c * yi - s * yj)
+                + negentropy(s * yi + c * yj) - base)
+
+    values = [gain(t) for t in COARSE_ANGLES]
+    k = int(np.argmax(values))
+    return golden_section(gain, COARSE_ANGLES[k] - COARSE_SPAN,
+                          COARSE_ANGLES[k] + COARSE_SPAN, ANGLE_TOL)
+
+
+def recorded_pair_searches(X, monkeypatch):
+    """Every (yi, yj, angle, gain) the orthogonal solver searched on X, and
+    the number of _negentropy_raw calls it made."""
+    search, negentropy = algorithms._search_pair, algorithms._negentropy_raw
+    searches, calls = [], []
+
+    def recorded(yi, yj):
+        out = search(yi, yj)
+        searches.append((yi.copy(), yj.copy(), *out))
+        return out
+
+    def counted(v, var=None):
+        calls.append(v.size)
+        return negentropy(v, var=var)
+
+    monkeypatch.setattr(algorithms, "_search_pair", recorded)
+    monkeypatch.setattr(algorithms, "_negentropy_raw", counted)
+    orthogonal_ica(X, SolverConfig())
+    monkeypatch.undo()
+    return searches, len(calls)
+
+
+SHAPES = {
+    "cosine": lambda a, b: lambda t: a * math.cos(4.0 * t) + b,
+    "quartic": lambda a, b: lambda t: b - a * t * t - t ** 4,
+    "skewed": lambda a, b: lambda t: b - a * t * t + 0.3 * a * t ** 3,
+}
+
+
+@settings(max_examples=150)
+@given(shape=st.sampled_from(sorted(SHAPES)), a=st.floats(0.01, 10.0),
+       b=st.floats(-1.0, 1.0), k=st.integers(0, 15),
+       offset=st.floats(-1.0, 1.0))
+def test_brent_locates_the_peak_of_smooth_objectives(shape, a, b, k, offset):
+    # a unimodal objective peaking at theta* inside the bracket around the
+    # coarse angle k: Brent's method finds theta* to ANGLE_TOL
+    peak = COARSE_ANGLES[k]
+    star = peak + offset * COARSE_SPAN
+    f0 = SHAPES[shape](a, b)
+    evaluated = []
+
+    def f(t):
+        evaluated.append(t)
+        return f0(t - star)
+
+    theta, value = algorithms._brent_max(f, peak, f(peak), peak - COARSE_SPAN,
+                                         peak + COARSE_SPAN, ANGLE_TOL)
+    assert abs(theta - star) <= ANGLE_TOL
+    assert value == f0(theta - star) and value >= f0(peak - star)
+    assert all(abs(t - peak) <= COARSE_SPAN for t in evaluated)
+
+
+@settings(max_examples=12)
+@given(families=st.sampled_from([("laplace", "uniform"),
+                                 ("uniform", "laplace", "uniform"),
+                                 *FOUR_CHANNEL_FAMILIES]),
+       seed=st.integers(0, 2 ** 16))
+def test_pair_search_gains_at_least_the_golden_section(families, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        searches, _ = recorded_pair_searches(mixed(families, 5000, seed),
+                                             monkeypatch)
+    for yi, yj, theta, gain in searches:
+        assert abs(theta) <= 0.25 * math.pi + COARSE_SPAN
+        assert gain >= golden_pair_search(yi, yj)[1] - 1e-3
+
+
+def test_pair_search_variances_are_the_columns_variances(monkeypatch):
+    # the solver passes white pairs, where any mix of S_ii, S_jj and S_ij
+    # reads close to 1; an unequal, correlated pair tells them apart
+    gen = np.random.default_rng(5)
+    yi = 3.0 * gen.laplace(size=4000) + 1.0
+    yj = 0.5 * gen.uniform(-1.0, 1.0, 4000) - 0.8 * yi
+    negentropy = algorithms._negentropy_raw
+    passed = []
+
+    def checked(v, var=None):
+        passed.append(var)
+        assert var == pytest.approx(np.var(v), rel=1e-12)
+        return negentropy(v, var=var)
+
+    monkeypatch.setattr(algorithms, "_negentropy_raw", checked)
+    algorithms._search_pair(yi, yj)
+    assert len(passed) > 2 + 2 * 15
+
+
+@pytest.mark.parametrize("families", FOUR_CHANNEL_FAMILIES)
+def test_pair_search_negentropy_budget(monkeypatch, families):
+    # the golden-section search took 70 calls a pair: 2 for the base, 32
+    # for 16 coarse angles, 36 for 18 golden steps
+    searches, calls = recorded_pair_searches(mixed(families, 5000, 4),
+                                             monkeypatch)
+    assert calls <= 56 * len(searches)
 
 
 def test_objective_trace_is_deterministic_and_ordered():

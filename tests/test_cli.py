@@ -498,6 +498,30 @@ def test_bad_input_file_is_input_error_naming_it(tmp_path, capsys, command,
     assert not out.exists()  # rejected before any output is written
 
 
+@pytest.mark.parametrize("command", [
+    [*SIMULATE, "--mixing"], ["separate", "{csv}", "--model"]],
+    ids=["simulate-mixing", "separate-model"])
+@pytest.mark.parametrize("content,message", [
+    ({**MODEL, "mixing": [[1.0, 2.0], [0.5, 1.0]]}, "singular"),
+    ({**MODEL, "mixing": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "square"),
+    ({**MODEL, "sources": ["laplace", "cauchy"]},
+     "unknown source family 'cauchy'"),
+], ids=["singular", "non-square", "unknown-family"])
+def test_model_file_semantic_error_is_input_error_naming_it(
+        tmp_path, capsys, command, content, message):
+    csv = tmp_path / "x.csv"  # two channels, as many as the file's sources
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    bad = tmp_path / "model.json"
+    bad.write_bytes(as_json(content))
+    out = tmp_path / "out"
+    args = [csv if a == "{csv}" else a for a in command]
+    assert run([*args, bad, "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,name", [
     (["separate", "{csv}", "--max-iter", 5], "trace.csv"),
     (["diagnose", "{csv}"], "plotdata.csv")],

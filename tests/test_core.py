@@ -337,8 +337,7 @@ SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 ROWS = st.sampled_from([2, 3, 17, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                         CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 5])
-# derandomized: every run of the suite tries the same examples
-CSV_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+CSV_SETTINGS = settings(max_examples=40,
                         suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

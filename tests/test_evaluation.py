@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from icageo import (Dataset, DecompositionReport, DegenerateGain, Rng,
@@ -19,6 +21,23 @@ def test_amari_zero_exactly_on_scaled_permutations():
     assert amari_index(np.eye(3)).value == 0.0
     perm = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, -0.5], [3.0, 0.0, 0.0]])
     assert amari_index(perm).value == 0.0
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       factor=st.floats(1e-3, 1e3), data=st.data())
+def test_amari_invariant_under_permutation_and_scaling(n, seed, factor, data):
+    # the ICA indeterminacies: outputs in any order, with any sign, in a
+    # common unit.  Unequal row magnitudes are not among them: they change
+    # the column ratios, e.g. [[1, .5], [.5, 1]] reads 0.5 and
+    # [[10, 5], [.5, 1]] reads 0.3125.
+    gen = np.random.default_rng(seed)
+    g = gen.standard_normal((n, n))
+    rows = data.draw(st.permutations(range(n)))
+    cols = data.draw(st.permutations(range(n)))
+    signs = gen.choice([-1.0, 1.0], size=(n, 1))
+    moved = factor * signs * g[np.ix_(rows, cols)]
+    assert abs(amari_index(moved).value - amari_index(g).value) <= 1e-12
 
 
 def test_amari_one_at_maximal_mixing():

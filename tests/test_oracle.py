@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from icageo import (DimensionMismatch, DiscreteJoint, GridSpec, IdentityReport,
@@ -79,6 +81,36 @@ def test_product_pythagoras_random_sweep():
         rep = verify_product_pythagoras(joint, (tx, ty))
         assert rep.residual < 1e-12
         assert rep.terms["mutual_information"] >= 0.0
+
+
+def entropy(p):
+    return -float(np.sum(p * np.log(p)))
+
+
+def random_marginal(k, gen):
+    t = gen.random(k) + 0.05
+    t /= t.sum()
+    t[0] += 1.0 - t.sum()
+    return t
+
+
+@settings(max_examples=200)
+@given(k1=st.integers(1, 8), k2=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_discrete_identities_hold_on_random_tables(k1, k2, seed):
+    gen = np.random.default_rng(seed)
+    joint = random_discrete_joint(k1, k2, gen)
+    px, py = joint.marginals()
+    mi = discrete_mi(joint)
+    assert abs(mi - (entropy(px) + entropy(py)
+                     - entropy(joint.probabilities))) <= 1e-12
+    assert mi >= -1e-12
+    rep = verify_product_pythagoras(joint, (random_marginal(k1, gen),
+                                            random_marginal(k2, gen)))
+    assert rep.residual <= 1e-12
+    assert rep.terms["mutual_information"] == mi
+    own = verify_product_pythagoras(joint, (px, py))
+    assert abs(own.lhs - mi) <= 1e-12 and own.residual <= 1e-12
 
 
 def test_product_pythagoras_rejects_bad_targets():

@@ -217,7 +217,7 @@ BOX = st.sampled_from([(-8.0, 8.0, -8.0, 8.0), (-9.3, 7.1, -8.2, 8.7),
                        (-6.5, 7.5, -7.7, 7.2), (-2.0, 2.0, -2.0, 2.0)])
 STEP = st.floats(0.02, 0.05)
 
-QUAD_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+QUAD_SETTINGS = settings(max_examples=40,
                          suppress_health_check=[HealthCheck.too_slow])
 
 GAUSS = ("gaussian", (1.0, 1.0, 0.5), None)
