@@ -142,7 +142,19 @@ def stationarity_matrix(Y: Dataset, scores) -> np.ndarray:
     models = list(scores)
     if len(models) != Y.N:
         raise InvalidConfig(f"need one score per channel ({Y.N})")
-    return _stationarity(Y.samples, [_psi_of(m) for m in models])
+    psis = [_psi_of(m) for m in models]
+    X = Y.samples
+    Psi = np.empty_like(X)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for i, psi in enumerate(psis):
+                Psi[:, i] = psi(X[:, i])
+        except FloatingPointError as exc:
+            raise NonFinite(context="score evaluation") from exc
+    F = Psi.T @ X / Y.T
+    if not np.isfinite(F).all():
+        raise NonFinite(context="stationarity matrix")
+    return F
 
 
 def _psi_of(model):
@@ -152,21 +164,6 @@ def _psi_of(model):
                                 "pass a ScoreTable or fixed score here")
         return model.psi
     return model
-
-
-def _stationarity(Y: np.ndarray, psis) -> np.ndarray:
-    T, n = Y.shape
-    Psi = np.empty_like(Y)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for i in range(n):
-                Psi[:, i] = psis[i](Y[:, i])
-        except FloatingPointError as exc:
-            raise NonFinite(context="score evaluation") from exc
-    F = Psi.T @ Y / T
-    if not np.isfinite(F).all():
-        raise NonFinite(context="stationarity matrix")
-    return F
 
 
 def _newton_terms(Y: np.ndarray, scores):
