@@ -21,8 +21,7 @@ from .data import (Dataset, MixingModel, random_mixing, read_csv, simulate,
 from .gaussian import (Covariance, WhiteningTransform, correlation_C,
                        gaussian_kld, sample_covariance,
                        verify_gaussian_pythagoras, whitener)
-from .estimators import (EntropyEstimate, MIEstimate, NegentropyEstimate,
-                         ScoreTable, entropy_scalar, mutual_information,
+from .estimators import (entropy_scalar, mutual_information,
                          negentropy_scalar, score_table)
 from .oracle import (AnalyticDensity2D, DiscreteJoint, GridSpec,
                      IdentityReport, builtin_suite, discrete_mi,
@@ -31,11 +30,10 @@ from .oracle import (AnalyticDensity2D, DiscreteJoint, GridSpec,
                      load_verify_spec, product_density, quad_kld_2d,
                      random_discrete_joint, rotated_product_density,
                      verify_four_point_identity, verify_product_pythagoras)
-from .algorithms import (ScoreModel, SeparationResult, SolverConfig,
-                         make_score, objective_trace, orthogonal_ica,
+from .algorithms import (ScoreModel, SolverConfig, make_score,
+                         objective_trace, orthogonal_ica,
                          relative_gradient_ica, stationarity_matrix)
-from .evaluation import (AmariIndex, DecompositionReport, amari_index,
-                         diagnose)
+from .evaluation import DecompositionReport, amari_index, diagnose
 
 __all__ = [
     "__version__",
@@ -51,7 +49,6 @@ __all__ = [
     "Covariance", "WhiteningTransform",
     "sample_covariance", "gaussian_kld", "correlation_C", "whitener",
     "verify_gaussian_pythagoras",
-    "EntropyEstimate", "NegentropyEstimate", "MIEstimate", "ScoreTable",
     "entropy_scalar", "negentropy_scalar", "mutual_information",
     "score_table",
     "DiscreteJoint", "IdentityReport", "discrete_mi",
@@ -61,8 +58,8 @@ __all__ = [
     "rotated_product_density", "linear_image", "quad_kld_2d",
     "verify_four_point_identity", "gaussianity_invariance_check",
     "builtin_suite", "load_verify_spec",
-    "ScoreModel", "SolverConfig", "SeparationResult", "make_score",
+    "ScoreModel", "SolverConfig", "make_score",
     "stationarity_matrix", "relative_gradient_ica", "orthogonal_ica",
     "objective_trace",
-    "AmariIndex", "amari_index", "DecompositionReport", "diagnose",
+    "amari_index", "DecompositionReport", "diagnose",
 ]

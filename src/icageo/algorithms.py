@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import (Diverged, InvalidConfig, NonFinite, SingularCovariance,
+from .errors import (Diverged, InvalidConfig, SingularCovariance,
                      TooFewSamples)
-from .estimators import (SCORE_TABLE_MIN_SAMPLES, ScoreTable, _negentropy_raw,
-                         score_table)
+from .estimators import SCORE_TABLE_MIN_SAMPLES, _negentropy_raw, score_table
 from .gaussian import Covariance, correlation_C, sample_covariance, whitener
 
 SCORE_NAMES = ("tanh", "cube", "identity", "adaptive")
@@ -49,7 +48,7 @@ COARSE_SPAN = 0.5 * math.pi / 16.0
 @dataclass(frozen=True)
 class ScoreModel:
     """A score function psi = -q'/q for a working source density q, with
-    its derivative dpsi for the Newton step."""
+    its derivative dpsi(s, psi), which may reuse psi, for the Newton step."""
 
     name: str
     psi: object
@@ -58,10 +57,7 @@ class ScoreModel:
     def __call__(self, s: np.ndarray, slope: bool = False):
         """psi at s; with slope=True, (psi, dpsi) from one call."""
         psi = self.psi(s)
-        if not slope:
-            return psi
-        # tanh' = 1 - tanh^2, taken from the psi just computed
-        return psi, (1.0 - psi ** 2 if self.psi is np.tanh else self.dpsi(s))
+        return (psi, self.dpsi(s, psi)) if slope else psi
 
 
 def make_score(name: str) -> ScoreModel:
@@ -69,11 +65,13 @@ def make_score(name: str) -> ScoreModel:
     # identity the Gaussian negative control; adaptive scores are kernel
     # tables refreshed from the outputs
     if name == "tanh":
-        return ScoreModel("tanh", np.tanh, lambda s: 1.0 - np.tanh(s) ** 2)
+        return ScoreModel("tanh", np.tanh, lambda s, psi: 1.0 - psi ** 2)
     if name == "cube":
-        return ScoreModel("cube", lambda s: s * s * s, lambda s: 3.0 * s * s)
+        return ScoreModel("cube", lambda s: s * s * s,
+                          lambda s, psi: 3.0 * s * s)
     if name == "identity":
-        return ScoreModel("identity", lambda s: s, np.ones_like)
+        return ScoreModel("identity", lambda s: s,
+                          lambda s, psi: np.ones_like(s))
     if name == "adaptive":
         return ScoreModel("adaptive", None, None)
     raise InvalidConfig(f"unknown score {name!r}; choose from "
@@ -129,7 +127,6 @@ class SeparationResult:
     converged: bool
     trajectory: np.ndarray
     no_improvement: bool = False
-    score_tables: tuple | None = None
     stability_margins: np.ndarray | None = None
 
 
@@ -138,32 +135,15 @@ def stationarity_matrix(Y: Dataset, scores) -> np.ndarray:
 
     At a maximum-likelihood separation point the off-diagonal part
     vanishes; its Frobenius norm is the solver's convergence measure.
+    The solver's own _newton_terms computes it: an overflow is Diverged.
     """
     models = list(scores)
     if len(models) != Y.N:
         raise InvalidConfig(f"need one score per channel ({Y.N})")
-    psis = [_psi_of(m) for m in models]
-    X = Y.samples
-    Psi = np.empty_like(X)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for i, psi in enumerate(psis):
-                Psi[:, i] = psi(X[:, i])
-        except FloatingPointError as exc:
-            raise NonFinite(context="score evaluation") from exc
-    F = Psi.T @ X / Y.T
-    if not np.isfinite(F).all():
-        raise NonFinite(context="stationarity matrix")
-    return F
-
-
-def _psi_of(model):
-    if isinstance(model, ScoreModel):
-        if model.psi is None:
-            raise InvalidConfig("adaptive scores need fitted tables; "
-                                "pass a ScoreTable or fixed score here")
-        return model.psi
-    return model
+    if any(isinstance(m, ScoreModel) and m.psi is None for m in models):
+        raise InvalidConfig("adaptive scores need fitted tables; "
+                            "pass a ScoreTable or fixed score here")
+    return _newton_terms(Y.samples, models)[0]
 
 
 def _newton_terms(Y: np.ndarray, scores):
@@ -253,7 +233,6 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     B = whitener(sample_covariance(data)).matrix.copy()
     mu = config.step
     scores = list(models)
-    tables: list[ScoreTable | None] = [None] * n
     trajectory = []
     converged = False
     prev_obj = None
@@ -264,7 +243,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
             if any(adaptive):
                 for i in range(n):
                     if adaptive[i]:
-                        tables[i] = scores[i] = score_table(Y[:, i])
+                        scores[i] = score_table(Y[:, i])
             obj = _objective_value(Y)
             if prev_obj is not None and obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
                 mu *= 0.5
@@ -284,7 +263,6 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
         F, a, v = _newton_terms(Y, scores)
     return SeparationResult(B, Dataset(Y), iterations, converged,
                             np.asarray(trajectory),
-                            score_tables=tuple(tables) if any(adaptive) else None,
                             stability_margins=a * v - np.diag(F))
 
 
@@ -420,11 +398,7 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
                     c, s = math.cos(theta), math.sin(theta)
                     Y[:, i] = c * yi - s * yj
                     Y[:, j] = s * yi + c * yj
-                    rot = np.eye(n)
-                    rot[i, i] = rot[j, j] = c
-                    rot[i, j] = -s
-                    rot[j, i] = s
-                    U = rot @ U
+                    U[[i, j]] = np.array([[c, -s], [s, c]]) @ U[[i, j]]
                     rotated[i] += 1
                     rotated[j] += 1
                 else:

@@ -33,9 +33,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """T x N sample matrix with optional channel names.
 
-    Construct through validate_dataset unless the array is already known
-    to be finite with T >= 2; the shape and entries never change after
-    construction.
+    Construction validates: EmptyChannels unless the samples form a 2-D
+    matrix with N >= 1, TooFewSamples for T < 2, and NonFinite(row, col)
+    naming the first non-finite entry.  The shape and entries never change
+    after construction.
     """
 
     samples: np.ndarray
@@ -43,12 +44,14 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen(self.samples))
-        if self.samples.ndim != 2 or self.samples.shape[1] == 0:
-            raise EmptyChannels("samples must be a T x N matrix with N >= 1")
-        if self.samples.shape[0] < 2:
-            raise TooFewSamples("datasets need at least 2 observations")
-        if not np.isfinite(self.samples).all():
-            raise NonFinite(context="dataset")
+        arr = self.samples
+        if arr.ndim != 2 or arr.size == 0 or arr.shape[1] == 0:
+            raise EmptyChannels("dataset needs at least one channel")
+        if arr.shape[0] < 2:
+            raise TooFewSamples("dataset needs at least 2 observations")
+        if not np.isfinite(arr).all():
+            r, c = np.argwhere(~np.isfinite(arr))[0]
+            raise NonFinite(int(r), int(c))
         if self.channel_names is not None:
             names = tuple(str(n) for n in self.channel_names)
             if len(names) != self.samples.shape[1]:
@@ -73,22 +76,10 @@ class Dataset:
 
 
 def validate_dataset(raw, channel_names=None) -> Dataset:
-    """Validate a raw matrix into a Dataset.
-
-    Rejections carry the offending location: NonFinite(row, col) for the
-    first bad entry, TooFewSamples for T < 2, EmptyChannels for N = 0.
-    """
+    """A Dataset from a raw matrix; a 1-D array is one channel."""
     arr = np.asarray(raw, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.size == 0 or arr.shape[1] == 0:
-        raise EmptyChannels("dataset needs at least one channel")
-    if arr.shape[0] < 2:
-        raise TooFewSamples("dataset needs at least 2 observations")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise NonFinite(int(r), int(c))
     return Dataset(arr, channel_names)
 
 

@@ -257,9 +257,10 @@ class ScoreTable:
 
     Calling the table evaluates psi by linear interpolation between nodes;
     outside the grid the end values are held constant (clamped linear
-    extrapolation).  derivative is the matching slope: that of the node
-    interval holding s, and 0 outside the grid.  density carries the
-    kernel density estimate on the same grid for plotting.
+    extrapolation).  With slope=True the call also returns the matching
+    slope: that of the node interval holding s, and 0 outside the grid.
+    density carries the kernel density estimate on the same grid for
+    plotting.
     """
 
     grid: np.ndarray
@@ -291,9 +292,6 @@ class ScoreTable:
         d = (np.diff(self.psi) / step)[k]
         d[(s < self.grid[0]) | (s > self.grid[-1])] = 0.0
         return psi, d
-
-    def derivative(self, s: np.ndarray) -> np.ndarray:
-        return self(s, slope=True)[1]
 
 
 def score_table(x, bins: int = 256) -> ScoreTable:

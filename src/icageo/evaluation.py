@@ -19,10 +19,13 @@ from .gaussian import correlation_C, sample_covariance
 
 @dataclass(frozen=True)
 class AmariIndex:
-    """Normalized permutation/scale-invariant separation error in [0, 1].
+    """Normalized separation error of a gain matrix, in [0, 1].
 
     0 exactly when the gain is a permutation of a diagonal matrix; 1 for
-    maximal mixing (all gain entries equal in magnitude).
+    maximal mixing (all gain entries equal in magnitude).  Invariant under
+    row and column permutations, sign flips and a common scale of the
+    gain, but not under unequal row scales: [[1, .5], [.5, 1]] reads 0.5
+    and [[10, 5], [.5, 1]] reads 0.3125.
     """
 
     value: float
@@ -39,6 +42,7 @@ def amari_index(gain) -> AmariIndex:
 
     Sums (row sum / row max - 1) over rows and the same over columns, then
     divides by 2 N (N - 1), the value attained by an all-ones gain.
+    Unequal row scales move it (see AmariIndex).
     """
     g = np.asarray(gain, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:

@@ -22,6 +22,8 @@ import numpy as np
 from .data import read_json
 from .errors import (DimensionMismatch, InsufficientCoverage,
                      InvalidDistribution, SingularTransform)
+from .gaussian import (Covariance, correlation_C, gaussian_kld,
+                       verify_gaussian_pythagoras)
 from .sources import SourceSpec, parse_source
 
 # density values below this are treated as exact zeros in integrands
@@ -516,8 +518,6 @@ def _report_check(name, report: IdentityReport, threshold):
 
 def builtin_suite(step: float = 0.01) -> list[dict]:
     """The default `verify` run: every identity at its documented tolerance."""
-    from . import gaussian as gg  # deferred to avoid import cycles
-
     checks = []
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20240901)))
 
@@ -540,16 +540,15 @@ def builtin_suite(step: float = 0.01) -> list[dict]:
         verify_product_pythagoras(rnd, (t1, t2)), 1e-12))
 
     # closed-form Gaussian geometry
-    p_cov = gg.Covariance([[1.0, 0.3], [0.3, 1.0]])
-    t_cov = gg.Covariance([[2.0, 0.0], [0.0, 2.0]])
+    p_cov = Covariance([[1.0, 0.3], [0.3, 1.0]])
+    t_cov = Covariance([[2.0, 0.0], [0.0, 2.0]])
     checks.append(_check("gaussian_pythagoras_closed_form",
-                         gg.verify_gaussian_pythagoras(p_cov, t_cov), 0.0,
-                         1e-10))
+                         verify_gaussian_pythagoras(p_cov, t_cov), 0.0, 1e-10))
     d = np.diag([1.7, 0.4])
-    c0 = gg.Covariance([[1.0, 0.5], [0.5, 1.0]])
-    c1 = gg.Covariance(d @ c0.matrix @ d)
+    c0 = Covariance([[1.0, 0.5], [0.5, 1.0]])
+    c1 = Covariance(d @ c0.matrix @ d)
     checks.append(_check("correlation_diagonal_scaling_exact",
-                         gg.correlation_C(c0), gg.correlation_C(c1), 1e-10))
+                         correlation_C(c0), correlation_C(c1), 1e-10))
 
     # quadrature vs closed forms
     grid = GridSpec(step=step)
@@ -557,8 +556,8 @@ def builtin_suite(step: float = 0.01) -> list[dict]:
     iso = gaussian_density([[1.0, 0.0], [0.0, 1.0]])
     kld_rho = quad_kld_2d(rho, iso, grid)
     checks.append(_check("quad_kld_gaussian_rho_half", kld_rho,
-                         gg.gaussian_kld(gg.Covariance(rho.params["cov"]),
-                                         gg.Covariance(iso.params["cov"])),
+                         gaussian_kld(Covariance(rho.params["cov"]),
+                                      Covariance(iso.params["cov"])),
                          1e-4))
     checks.append(_check("quad_kld_self_zero",
                          quad_kld_2d(iso, iso, grid), 0.0, 1e-6))

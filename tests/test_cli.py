@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from icageo import Dataset, read_csv, write_csv
+from icageo import Dataset, NonFinite, read_csv, write_csv
 from icageo.cli import main
 
 TABLE_MI = 0.19274475702175753  # exact MI of [[0.4,0.1],[0.1,0.4]]
@@ -223,6 +225,45 @@ def test_constant_column_is_input_error(tmp_path, capsys, command, center):
     err = capsys.readouterr().err
     assert "constant column 'b'" in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@settings(max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(T=st.integers(2, 30), N=st.integers(1, 4),
+       bad=st.sampled_from(["nan", "inf", "-inf", "constant"]),
+       command=st.sampled_from(["separate", "diagnose"]),
+       center=st.booleans(), data=st.data())
+def test_bad_cell_or_constant_column_is_named_input_error(
+        tmp_path, capsys, T, N, bad, command, center, data):
+    row = data.draw(st.integers(0, T - 1))
+    col = data.draw(st.integers(0, N - 1))
+    names = tuple(f"c{j}" for j in range(N))
+    x = np.random.default_rng(4 * T + N).standard_normal((T, N))
+    if bad == "constant":
+        x[:, col] = x[row, col]
+    else:
+        x[row, col] = float(bad)
+    path = tmp_path / "in.csv"
+    path.write_text(",".join(names) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in r) + "\n" for r in x))
+    if bad == "constant":
+        # valid data: only the commands reject a constant column
+        assert Dataset(x).samples.tobytes() == x.tobytes()
+        assert read_csv(path).samples.tobytes() == x.tobytes()
+        expected = f"constant column '{names[col]}': all its values are equal"
+    else:
+        for load in (lambda: Dataset(x), lambda: read_csv(path)):
+            with pytest.raises(NonFinite) as exc:
+                load()
+            assert (exc.value.row, exc.value.col) == (row, col)
+        expected = str(NonFinite(row, col))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run([command, path, "--output-dir", out,
+                *(["--center"] if center else [])])
+    assert code == 2
+    assert capsys.readouterr().err == f"icageo {command}: error: {expected}\n"
+    assert not out.exists()
 
 
 def test_separate_rejects_identity_score_on_cli(capsys):

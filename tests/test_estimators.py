@@ -357,14 +357,14 @@ def test_score_table_derivative_is_the_slope_of_its_psi():
     h = 0.1 * node_step
     fd = (table(s + h) - table(s - h)) / (2.0 * h)
     scale = np.max(np.abs(np.diff(table.psi))) / node_step
-    assert_allclose(table.derivative(s), fd, rtol=0, atol=1e-8 * scale)
-    assert_allclose(table.derivative(s),
+    assert_allclose(table(s, slope=True)[1], fd, rtol=0, atol=1e-8 * scale)
+    assert_allclose(table(s, slope=True)[1],
                     (table.psi[k + 1] - table.psi[k]) / node_step,
                     rtol=1e-12, atol=0)
     # outside the grid the held end values have zero slope
     lo, hi = table.grid[0], table.grid[-1]
     outside = np.array([lo - 50.0, lo - 1e-9, hi + 1e-9, hi + 50.0])
-    assert_array_equal(table.derivative(outside), np.zeros(4))
+    assert_array_equal(table(outside, slope=True)[1], np.zeros(4))
     # the grid ends themselves belong to the end intervals
-    assert table.derivative(np.array([hi]))[0] == \
+    assert table(np.array([hi]), slope=True)[1][0] == \
         (table.psi[-1] - table.psi[-2]) / node_step

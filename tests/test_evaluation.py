@@ -40,6 +40,12 @@ def test_amari_invariant_under_permutation_and_scaling(n, seed, factor, data):
     assert abs(amari_index(moved).value - amari_index(g).value) <= 1e-12
 
 
+def test_amari_depends_on_unequal_row_scales():
+    # unequal row scales move the index: the documented values, exactly
+    assert amari_index([[1.0, 0.5], [0.5, 1.0]]).value == 0.5
+    assert amari_index([[10.0, 5.0], [0.5, 1.0]]).value == 0.3125
+
+
 def test_amari_one_at_maximal_mixing():
     assert amari_index(np.ones((4, 4))).value == pytest.approx(1.0)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from icageo import (Covariance, Dataset, DimensionMismatch,
@@ -145,6 +147,26 @@ def test_whitener_deterministic_sign_convention():
     # each row has a positive leading entry by convention
     lead = [row[np.argmax(np.abs(row))] for row in w1]
     assert all(v > 0 for v in lead)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_whitener_normal_form_on_random_covariances(n, seed, data):
+    # S = Q diag(lam) Q^T: a Haar-random Q, eigenvalues over four decades
+    logs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    S = (q * 10.0 ** np.array(logs)) @ q.T
+    S = 0.5 * (S + S.T)
+    W = whitener(Covariance(S)).matrix
+    assert_allclose(W @ S @ W.T, np.eye(n), rtol=0, atol=1e-10)
+    # row k is the k-th eigenvector over sqrt(lam_k), eigenvalues descending:
+    # W S = diag(lam) W
+    lam = np.linalg.eigvalsh(S)[::-1]
+    assert_allclose(W @ S, lam[:, None] * W, rtol=0,
+                    atol=1e-10 * lam[0] / math.sqrt(lam[-1]))
+    # the sign convention: each row's largest-magnitude entry is positive
+    assert (W[np.arange(n), np.argmax(np.abs(W), axis=1)] > 0.0).all()
+    assert whitener(Covariance(S)).matrix.tobytes() == W.tobytes()
 
 
 def test_whitening_transform_validates_pair():

@@ -1,7 +1,8 @@
 """Static checks over the icageo sources: every module-level import is used,
-and only `data.py`, whose opener maps every file failure onto IoError, calls
-the builtin `open`."""
+only `data.py`, whose opener maps every file failure onto IoError, calls
+the builtin `open`, and every public name has a user."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,29 @@ def test_open_call_check_flags_a_call(tmp_path):
                          ids=lambda p: p.name)
 def test_only_data_module_opens_files(path):
     assert open_calls(path) == []
+
+
+# the public API is what the tests, the CLI and the README use
+API_USERS = (sorted(Path(__file__).parent.glob("*.py"))
+             + [Path(icageo.__file__).parent / "cli.py",
+                Path(__file__).parent.parent / "README.md"])
+
+
+def unused_exports(names, texts) -> list[str]:
+    """The names that appear as a whole word in none of the texts."""
+    words = set()
+    for text in texts:
+        words.update(re.findall(r"\w+", text))
+    return [name for name in names if name not in words]
+
+
+def test_unused_export_check_flags_an_unused_name():
+    texts = ["from pkg import used_fn\nused_fn()\n",
+             "see `Listed` and unused_fn_2"]
+    assert unused_exports(["used_fn", "Listed", "unused_fn", "Unlisted"],
+                          texts) == ["unused_fn", "Unlisted"]
+
+
+def test_every_public_name_has_a_user():
+    texts = [p.read_text(encoding="utf-8") for p in API_USERS]
+    assert unused_exports(icageo.__all__, texts) == []
