@@ -99,8 +99,6 @@ class SolverConfig:
         sc = self.score
         if isinstance(sc, str):
             return [make_score(sc)] * n
-        if isinstance(sc, ScoreModel):
-            return [sc] * n
         models = [make_score(s) if isinstance(s, str) else s for s in sc]
         if len(models) != n:
             raise InvalidConfig(f"need one score per channel ({n})")
@@ -192,11 +190,6 @@ def _newton_direction(F: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray
     return D
 
 
-def _offdiag_norm(F: np.ndarray) -> float:
-    off = F - np.diag(np.diag(F))
-    return float(np.linalg.norm(off))
-
-
 def _objective_value(Y: np.ndarray) -> float:
     """C(Y) - sum G(Y_i), which equals I(Y) - G(Y); G(Y) is a linear
     invariant, so this proxy falls exactly as the mutual information does.
@@ -226,8 +219,8 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     if data.T <= 10 * n:
         raise TooFewSamples("need T > 10 N for separation")
     models = config.score_models(n)
-    adaptive = [m.name == "adaptive" for m in models]
-    if any(adaptive) and data.T < SCORE_TABLE_MIN_SAMPLES:
+    adaptive = np.flatnonzero([m.name == "adaptive" for m in models])
+    if adaptive.size and data.T < SCORE_TABLE_MIN_SAMPLES:
         raise TooFewSamples(f"the adaptive score needs T >= "
                             f"{SCORE_TABLE_MIN_SAMPLES} samples, got {data.T}")
     B = whitener(sample_covariance(data)).matrix.copy()
@@ -240,16 +233,14 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     for it in range(config.max_iter):
         Y = X @ B.T
         if it % OUTER_CADENCE == 0:
-            if any(adaptive):
-                for i in range(n):
-                    if adaptive[i]:
-                        scores[i] = score_table(Y[:, i])
+            for i in adaptive:
+                scores[i] = score_table(Y[:, i])
             obj = _objective_value(Y)
             if prev_obj is not None and obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
                 mu *= 0.5
             prev_obj = obj
         F, a, v = _newton_terms(Y, scores)
-        norm = _offdiag_norm(F)
+        norm = float(np.linalg.norm(F - np.diag(np.diag(F))))
         trajectory.append(norm)
         iterations = it + 1
         if norm < config.tol:
@@ -362,7 +353,8 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     over (-pi/4, pi/4], then Brent's method to ANGLE_TOL around the best
     one.  A rotation is kept when it improves the
     pair's negentropy sum by more than config.tol; sweeping stops when no
-    pair improves by that much.  A rejected pair is not searched again
+    pair improves by that much, or after config.max_iter sweeps (never
+    more than MAX_SWEEPS).  A rejected pair is not searched again
     until one of its columns has been rotated.  The returned demixing is
     the rotation times the whitener, so the recovered channels are exactly
     decorrelated.
@@ -380,7 +372,7 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     rotated = [0] * n  # rotations applied to each column so far
     # pair -> rotation counts of its columns when its search was rejected
     rejected = {}
-    for _ in range(MAX_SWEEPS):
+    for _ in range(min(MAX_SWEEPS, config.max_iter)):
         sweep_best = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):

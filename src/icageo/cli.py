@@ -21,10 +21,10 @@ from .data import (Dataset, MixingModel, open_text, random_mixing, read_csv,
 from .errors import (DegenerateSample, DimensionMismatch, IcageoError,
                      InvalidConfig, InvalidDistribution, IoError, NonFinite,
                      SingularTransform, exit_code_for)
-from .estimators import score_table
+from .estimators import SCORE_TABLE_MIN_SAMPLES, score_table
 from .evaluation import amari_index, diagnose
 from .gaussian import correlation_C, sample_covariance
-from .oracle import builtin_suite, load_verify_spec
+from .oracle import GridSpec, builtin_suite, load_verify_spec
 from .rng import Rng
 from .sources import parse_source
 
@@ -65,6 +65,12 @@ class _Options:
         self.args = vars(args)
         cfg_path = self.args.get("config")
         self.file = _load_config_file(cfg_path) if cfg_path else {}
+        # the subcommand's namespace holds exactly the dests of its options
+        options = set(self.args) - {"command", "config", "input"}
+        unknown = ", ".join(sorted(set(self.file) - options)).replace("_", "-")
+        if unknown:
+            raise InvalidConfig(f"{cfg_path}: {unknown}: no such option of "
+                                f"{args.command}")
 
     def get(self, key: str, default=None, cast=None):
         value = self.args.get(key)
@@ -127,12 +133,10 @@ def cmd_simulate(opts: _Options) -> int:
     rng = Rng(seed)
     mixing_path = opts.get("mixing")
     if mixing_path:
-        # the sources come from --sources; the file's list is only checked
-        model = _mixing_model(mixing_path, _read_mixing(mixing_path)[0],
-                              specs)
+        model = _load_model(mixing_path, specs)
     else:
         model = MixingModel(random_mixing(len(specs), rng.child(1000), cond),
-                            tuple(specs))
+                            specs)
     A = model.mixing
     X, S = simulate(model, T, rng)
     if all(s.family == "gaussian" for s in specs):
@@ -155,43 +159,28 @@ def cmd_simulate(opts: _Options) -> int:
 
 # -- separate ---------------------------------------------------------------
 
-def _read_mixing(path) -> tuple[np.ndarray, tuple | None]:
-    """The 'mixing' field of a `simulate --mixing` or `separate --model`
-    JSON file as a float array, and its 'sources' parsed, None when the
-    file has no such field.  Errors name the file."""
+def _load_model(path, specs=None) -> MixingModel:
+    """The 'mixing' matrix of a `simulate --mixing` or `separate --model`
+    JSON file as a MixingModel of specs, or, when specs is None, of the
+    file's 'sources' list, which is otherwise only checked.  Errors name
+    the file."""
     obj = read_json(path)
     try:
         A = np.asarray(obj["mixing"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"{path}: needs a numeric 'mixing' matrix") from exc
     sources = obj.get("sources")
-    if sources is None:
-        return A, None
-    if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
-        raise InvalidConfig(f"{path}: needs a 'sources' list of names")
     try:
-        return A, tuple(parse_source(s) for s in sources)
-    except InvalidDistribution as exc:
+        if sources is not None or specs is None:
+            if not (isinstance(sources, list)
+                    and all(isinstance(s, str) for s in sources)):
+                raise InvalidConfig("needs a 'sources' list of names")
+            listed = [parse_source(s) for s in sources]
+            specs = listed if specs is None else specs
+        return MixingModel(A, specs)
+    except (InvalidConfig, InvalidDistribution, NonFinite,
+            SingularTransform) as exc:
         raise InvalidConfig(f"{path}: {exc}") from exc
-
-
-def _mixing_model(path, A: np.ndarray, specs) -> MixingModel:
-    """MixingModel(A, specs), its errors re-raised naming the file A came
-    from."""
-    try:
-        return MixingModel(A, tuple(specs))
-    except (InvalidConfig, NonFinite, SingularTransform) as exc:
-        raise InvalidConfig(f"{path}: {exc}") from exc
-
-
-def _load_model(path, channels: int) -> MixingModel:
-    A, specs = _read_mixing(path)
-    if specs is None:
-        raise InvalidConfig(f"{path}: needs a 'sources' list of names")
-    if len(specs) != channels:
-        raise DimensionMismatch(f"{path} has {len(specs)} sources but the "
-                                f"input has {channels} channels")
-    return _mixing_model(path, A, specs)
 
 
 def cmd_separate(opts: _Options) -> int:
@@ -200,17 +189,20 @@ def cmd_separate(opts: _Options) -> int:
     if algorithm not in CLI_ALGORITHMS:
         raise InvalidConfig(f"unknown algorithm {algorithm!r}; choose from "
                             f"{', '.join(CLI_ALGORITHMS)}")
-    score = opts.get("score", "adaptive")
+    defaults = SolverConfig()
+    score = opts.get("score", defaults.score)
     if score not in CLI_SCORES:
         raise InvalidConfig(f"unknown score {score!r}; choose from "
                             f"{', '.join(CLI_SCORES)}")
-    defaults = SolverConfig()
     config = SolverConfig(step=opts.get("step", defaults.step, float),
                           max_iter=opts.get("max_iter", defaults.max_iter, int),
                           tol=opts.get("tol", defaults.tol, float),
                           score=score)
     model_path = opts.get("model")
-    model = _load_model(model_path, data.N) if model_path else None
+    model = _load_model(model_path) if model_path else None
+    if model is not None and model.N != data.N:
+        raise DimensionMismatch(f"{model_path} has {model.N} sources but the "
+                                f"input has {data.N} channels")
     if algorithm == "relative_gradient":
         result = relative_gradient_ica(data, config)
     else:
@@ -258,7 +250,7 @@ def cmd_diagnose(opts: _Options) -> int:
     _json_dump(out / "report.json", report.to_json())
     with open_text(out / "plotdata.csv", "w") as fh:
         fh.write("channel,position,density,score\n")
-        if data.T >= 1000:
+        if data.T >= SCORE_TABLE_MIN_SAMPLES:
             for i, name in enumerate(data.names()):
                 table = score_table(data.column(i))
                 for g, d, p in zip(table.grid, table.density, table.psi):
@@ -276,11 +268,13 @@ def cmd_diagnose(opts: _Options) -> int:
 
 def cmd_verify(opts: _Options) -> int:
     spec_path = opts.get("spec")
-    step = opts.get("step", 0.01, float)
     if spec_path:
+        if opts.get("step") is not None:
+            raise InvalidConfig("--step applies to the built-in suite only; "
+                                f"the spec {spec_path} sets its own \"step\"")
         checks = load_verify_spec(spec_path)
     else:
-        checks = builtin_suite(step=step)
+        checks = builtin_suite(step=opts.get("step", GridSpec.step, float))
     out = _outdir(opts)
     all_passed = all(c["passed"] for c in checks)
     _json_dump(out / "identities.json",

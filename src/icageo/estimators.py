@@ -39,7 +39,6 @@ class EntropyEstimate:
 @dataclass(frozen=True)
 class NegentropyEstimate:
     value: float
-    entropy_method: str
     n: int
 
 
@@ -142,12 +141,11 @@ def _negentropy_raw(v: np.ndarray, var: float | None = None) -> float:
         var = float(np.var(v))
     if var <= 0.0:
         raise DegenerateSample("zero variance")
-    m = max(1, int(math.sqrt(v.size)))
+    m = int(math.sqrt(v.size))
     return GAUSSIAN_ENTROPY + 0.5 * math.log(var) - _vasicek(v, m)
 
 
-def negentropy_scalar(x, method: str = "vasicek_spacing",
-                      **kwargs) -> NegentropyEstimate:
+def negentropy_scalar(x, m: int | None = None) -> NegentropyEstimate:
     """Divergence of the sample law to the Gaussian of equal variance.
 
     Computed as (1/2)ln(2 pi e var(x)) minus the entropy estimate, which
@@ -160,12 +158,12 @@ def negentropy_scalar(x, method: str = "vasicek_spacing",
     var = float(np.var(v))
     if var <= 0.0:
         raise DegenerateSample("zero variance")
-    ent = entropy_scalar(v, method, **kwargs)
+    ent = entropy_scalar(v, m=m)
     value = GAUSSIAN_ENTROPY + 0.5 * math.log(var) - ent.value
     if value <= -0.1:
         raise EstimatorFailure(f"negentropy estimate {value:.4f} below -0.1; "
                                "estimator assumptions violated")
-    return NegentropyEstimate(value, ent.method, v.size)
+    return NegentropyEstimate(value, v.size)
 
 
 def _marginal_digamma_counts(column: np.ndarray, eps: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from .errors import (DimensionMismatch, InsufficientCoverage,
                      InvalidDistribution, SingularTransform)
 from .gaussian import (Covariance, correlation_C, gaussian_kld,
                        verify_gaussian_pythagoras)
+from .rng import Rng
 from .sources import SourceSpec, parse_source
 
 # density values below this are treated as exact zeros in integrands
@@ -289,9 +290,6 @@ class GridSpec:
     def axis_range(self, axis: int) -> tuple[float, float]:
         return (self.xlo, self.xhi) if axis == 0 else (self.ylo, self.yhi)
 
-    def halved(self) -> "GridSpec":
-        return GridSpec(self.xlo, self.xhi, self.ylo, self.yhi, 0.5 * self.step)
-
 
 def _axis_cells(support, box: tuple[float, float], step: float,
                 extend: tuple[float, float] | None = None):
@@ -516,10 +514,10 @@ def _report_check(name, report: IdentityReport, threshold):
     return entry
 
 
-def builtin_suite(step: float = 0.01) -> list[dict]:
+def builtin_suite(step: float = GridSpec.step) -> list[dict]:
     """The default `verify` run: every identity at its documented tolerance."""
     checks = []
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20240901)))
+    gen = Rng(20240901).generator()
 
     # exact discrete identities
     joint = DiscreteJoint([[0.4, 0.1], [0.1, 0.4]])
@@ -626,7 +624,7 @@ def load_verify_spec(path) -> list[dict]:
         checks.append(_report_check("user_product_pythagoras", report, 1e-12))
     if "density" in spec:
         dens = _density_from_json(spec["density"], path)
-        step = spec.get("step", 0.01)
+        step = spec.get("step", GridSpec.step)
         # a JSON boolean parses as a bool, which is an int
         if isinstance(step, bool) or not isinstance(step, (int, float)):
             raise InvalidDistribution(f"{path}: field 'step' must be a number")

@@ -118,6 +118,28 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,lines,keys", [
+    (["simulate", "--sources", "laplace,uniform"], "max-iters = 5\nseeds = 3\n",
+     "max-iters, seeds"),
+    (["separate", "{csv}"], "command = verify\n", "command"),
+    (["separate", "{csv}"], "config = other.cfg\n", "config"),
+    (["diagnose", "{csv}"], "input = other.csv\n", "input"),
+    (["verify"], "max-iter = 5\n", "max-iter"),
+], ids=["simulate-typos", "command", "config", "input", "verify-max-iter"])
+def test_config_key_naming_no_option_is_input_error(tmp_path, capsys, command,
+                                                    lines, keys):
+    csv = tmp_path / "x.csv"
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "out"
+    args = [csv if a == "{csv}" else a for a in command]
+    assert run([*args, "--config", cfg, "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: {keys}: no such option of {command[0]}" in err
+    assert not out.exists()
+
+
 def test_unknown_source_family_is_input_error(tmp_path, capsys):
     assert run(["simulate", "--sources", "cauchy,uniform",
                 "--output-dir", tmp_path]) == 2
@@ -163,6 +185,18 @@ def test_separate_orthogonal_records_decorrelation(tmp_path, capsys):
     assert report["last_sweep_gain"] == float(trace[-1].split(",")[1])
     assert report["last_sweep_gain"] <= 1e-4  # the default tol
     assert "last_sweep_gain=" in capsys.readouterr().out
+
+
+def test_separate_orthogonal_max_iter_caps_the_sweeps(tmp_path, capsys):
+    sim = simulate_into(tmp_path / "sim", "laplace,uniform,laplace", 5000, 3)
+    out = tmp_path / "orth"
+    assert run(["separate", sim / "X.csv", "--algorithm", "orthogonal",
+                "--max-iter", 1, "--output-dir", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["iterations"] == 1
+    assert report["converged"] is False
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+    capsys.readouterr()
 
 
 def test_separate_is_byte_identical_across_runs(tmp_path):
@@ -406,6 +440,20 @@ def test_verify_user_joint_reports_exact_mi(tmp_path, capsys):
     assert check["terms"]["mutual_information"] == pytest.approx(
         TABLE_MI, abs=1e-15)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_verify_step_with_spec_is_input_error(tmp_path, capsys, where):
+    spec = tmp_path / "user.json"
+    spec.write_text(json.dumps({"joint": [[0.4, 0.1], [0.1, 0.4]]}))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("step = 1e-9\n")
+    step = ["--step", 1e-9] if where == "flag" else ["--config", cfg]
+    out = tmp_path / "ver"
+    assert run(["verify", "--spec", spec, *step, "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f'the spec {spec} sets its own "step"' in err
+    assert not out.exists()
 
 
 def test_verify_malformed_spec_is_input_error(tmp_path, capsys):

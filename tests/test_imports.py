@@ -1,6 +1,8 @@
 """Static checks over the icageo sources: every module-level import is used,
 only `data.py`, whose opener maps every file failure onto IoError, calls
-the builtin `open`, and every public name has a user."""
+the builtin `open`, every public name has a user, and every option the CLI
+reads is one its parser defines."""
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import icageo
+from icageo.cli import build_parser
 
 MODULES = sorted(p for p in Path(icageo.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -83,3 +86,38 @@ def test_unused_export_check_flags_an_unused_name():
 def test_every_public_name_has_a_user():
     texts = [p.read_text(encoding="utf-8") for p in API_USERS]
     assert unused_exports(icageo.__all__, texts) == []
+
+
+def parser_dests() -> set[str]:
+    """The dests of the options of every `icageo` subcommand."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for p in sub.choices.values() for a in p._actions}
+
+
+def unknown_option_keys(path: Path, dests) -> list[str]:
+    """String keys of `opts.get(...)` calls (or `self.get(...)` inside the
+    options class) that are not in dests: a misspelt key silently reads its
+    default."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {node.args[0].value}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("opts", "self") and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value not in dests]
+
+
+def test_option_key_check_flags_a_misspelt_key(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(opts, d):\n    a = opts.get('seed', 0)\n"
+                   "    b = opts.get('max_iters', 5, int)\n"
+                   "    return d.get('typo'), opts.get(a)\n")
+    assert unknown_option_keys(mod, {"seed", "max_iter"}) == [
+        "mod.py:3: max_iters"]
+
+
+def test_cli_reads_only_options_its_parser_defines():
+    cli = Path(icageo.__file__).parent / "cli.py"
+    assert unknown_option_keys(cli, parser_dests()) == []
