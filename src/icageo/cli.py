@@ -129,12 +129,15 @@ def cmd_simulate(opts: _Options) -> int:
         raise InvalidConfig("--sources lists no source families")
     T = opts.get("samples", 20000, int)
     seed = opts.seed()
-    cond = opts.get("cond", 5.0, float)
     rng = Rng(seed)
     mixing_path = opts.get("mixing")
     if mixing_path:
+        if opts.get("cond") is not None:
+            raise InvalidConfig("--cond applies to the random mixing matrix "
+                                f"only; {mixing_path} gives the matrix")
         model = _load_model(mixing_path, specs)
     else:
+        cond = opts.get("cond", 5.0, float)
         model = MixingModel(random_mixing(len(specs), rng.child(1000), cond),
                             specs)
     A = model.mixing
@@ -189,6 +192,11 @@ def cmd_separate(opts: _Options) -> int:
     if algorithm not in CLI_ALGORITHMS:
         raise InvalidConfig(f"unknown algorithm {algorithm!r}; choose from "
                             f"{', '.join(CLI_ALGORITHMS)}")
+    orthogonal = algorithm == "orthogonal"
+    for key in ("score", "step"):
+        if orthogonal and opts.get(key) is not None:
+            raise InvalidConfig(f"--{key}: the orthogonal rotation search "
+                                "uses no score and no step")
     defaults = SolverConfig()
     score = opts.get("score", defaults.score)
     if score not in CLI_SCORES:
@@ -203,10 +211,8 @@ def cmd_separate(opts: _Options) -> int:
     if model is not None and model.N != data.N:
         raise DimensionMismatch(f"{model_path} has {model.N} sources but the "
                                 f"input has {data.N} channels")
-    if algorithm == "relative_gradient":
-        result = relative_gradient_ica(data, config)
-    else:
-        result = orthogonal_ica(data, config)
+    result = (orthogonal_ica if orthogonal
+              else relative_gradient_ica)(data, config)
     out = _outdir(opts)
     _json_dump(out / "B.json", {"demixing": result.demixing.tolist()})
     write_csv(out / "Y.csv", result.recovered)
@@ -214,7 +220,6 @@ def cmd_separate(opts: _Options) -> int:
         fh.write("iteration,value\n")
         for k, v in enumerate(result.trajectory):
             fh.write(f"{k},{v:.17g}\n")
-    orthogonal = algorithm == "orthogonal"
     # the orthogonal solver uses no score, and its trajectory holds the
     # best rotation gain of each sweep
     final = "last_sweep_gain" if orthogonal else "stationarity_norm"

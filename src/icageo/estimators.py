@@ -98,6 +98,14 @@ def _vasicek(x: np.ndarray, m: int) -> float:
     return float(np.mean(gaps)) + _spacing_bias(n, m)
 
 
+def _spacing_order(n: int, m: int | None) -> int:
+    # the m of an m-spacing estimate on n samples, floor(sqrt(n)) by default
+    m = int(math.sqrt(n)) if m is None else int(m)
+    if not (1 <= m < n / 2):
+        raise TooFewSamples(f"spacing m={m} must satisfy 1 <= m < n/2")
+    return m
+
+
 def _hist_entropy(x: np.ndarray, bins: int) -> float:
     lo, hi = float(x.min()), float(x.max())
     counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
@@ -117,9 +125,7 @@ def entropy_scalar(x, method: str = "vasicek_spacing",
     v = _check_vector(x, 10)
     n = v.size
     if method == "vasicek_spacing":
-        m = int(math.sqrt(n)) if m is None else int(m)
-        if not (1 <= m < n / 2):
-            raise TooFewSamples(f"spacing m={m} must satisfy 1 <= m < n/2")
+        m = _spacing_order(n, m)
         return EntropyEstimate(_vasicek(v, m), method, n, {"m": m})
     if method == "histogram":
         bins = max(2, math.isqrt(n)) if bins is None else int(bins)
@@ -129,19 +135,21 @@ def entropy_scalar(x, method: str = "vasicek_spacing",
     raise InvalidConfig(f"unknown entropy method {method!r}")
 
 
-def _negentropy_raw(v: np.ndarray, var: float | None = None) -> float:
+def _negentropy_raw(v: np.ndarray, var: float | None = None,
+                    m: int | None = None) -> float:
     """Vasicek-based negentropy as a bare float, no plausibility gate.
 
     Used inside solver loops where transient estimates on partly separated
     data are monitoring signals, not reported results.  var, when given,
     is the variance of v as the caller already knows it (the orthogonal
     search takes it from a pair's 2 x 2 second moments); np.var otherwise.
+    m is the spacing, floor(sqrt(n)) by default.
     """
     if var is None:
         var = float(np.var(v))
     if var <= 0.0:
         raise DegenerateSample("zero variance")
-    m = int(math.sqrt(v.size))
+    m = _spacing_order(v.size, m)
     return GAUSSIAN_ENTROPY + 0.5 * math.log(var) - _vasicek(v, m)
 
 
@@ -155,11 +163,7 @@ def negentropy_scalar(x, m: int | None = None) -> NegentropyEstimate:
     EstimatorFailure.
     """
     v = _check_vector(x, 10)
-    var = float(np.var(v))
-    if var <= 0.0:
-        raise DegenerateSample("zero variance")
-    ent = entropy_scalar(v, m=m)
-    value = GAUSSIAN_ENTROPY + 0.5 * math.log(var) - ent.value
+    value = _negentropy_raw(v, m=m)
     if value <= -0.1:
         raise EstimatorFailure(f"negentropy estimate {value:.4f} below -0.1; "
                                "estimator assumptions violated")

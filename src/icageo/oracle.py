@@ -145,11 +145,9 @@ class AnalyticDensity2D:
     gives the exact support interval per base axis, or None if unbounded.
     """
 
-    form: str
     pdf: object
     frame: np.ndarray
     base_support: tuple
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         L = np.array(self.frame, dtype=float)
@@ -189,8 +187,7 @@ def gaussian_density(cov) -> AnalyticDensity2D:
         pts = np.asarray(points, dtype=float)
         return np.exp(_log_gauss_2d(pts[..., 0], pts[..., 1], cov))
 
-    return AnalyticDensity2D("gaussian", pdf, np.linalg.cholesky(cov),
-                             (None, None), {"cov": cov.tolist()})
+    return AnalyticDensity2D(pdf, np.linalg.cholesky(cov), (None, None))
 
 
 def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
@@ -209,9 +206,7 @@ def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
         pts = np.asarray(points, dtype=float)
         return sum(wi * g.pdf(pts - mi) for wi, mi, g in zip(w, mu, parts))
 
-    return AnalyticDensity2D("gaussian_mixture", pdf, np.eye(2), (None, None),
-                             {"weights": w.tolist(), "means": mu.tolist(),
-                              "covs": [part.params["cov"] for part in parts]})
+    return AnalyticDensity2D(pdf, np.eye(2), (None, None))
 
 
 def product_density(s1: SourceSpec, s2: SourceSpec) -> AnalyticDensity2D:
@@ -221,27 +216,15 @@ def product_density(s1: SourceSpec, s2: SourceSpec) -> AnalyticDensity2D:
         pts = np.asarray(points, dtype=float)
         return s1.pdf(pts[..., 0]) * s2.pdf(pts[..., 1])
 
-    return AnalyticDensity2D("product_of_1d", pdf, np.eye(2),
-                             (s1.support(), s2.support()),
-                             {"sources": [s1.label(), s2.label()]})
+    return AnalyticDensity2D(pdf, np.eye(2), (s1.support(), s2.support()))
 
 
 def rotated_product_density(s1: SourceSpec, s2: SourceSpec,
                             angle_rad: float) -> AnalyticDensity2D:
-    """Independent source pair rotated by the given angle."""
+    """Independent source pair rotated counterclockwise by the given angle:
+    the image of their product density under R = [[c, -s], [s, c]]."""
     c, s = math.cos(angle_rad), math.sin(angle_rad)
-    R = np.array([[c, -s], [s, c]])
-
-    def pdf(points):
-        pts = np.asarray(points, dtype=float)
-        b0 = c * pts[..., 0] + s * pts[..., 1]
-        b1 = -s * pts[..., 0] + c * pts[..., 1]
-        return s1.pdf(b0) * s2.pdf(b1)
-
-    return AnalyticDensity2D("rotated_product", pdf, R,
-                             (s1.support(), s2.support()),
-                             {"sources": [s1.label(), s2.label()],
-                              "angle_rad": angle_rad})
+    return linear_image(product_density(s1, s2), [[c, -s], [s, c]])
 
 
 def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
@@ -259,8 +242,7 @@ def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
         pts = np.asarray(points, dtype=float)
         return base(pts @ Ainv.T) / abs(det)
 
-    return AnalyticDensity2D(p.form, pdf, A @ p.frame, p.base_support,
-                             dict(p.params, transformed=True))
+    return AnalyticDensity2D(pdf, A @ p.frame, p.base_support)
 
 
 # -- quadrature grids -----------------------------------------------------
@@ -550,12 +532,13 @@ def builtin_suite(step: float = GridSpec.step) -> list[dict]:
 
     # quadrature vs closed forms
     grid = GridSpec(step=step)
-    rho = gaussian_density([[1.0, 0.5], [0.5, 1.0]])
-    iso = gaussian_density([[1.0, 0.0], [0.0, 1.0]])
+    rho_cov = [[1.0, 0.5], [0.5, 1.0]]
+    iso_cov = [[1.0, 0.0], [0.0, 1.0]]
+    rho = gaussian_density(rho_cov)
+    iso = gaussian_density(iso_cov)
     kld_rho = quad_kld_2d(rho, iso, grid)
     checks.append(_check("quad_kld_gaussian_rho_half", kld_rho,
-                         gaussian_kld(Covariance(rho.params["cov"]),
-                                      Covariance(iso.params["cov"])),
+                         gaussian_kld(Covariance(rho_cov), Covariance(iso_cov)),
                          1e-4))
     checks.append(_check("quad_kld_self_zero",
                          quad_kld_2d(iso, iso, grid), 0.0, 1e-6))

@@ -76,6 +76,21 @@ def test_simulate_with_explicit_mixing(tmp_path):
     assert model["mixing"] == [[1.0, 0.5], [0.0, 1.0]]
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_simulate_cond_with_mixing_is_input_error(tmp_path, capsys, where):
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"mixing": [[1.0, 0.5], [0.0, 1.0]]}))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cond = 50\n")
+    cond = ["--cond", 50] if where == "flag" else ["--config", cfg]
+    out = tmp_path / "sim"
+    assert run(["simulate", "--sources", "laplace,laplace", "--samples", 2000,
+                "--mixing", mix, *cond, "--output-dir", out]) == 2
+    assert f"--cond applies to the random mixing matrix only; {mix}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_seed_env_var_is_the_default(tmp_path, monkeypatch):
     monkeypatch.setenv("ICAGEO_SEED", "7")
     env_dir = tmp_path / "env"
@@ -197,6 +212,22 @@ def test_separate_orthogonal_max_iter_caps_the_sweeps(tmp_path, capsys):
     assert report["converged"] is False
     assert len((out / "trace.csv").read_text().splitlines()) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value", [("score", "tanh"), ("step", 0.5)])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_separate_orthogonal_score_or_step_is_input_error(tmp_path, capsys,
+                                                          where, key, value):
+    sim = simulate_into(tmp_path / "sim", samples=2000)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    option = [f"--{key}", value] if where == "flag" else ["--config", cfg]
+    out = tmp_path / "orth"
+    assert run(["separate", sim / "X.csv", "--algorithm", "orthogonal",
+                *option, "--output-dir", out]) == 2
+    assert (f"--{key}: the orthogonal rotation search uses no score and no "
+            "step") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_separate_is_byte_identical_across_runs(tmp_path):

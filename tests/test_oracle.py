@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from icageo import (DimensionMismatch, DiscreteJoint, GridSpec, IdentityReport,
                     InsufficientCoverage, InvalidDistribution, IoError,
@@ -171,6 +171,19 @@ def test_linear_image_matches_transformed_gaussian():
     assert_allclose(img.pdf(pts), direct.pdf(pts), rtol=1e-12)
     with pytest.raises(SingularTransform):
         linear_image(gaussian_density(S), [[1.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("degrees", [30.0, 45.0])
+def test_rotated_product_turns_counterclockwise(degrees):
+    s1, s2 = SourceSpec("uniform"), SourceSpec("laplace")
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    rot = rotated_product_density(s1, s2, math.radians(degrees))
+    assert_array_equal(rot.frame, [[c, -s], [s, c]])
+    y = np.random.default_rng(3).uniform(-3.0, 3.0, (400, 2))
+    want = s1.pdf(c * y[:, 0] + s * y[:, 1]) * s2.pdf(-s * y[:, 0]
+                                                      + c * y[:, 1])
+    assert (want > 0).sum() > 100
+    assert_allclose(rot.pdf(y), want, rtol=1e-13, atol=0)
 
 
 # -- quadrature KLD ----------------------------------------------------------------

@@ -38,8 +38,7 @@ def reference_gaussian_density(cov):
         quad = np.einsum("...i,ij,...j->...", pts, prec, pts)
         return norm * np.exp(-0.5 * quad)
 
-    return AnalyticDensity2D("gaussian", pdf, chol, (None, None),
-                             {"cov": cov.tolist()})
+    return AnalyticDensity2D(pdf, chol, (None, None))
 
 
 def reference_gaussian_mixture_density(weights, means, covs):
@@ -58,7 +57,7 @@ def reference_gaussian_mixture_density(weights, means, covs):
             out += wi * nm * np.exp(-0.5 * quad)
         return out
 
-    return AnalyticDensity2D("gaussian_mixture", pdf, np.eye(2), (None, None))
+    return AnalyticDensity2D(pdf, np.eye(2), (None, None))
 
 
 def reference_base_grid(p, grid, extend=None):
