@@ -110,8 +110,10 @@ class SeparationResult:
     """Demixing estimate with its convergence record.
 
     recovered is exactly data times demixing^T.  trajectory holds the
-    per-iteration stationarity norm for the relative-gradient solver and
-    the per-sweep best rotation gain for the orthogonal one.
+    per-iteration stationarity norm for the relative-gradient solver, its
+    last entry always the norm at the returned demixing (a run stopped by
+    max_iter appends it), and the per-sweep best rotation gain for the
+    orthogonal one.
     no_improvement marks runs where no rotation ever improved the
     non-Gaussianity objective beyond the noise floor (Gaussian-like data).
     stability_margins (relative gradient only) holds each output channel's
@@ -252,6 +254,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     if not converged:
         Y = X @ B.T
         F, a, v = _newton_terms(Y, scores)
+        trajectory.append(float(np.linalg.norm(F - np.diag(np.diag(F)))))
     return SeparationResult(B, Dataset(Y), iterations, converged,
                             np.asarray(trajectory),
                             stability_margins=a * v - np.diag(F))

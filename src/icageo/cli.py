@@ -28,10 +28,6 @@ from .oracle import GridSpec, builtin_suite, load_verify_spec
 from .rng import Rng
 from .sources import parse_source
 
-CLI_SCORES = ("tanh", "cube", "adaptive")
-CLI_ALGORITHMS = ("relative_gradient", "orthogonal")
-
-
 def _json_dump(path: Path, obj) -> None:
     with open_text(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -39,8 +35,10 @@ def _json_dump(path: Path, obj) -> None:
 
 
 def _load_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment, blank lines ignored."""
-    out = {}
+    """Flat key=value file; '#' starts a comment, blank lines ignored.  A
+    key names an option by its long name (max-iter or max_iter); a key set
+    on two lines is an error naming both."""
+    out, first_line = {}, {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -49,48 +47,42 @@ def _load_config_file(path) -> dict:
             if "=" not in text:
                 raise InvalidConfig(f"{path}: line {lineno}: expected key=value")
             key, value = text.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in first_line:
+                raise InvalidConfig(f"{path}: lines {first_line[key]} and "
+                                    f"{lineno} both set "
+                                    f"{key.replace('_', '-')}")
+            first_line[key] = lineno
+            out[key] = value.strip()
     return out
 
 
-class _Options:
-    """Merged view of CLI flags, config-file entries, and defaults.
-
-    Command-line flags win over the config file, which wins over built-in
-    defaults; the seed's last fallback is the ICAGEO_SEED environment
-    variable.
-    """
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        cfg_path = self.args.get("config")
-        self.file = _load_config_file(cfg_path) if cfg_path else {}
-        # the subcommand's namespace holds exactly the dests of its options
-        options = set(self.args) - {"command", "config", "input"}
-        unknown = ", ".join(sorted(set(self.file) - options)).replace("_", "-")
-        if unknown:
-            raise InvalidConfig(f"{cfg_path}: {unknown}: no such option of "
-                                f"{args.command}")
-
-    def get(self, key: str, default=None, cast=None):
-        value = self.args.get(key)
-        if value is None and key in self.file:
-            value = self.file[key]
-        if value is None:
-            value = default
-        if value is not None and cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfig(f"bad value for {key}: {value!r}") from exc
-        return value
-
-    def seed(self) -> int:
-        return self.get("seed", os.environ.get("ICAGEO_SEED", "0"), int)
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The lines of the --config file as flags of args.command:
+    `--key=value`, or `--center` for `center = true` (`false` adds none).
+    Keys are checked against the command's options first, so every flag is
+    a full option name and argparse never expands a prefix."""
+    entries = _load_config_file(args.config)
+    # the command's namespace holds exactly the dests of its options
+    options = set(vars(args)) - {"command", "config", "input"}
+    unknown = ", ".join(sorted(set(entries) - options)).replace("_", "-")
+    if unknown:
+        raise InvalidConfig(f"{args.config}: {unknown}: no such option of "
+                            f"{args.command}")
+    flags = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if key != "center":
+            flags.append(f"{flag}={value}")
+        elif value == "true":
+            flags.append(flag)
+        elif value != "false":
+            raise InvalidConfig(f"center must be true or false, got {value!r}")
+    return flags
 
 
-def _outdir(opts: _Options) -> Path:
-    out = Path(opts.get("output_dir", "."))
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -98,62 +90,54 @@ def _outdir(opts: _Options) -> Path:
     return out
 
 
-def _read_input(opts: _Options) -> Dataset:
+def _read_input(args: argparse.Namespace) -> Dataset:
     """The input CSV, centered under --center.  A constant column carries
     no information about any source, so it is rejected by name."""
-    data = read_csv(opts.get("input"))
+    data = read_csv(args.input)
     X = data.samples
     constant = np.flatnonzero(X.min(axis=0) == X.max(axis=0))
     if constant.size:
         names = ", ".join(repr(data.names()[i]) for i in constant)
         raise DegenerateSample(f"constant column {names}: all its values "
                                "are equal")
-    center = opts.get("center", "false")  # True from the flag
-    if center not in (True, "true", "false"):
-        raise InvalidConfig(f"center must be true or false, got {center!r}")
-    if center == "false":
+    if not args.center:
         return data
     return Dataset(X - X.mean(axis=0), data.channel_names)
 
 
 # -- simulate --------------------------------------------------------------
 
-def cmd_simulate(opts: _Options) -> int:
-    sources_text = opts.get("sources")
-    if not sources_text:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.sources:
         raise InvalidConfig(
             "simulate needs --sources, e.g. "
             "`icageo simulate --sources laplace,uniform --samples 20000`")
-    specs = [parse_source(tok) for tok in str(sources_text).split(",") if tok]
+    specs = [parse_source(tok) for tok in args.sources.split(",") if tok]
     if not specs:
         raise InvalidConfig("--sources lists no source families")
-    T = opts.get("samples", 20000, int)
-    seed = opts.seed()
-    rng = Rng(seed)
-    mixing_path = opts.get("mixing")
-    if mixing_path:
-        if opts.get("cond") is not None:
+    rng = Rng(args.seed)
+    if args.mixing:
+        if args.cond is not None:
             raise InvalidConfig("--cond applies to the random mixing matrix "
-                                f"only; {mixing_path} gives the matrix")
-        model = _load_model(mixing_path, specs)
+                                f"only; {args.mixing} gives the matrix")
+        model = _load_model(args.mixing, specs)
     else:
-        cond = opts.get("cond", 5.0, float)
-        model = MixingModel(random_mixing(len(specs), rng.child(1000), cond),
+        cond = [] if args.cond is None else [args.cond]
+        model = MixingModel(random_mixing(len(specs), rng.child(1000), *cond),
                             specs)
-    A = model.mixing
-    X, S = simulate(model, T, rng)
+    X, S = simulate(model, args.samples, rng)
     if all(s.family == "gaussian" for s in specs):
         print("warning: Gaussian-only mixture is not blindly separable; "
               "second-order statistics fix it only up to rotation",
               file=sys.stderr)
-    out = _outdir(opts)
+    out = _outdir(args)
     write_csv(out / "X.csv", X)
     write_csv(out / "S.csv", S)
     _json_dump(out / "model.json", {
-        "mixing": A.tolist(),
+        "mixing": model.mixing.tolist(),
         "sources": [s.label() for s in specs],
-        "samples": T,
-        "seed": seed,
+        "samples": args.samples,
+        "seed": args.seed,
         "version": __version__,
     })
     print(f"wrote {out / 'X.csv'}, {out / 'S.csv'}, {out / 'model.json'}")
@@ -186,34 +170,25 @@ def _load_model(path, specs=None) -> MixingModel:
         raise InvalidConfig(f"{path}: {exc}") from exc
 
 
-def cmd_separate(opts: _Options) -> int:
-    data = _read_input(opts)
-    algorithm = opts.get("algorithm", "relative_gradient")
-    if algorithm not in CLI_ALGORITHMS:
-        raise InvalidConfig(f"unknown algorithm {algorithm!r}; choose from "
-                            f"{', '.join(CLI_ALGORITHMS)}")
-    orthogonal = algorithm == "orthogonal"
+def cmd_separate(args: argparse.Namespace) -> int:
+    data = _read_input(args)
+    orthogonal = args.algorithm == "orthogonal"
+    # the settings left unset take SolverConfig's defaults
+    settings = {key: getattr(args, key) for key in ("score", "step",
+                                                    "max_iter", "tol")
+                if getattr(args, key) is not None}
     for key in ("score", "step"):
-        if orthogonal and opts.get(key) is not None:
+        if orthogonal and key in settings:
             raise InvalidConfig(f"--{key}: the orthogonal rotation search "
                                 "uses no score and no step")
-    defaults = SolverConfig()
-    score = opts.get("score", defaults.score)
-    if score not in CLI_SCORES:
-        raise InvalidConfig(f"unknown score {score!r}; choose from "
-                            f"{', '.join(CLI_SCORES)}")
-    config = SolverConfig(step=opts.get("step", defaults.step, float),
-                          max_iter=opts.get("max_iter", defaults.max_iter, int),
-                          tol=opts.get("tol", defaults.tol, float),
-                          score=score)
-    model_path = opts.get("model")
-    model = _load_model(model_path) if model_path else None
+    config = SolverConfig(**settings)
+    model = _load_model(args.model) if args.model else None
     if model is not None and model.N != data.N:
-        raise DimensionMismatch(f"{model_path} has {model.N} sources but the "
+        raise DimensionMismatch(f"{args.model} has {model.N} sources but the "
                                 f"input has {data.N} channels")
     result = (orthogonal_ica if orthogonal
               else relative_gradient_ica)(data, config)
-    out = _outdir(opts)
+    out = _outdir(args)
     _json_dump(out / "B.json", {"demixing": result.demixing.tolist()})
     write_csv(out / "Y.csv", result.recovered)
     with open_text(out / "trace.csv", "w") as fh:
@@ -224,8 +199,8 @@ def cmd_separate(opts: _Options) -> int:
     # best rotation gain of each sweep
     final = "last_sweep_gain" if orthogonal else "stationarity_norm"
     report = {
-        "algorithm": algorithm,
-        "score": None if orthogonal else score,
+        "algorithm": args.algorithm,
+        "score": None if orthogonal else config.score,
         "converged": result.converged,
         "iterations": result.iterations,
         final: float(result.trajectory[-1]),
@@ -248,10 +223,10 @@ def cmd_separate(opts: _Options) -> int:
 
 # -- diagnose ----------------------------------------------------------------
 
-def cmd_diagnose(opts: _Options) -> int:
-    data = _read_input(opts)
-    report = diagnose(data, seed=opts.seed())
-    out = _outdir(opts)
+def cmd_diagnose(args: argparse.Namespace) -> int:
+    data = _read_input(args)
+    report = diagnose(data, seed=args.seed)
+    out = _outdir(args)
     _json_dump(out / "report.json", report.to_json())
     with open_text(out / "plotdata.csv", "w") as fh:
         fh.write("channel,position,density,score\n")
@@ -271,16 +246,16 @@ def cmd_diagnose(opts: _Options) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def cmd_verify(opts: _Options) -> int:
-    spec_path = opts.get("spec")
-    if spec_path:
-        if opts.get("step") is not None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.spec:
+        if args.step is not None:
             raise InvalidConfig("--step applies to the built-in suite only; "
-                                f"the spec {spec_path} sets its own \"step\"")
-        checks = load_verify_spec(spec_path)
+                                f"the spec {args.spec} sets its own \"step\"")
+        checks = load_verify_spec(args.spec)
     else:
-        checks = builtin_suite(step=opts.get("step", GridSpec.step, float))
-    out = _outdir(opts)
+        checks = builtin_suite(step=GridSpec.step if args.step is None
+                               else args.step)
+    out = _outdir(args)
     all_passed = all(c["passed"] for c in checks)
     _json_dump(out / "identities.json",
                {"checks": checks, "all_passed": all_passed})
@@ -307,37 +282,39 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key=value config file; "
                        "command-line flags override it")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("ICAGEO_SEED", "0"),
                        help="64-bit seed (default: $ICAGEO_SEED or 0)")
-        p.add_argument("--output-dir", dest="output_dir", default=None,
+        p.add_argument("--output-dir", default=".",
                        help="directory for output files (default: .)")
 
     p = sub.add_parser("simulate", help="draw a source mixture with ground truth")
     common(p)
-    p.add_argument("--sources", default=None,
-                   help="comma list, e.g. laplace,uniform,"
-                        "generalized-gaussian(4)")
-    p.add_argument("--samples", type=int, default=None, help="observation count")
-    p.add_argument("--cond", type=float, default=None,
+    p.add_argument("--sources", help="comma list, e.g. laplace,uniform,"
+                                     "generalized-gaussian(4)")
+    p.add_argument("--samples", type=int, default=20000,
+                   help="observation count (default: 20000)")
+    p.add_argument("--cond", type=float,
                    help="condition number of the random mixing matrix")
-    p.add_argument("--mixing", default=None,
+    p.add_argument("--mixing",
                    help="JSON file with an explicit 'mixing' matrix")
 
     p = sub.add_parser("separate", help="estimate a demixing matrix")
     common(p)
     p.add_argument("input", help="CSV of observations (header + rows)")
-    p.add_argument("--algorithm", choices=CLI_ALGORITHMS, default=None)
-    p.add_argument("--score", choices=CLI_SCORES, default=None)
-    p.add_argument("--step", type=float, default=None,
+    p.add_argument("--algorithm", choices=("relative_gradient", "orthogonal"),
+                   default="relative_gradient")
+    p.add_argument("--score", choices=("tanh", "cube", "adaptive"))
+    p.add_argument("--step", type=float,
                    help="relative-gradient step in (0, 1], scaling the "
                         "quasi-Newton direction (default: 1, the full "
                         "Newton step)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float,
                    help="stationarity/improvement stopping tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--center", action="store_true", default=None,
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--center", action="store_true",
                    help="subtract channel means first")
-    p.add_argument("--model", default=None,
+    p.add_argument("--model",
                    help="model.json with ground truth, enables the Amari index")
 
     p = sub.add_parser("diagnose",
@@ -345,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "and negentropies")
     common(p)
     p.add_argument("input", help="CSV of observations")
-    p.add_argument("--center", action="store_true", default=None,
+    p.add_argument("--center", action="store_true",
                    help="subtract channel means first")
 
     p = sub.add_parser("verify", help="run the divergence-identity suite")
     common(p)
-    p.add_argument("--spec", default=None,
+    p.add_argument("--spec",
                    help="JSON file with a user 'joint' table or 'density'")
-    p.add_argument("--step", type=float, default=None,
+    p.add_argument("--step", type=float,
                    help="quadrature step for the analytic checks")
     return parser
 
@@ -366,11 +343,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
-        return _COMMANDS[args.command](opts)
+        if args.config:
+            # the config lines go before the command line's own flags, which
+            # therefore win; argparse checks both alike
+            args = parser.parse_args([args.command, *_config_flags(args),
+                                      *argv[1:]])
+        return _COMMANDS[args.command](args)
     except IcageoError as err:
         print(f"icageo {args.command}: error: {err}", file=sys.stderr)
         return exit_code_for(err)

@@ -24,6 +24,8 @@ from .sources import GAUSSIAN_ENTROPY
 SATURATION_FRACTION = 0.9
 # smallest sample a kernel score table is estimated from
 SCORE_TABLE_MIN_SAMPLES = 1000
+# smallest sample mutual information is estimated from
+MI_MIN_SAMPLES = 1000
 # fine binning grid points per score-table node interval
 FINE_BINS_PER_NODE = 16
 
@@ -227,8 +229,8 @@ def mutual_information(data: Dataset, method: str = "knn_kl",
         raise DimensionMismatch("mutual information needs at least 2 channels")
     if data.N > 3:
         raise DimensionTooHigh("mutual information supports at most 3 channels")
-    if data.T < 1000:
-        raise TooFewSamples("mutual information needs T >= 1000")
+    if data.T < MI_MIN_SAMPLES:
+        raise TooFewSamples(f"mutual information needs T >= {MI_MIN_SAMPLES}")
     Y = np.array(data.samples, dtype=float)
     if method == "knn_kl":
         if not (1 <= k < data.T):

@@ -12,8 +12,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateGain
-from .estimators import (MIEstimate, NegentropyEstimate, mutual_information,
-                         negentropy_scalar)
+from .estimators import (MI_MIN_SAMPLES, MIEstimate, NegentropyEstimate,
+                         mutual_information, negentropy_scalar)
 from .gaussian import correlation_C, sample_covariance
 
 
@@ -62,11 +62,11 @@ def amari_index(gain) -> AmariIndex:
 class DecompositionReport:
     """Estimated pieces of I(Y) + sum G(Y_i) = C(Y) + G(Y).
 
-    mi is only estimable for N <= 3 and is None otherwise.  The joint
-    non-Gaussianity G(Y) needs joint density estimation and is never
-    estimated from samples; the oracle module audits the identity on
-    analytic densities.  objective_proxy is C(Y) - sum G(Y_i) = I(Y) - G(Y),
-    the quantity the solvers minimize.
+    mi is estimated for 2 or 3 channels and at least MI_MIN_SAMPLES rows,
+    and is None otherwise.  The joint non-Gaussianity G(Y) needs joint
+    density estimation and is never estimated from samples; the oracle
+    module audits the identity on analytic densities.  objective_proxy is
+    C(Y) - sum G(Y_i) = I(Y) - G(Y), the quantity the solvers minimize.
     """
 
     correlation: float
@@ -100,5 +100,6 @@ def diagnose(data: Dataset, seed: int = 0) -> DecompositionReport:
     corr = correlation_C(sample_covariance(data))
     negs = tuple(negentropy_scalar(data.column(i)) for i in range(data.N))
     proxy = corr - sum(g.value for g in negs)
-    mi = mutual_information(data, seed=seed) if data.N <= 3 else None
+    mi = (mutual_information(data, seed=seed)
+          if 2 <= data.N <= 3 and data.T >= MI_MIN_SAMPLES else None)
     return DecompositionReport(corr, negs, proxy, mi)

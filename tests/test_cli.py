@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from icageo import Dataset, NonFinite, read_csv, write_csv
+from icageo import (Dataset, NonFinite, make_score, read_csv,
+                    stationarity_matrix, write_csv)
 from icageo.cli import main
 
 TABLE_MI = 0.19274475702175753  # exact MI of [[0.4,0.1],[0.1,0.4]]
@@ -140,7 +141,10 @@ def test_config_file_errors(tmp_path, capsys):
     (["separate", "{csv}"], "config = other.cfg\n", "config"),
     (["diagnose", "{csv}"], "input = other.csv\n", "input"),
     (["verify"], "max-iter = 5\n", "max-iter"),
-], ids=["simulate-typos", "command", "config", "input", "verify-max-iter"])
+    # argparse would expand the flag --max to --max-iter; a key may not
+    (["separate", "{csv}"], "max = 5\n", "max"),
+], ids=["simulate-typos", "command", "config", "input", "verify-max-iter",
+        "prefix"])
 def test_config_key_naming_no_option_is_input_error(tmp_path, capsys, command,
                                                     lines, keys):
     csv = tmp_path / "x.csv"
@@ -211,6 +215,24 @@ def test_separate_orthogonal_max_iter_caps_the_sweeps(tmp_path, capsys):
     assert report["iterations"] == 1
     assert report["converged"] is False
     assert len((out / "trace.csv").read_text().splitlines()) == 2
+    capsys.readouterr()
+
+
+def test_separate_capped_run_reports_the_returned_demixing(tmp_path, capsys):
+    sim = simulate_into(tmp_path / "sim", samples=5000)
+    out = tmp_path / "cap"
+    assert run(["separate", sim / "X.csv", "--score", "tanh", "--max-iter", 3,
+                "--output-dir", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 3
+    # the norm at the returned B, whose outputs Y.csv holds bit-exactly
+    Y = read_csv(out / "Y.csv")
+    F = stationarity_matrix(Y, [make_score("tanh")] * Y.N)
+    norm = float(np.linalg.norm(F - np.diag(np.diag(F))))
+    assert report["stationarity_norm"] == pytest.approx(norm, rel=1e-12)
+    trace = (out / "trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + 3 + 1  # header, three iterates, the returned B
+    assert float(trace[-1].split(",")[1]) == report["stationarity_norm"]
     capsys.readouterr()
 
 
@@ -431,6 +453,22 @@ def test_diagnose_five_channels_omits_mi(tmp_path):
     assert "correlation" in report and "objective_proxy" in report
 
 
+@pytest.mark.parametrize("T,N", [(3000, 1), (500, 2)],
+                         ids=["one-channel", "500-rows"])
+def test_diagnose_small_input_omits_mi(tmp_path, capsys, T, N):
+    src = tmp_path / "x.csv"
+    write_csv(src, Dataset(np.random.default_rng(12).laplace(size=(T, N))))
+    out = tmp_path / "diag"
+    assert run(["diagnose", src, "--output-dir", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "mi" not in report
+    assert len(report["marginal_negentropies"]) == N
+    plot = (out / "plotdata.csv").read_text().splitlines()
+    assert plot[0] == "channel,position,density,score"
+    assert (len(plot) == 1) == (T < 1000)  # no score table below 1000 rows
+    capsys.readouterr()
+
+
 def test_separate_non_utf8_csv_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"a,b\n1,2\n3,\xff\n")
@@ -578,6 +616,83 @@ MODEL = {"mixing": [[1.0, 0.0], [0.0, 1.0]], "sources": ["laplace", "uniform"]}
 
 def as_json(obj) -> bytes:
     return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    (SIMULATE[:3], "samples", "many"),
+    (["separate", "{csv}"], "score", "sigmoid"),
+    (["separate", "{csv}"], "algorithm", "pca"),
+], ids=["samples", "score", "algorithm"])
+def test_bad_config_value_fails_like_the_bad_flag(tmp_path, capsys, command,
+                                                  key, value):
+    csv = tmp_path / "x.csv"
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    args = [csv if a == "{csv}" else a for a in command]
+    errors = []
+    for option in ([f"--{key}", value], ["--config", cfg]):
+        with pytest.raises(SystemExit) as exc:
+            run([*args, *option, "--output-dir", out])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors[0] == errors[1]
+    assert f"argument --{key}: invalid" in errors[0]
+    assert not out.exists()
+
+
+def test_bad_config_value_is_an_error_under_an_overriding_flag(tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = many\n")
+    with pytest.raises(SystemExit) as exc:  # SIMULATE sets --samples 2000
+        run([*SIMULATE, "--config", cfg, "--output-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert "argument --samples: invalid int value: 'many'" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_seed_env_var_is_input_error(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setenv("ICAGEO_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run([*SIMULATE, "--output-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_max_iter_caps_the_solver(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-iter = 1\n")
+    out = tmp_path / "out"
+    assert run(["separate", csv, "--score", "tanh", "--config", cfg,
+                "--output-dir", out]) == 0
+    assert json.loads((out / "report.json").read_text())["iterations"] == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,lines,message", [
+    (SIMULATE, "seed = 1\n# again\nseed = 2\n", "lines 1 and 3 both set seed"),
+    (["separate", "{csv}"], "max-iter = 5\nmax_iter = 6\n",
+     "lines 1 and 2 both set max-iter"),
+], ids=["seed", "max-iter-spellings"])
+def test_config_key_given_twice_is_input_error(tmp_path, capsys, command,
+                                               lines, message):
+    csv = tmp_path / "x.csv"
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "out"
+    args = [csv if a == "{csv}" else a for a in command]
+    assert run([*args, "--config", cfg, "--output-dir", out]) == 2
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,content,message", [

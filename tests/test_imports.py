@@ -89,35 +89,45 @@ def test_every_public_name_has_a_user():
 
 
 def parser_dests() -> set[str]:
-    """The dests of the options of every `icageo` subcommand."""
-    (sub,) = [a for a in build_parser()._actions
+    """The dests of the options of `icageo` and of every subcommand."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest for p in sub.choices.values() for a in p._actions}
+    return {a.dest for p in [parser, *sub.choices.values()] for a in p._actions}
 
 
 def unknown_option_keys(path: Path, dests) -> list[str]:
-    """String keys of `opts.get(...)` calls (or `self.get(...)` inside the
-    options class) that are not in dests: a misspelt key silently reads its
-    default."""
+    """Option names the module reads from the parsed arguments, as
+    `args.<name>` or `getattr(args, "<name>")`, that are not in dests: a
+    misspelt name fails only on the path that reads it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [f"{path.name}:{node.lineno}: {node.args[0].value}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("opts", "self") and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value not in dests]
+    reads = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name)
+              and node.args[0].id == "args"
+              and isinstance(node.args[1], ast.Constant)):
+            reads.append((node.lineno, node.args[1].value))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(reads)
+            if name not in dests]
 
 
 def test_option_key_check_flags_a_misspelt_key(tmp_path):
     mod = tmp_path / "mod.py"
-    mod.write_text("def f(opts, d):\n    a = opts.get('seed', 0)\n"
-                   "    b = opts.get('max_iters', 5, int)\n"
-                   "    return d.get('typo'), opts.get(a)\n")
+    mod.write_text("def f(args, d, key):\n    a = args.seed\n"
+                   "    b = args.max_iters\n"
+                   "    c = getattr(args, 'tols', None), getattr(args, key)\n"
+                   "    return d.typo, getattr(d, 'typo'), args.max_iter\n")
     assert unknown_option_keys(mod, {"seed", "max_iter"}) == [
-        "mod.py:3: max_iters"]
+        "mod.py:3: max_iters", "mod.py:4: tols"]
 
 
 def test_cli_reads_only_options_its_parser_defines():
     cli = Path(icageo.__file__).parent / "cli.py"
     assert unknown_option_keys(cli, parser_dests()) == []
+    # and the check sees the reads: with no dests, every one is unknown
+    assert len(unknown_option_keys(cli, set())) >= 10
