@@ -6,6 +6,7 @@ specs and is the ground truth against which separation quality is scored.
 """
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -177,17 +178,138 @@ def read_json(path, error: type[IcageoError] = InvalidConfig) -> dict:
 # '\r\n' line ends (the csv module's).  %.17g round-trips float64 exactly,
 # keeping reruns byte-identical.
 
-# rows formatted by one string operation; bounds the text held in memory
-CSV_BLOCK_ROWS = 8192
+# rows formatted per array pass; bounds the text held in memory
+CSV_BLOCK_ROWS = 2048
+
+# bytes per cell while a block is laid out: sign, up to 23 text bytes
+# ("%.17g" of any |x|), and the separator (',' or '\r\n')
+_CELL_BYTES = 26
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 
 
 def write_csv(path, data: Dataset) -> None:
-    row = ",".join(["%.17g"] * data.N) + "\r\n"
+    """Write `data` as CSV, every value in `%.17g`, blocks of CSV_BLOCK_ROWS
+    rows formatted by array operations (see _format_rows)."""
     with open_text(path, "w") as fh:
         csv.writer(fh).writerow(data.names())
         for start in range(0, data.T, CSV_BLOCK_ROWS):
-            block = data.samples[start:start + CSV_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(data.samples[start:start + CSV_BLOCK_ROWS]))
+
+
+@functools.cache
+def _csv_tables():
+    # Built on first use, so importing the package builds none of them.
+    # quads[c] is the 4 ASCII digits of c < 10**4 as one 4-byte word, and
+    # quads[10**4 + c] the same with trailing zeros dropped (NUL bytes);
+    # kept[i] counts the digits quads[i] keeps.  pow_hi + pow_lo splits
+    # 10.0**k exactly (k <= 20, all exact doubles) for Dekker's product.
+    c = np.arange(10 ** 4)
+    digits = (c[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48)
+    zeros = np.zeros(c.size, dtype=np.int8)
+    for p in (10, 100, 1000, 10 ** 4):
+        zeros += c % p == 0
+    kept = np.concatenate([np.full(c.size, 4, dtype=np.int8), 4 - zeros])
+    stripped = np.where(np.arange(4) < (4 - zeros)[:, None], digits, 0)
+    quads = np.concatenate([digits, stripped]).astype(np.uint8)
+    pow10 = np.array([float(10 ** k) for k in range(21)])
+    t = _SPLIT * pow10
+    pow_hi = t - (t - pow10)
+    return quads.view(np.uint32)[:, 0], kept, pow10, pow_hi, pow10 - pow_hi
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The `%.17g` text of a block of rows, ',' between cells and '\\r\\n'
+    after each row: the same text as `"%.17g" % x` cell by cell.
+
+    Cells with 1e-4 <= |x| < 1e16 print in fixed notation and are laid out
+    by array operations (_fixed_cells).  Every other cell takes
+    `"%.17g" % x` itself: zeros, |x| outside that range, and the cells
+    _fixed_cells cannot print with certainty.
+    """
+    rows, n = block.shape
+    v = block.ravel()
+    # cells sorted by decimal exponent, so that each exponent's layout is
+    # plain column slices; out-of-range magnitudes are clamped and fall back
+    x = np.minimum(np.abs(v), 1e16)
+    e = np.floor(np.log10(np.clip(x, 1e-4, 1e15))).astype(np.int8)
+    order = np.argsort(e, kind="stable")
+    cells, ok = _fixed_cells(x[order], e[order])
+    cells[:, 0] = np.signbit(v[order]) * ord("-")
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = ["%.17g" % y for y in v[order[slow]].tolist()]
+        cells[slow, :-2] = np.array(text, dtype=f"S{_CELL_BYTES - 2}") \
+            .view(np.uint8).reshape(slow.size, -1)
+    out = np.empty((rows, n, _CELL_BYTES), dtype=np.uint8)
+    out.reshape(v.size, -1).view(f"V{_CELL_BYTES}")[order] = \
+        cells.view(f"V{_CELL_BYTES}")
+    del cells
+    out[:, :-1, -2:] = (ord(","), 0)
+    out[:, -1, -2:] = (ord("\r"), ord("\n"))
+    out = out.ravel()
+    return str(out[out != 0], "ascii")
+
+
+def _fixed_cells(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-notation `%.17g` bytes of |x| >= 0 with estimated decimal
+    exponents e in [-4, 15], sorted by e: one _CELL_BYTES row per cell,
+    text from column 1, NUL padded.  Also returns the mask of the cells
+    printed; the rest are left to `"%.17g" % x`.
+
+    The text is the 17 correctly rounded significant digits
+    D = round(x * 10**(16 - e)) with trailing zeros of the fraction
+    dropped.  D is exact: 10**(16 - e) is an exact double and Dekker's
+    two-product gives x * 10**(16 - e) as hi + lo without rounding.  A cell
+    is left out when e is off by one (D outside [1e16, 1e17)), when lo is
+    within 1e-6 of a rounding tie, or when its integer part ends in zeros.
+    """
+    quads, kept, pow10, pow_hi, pow_lo = _csv_tables()
+    k = 16 - e.astype(np.intp)
+    hi = x * pow10[k]
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    lo = ((xh * pow_hi[k] - hi) + xh * pow_lo[k] + xl * pow_hi[k]) \
+        + xl * pow_lo[k]
+    del k, t, xh, xl
+    lo_int = np.floor(lo)
+    lo -= lo_int
+    D = hi.astype(np.int64) + lo_int.astype(np.int64) + (lo > 0.5)
+    del hi, lo_int
+    ok = (D >= 10 ** 16) & (D < 10 ** 17) & (np.abs(lo - 0.5) > 1e-6)
+    D[~ok] = 10 ** 16
+    # the leading digit, then four 4-digit words; a word takes the
+    # zero-dropping table when every word after it is zero
+    words = np.empty((x.size, 5), dtype=np.uint32)
+    digits = words.view(np.uint8)[:, 3:]
+    lead, D = np.divmod(D, 10 ** 16)
+    digits[:, 0] = lead + ord("0")
+    c12, c34 = np.divmod(D, 10 ** 8)
+    c1, c2 = np.divmod(c12.astype(np.int32), 10 ** 4)
+    c3, c4 = np.divmod(c34.astype(np.int32), 10 ** 4)
+    z4 = c4 == 0
+    z34 = z4 & (c3 == 0)
+    idx = (c1 + 10 ** 4 * (z34 & (c2 == 0)), c2 + 10 ** 4 * z34,
+           c3 + 10 ** 4 * z4, c4 + 10 ** 4)
+    last = sum(kept[i] for i in idx)  # index of the last digit printed
+    ok &= last >= e
+    for j, i in enumerate(idx, start=1):
+        words[:, j] = quads[i]
+    point = np.where(last > e, ord("."), 0)
+    cells = np.zeros((x.size, _CELL_BYTES), dtype=np.uint8)
+    start = 0
+    for exp, count in enumerate(np.bincount(e + 4).tolist(), start=-4):
+        s = slice(start, start + count)
+        if exp >= 0:
+            cells[s, 1:exp + 2] = digits[s, :exp + 1]
+            cells[s, exp + 2] = point[s]
+            cells[s, exp + 3:19] = digits[s, exp + 1:]
+        else:
+            cells[s, 1:2 - exp] = np.frombuffer(
+                b"0." + b"0" * (-1 - exp), dtype=np.uint8)
+            cells[s, 2 - exp:19 - exp] = digits[s]
+        start += count
+    return cells, ok
 
 
 def read_csv(path) -> Dataset:

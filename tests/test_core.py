@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,7 +357,98 @@ def test_write_csv_bytes_equal_row_by_row_writer(tmp_path, values, T, N):
     assert back.samples.tobytes() == data.samples.tobytes()
 
 
-NAME = st.text("abcxyz_019 ", min_size=1, max_size=6).filter(str.strip)
+def assert_cells_are_percent_17g(path, values, N):
+    """write_csv of `values` as a T x N dataset writes the header row, then
+    `"%.17g" % v` for every cell, ',' between cells and '\\r\\n' after each
+    row."""
+    values = np.asarray(values, dtype=float)
+    data = Dataset(np.resize(values, (-(-values.size // N), N)))
+    write_csv(path, data)
+    lines = path.read_bytes().decode("ascii").split("\r\n")
+    assert lines[0] == ",".join(data.names()) and lines[-1] == ""
+    got = [line.split(",") for line in lines[1:-1]]
+    want = [["%.17g" % v for v in row] for row in data.samples.tolist()]
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"row {i}: {g} != {w}"
+
+
+def powers_of_ten_and_neighbours():
+    # every power of ten from 1e-5 to 1e17 and the four doubles on each side
+    # of it: the edges of fixed notation (1e-4, 1e16), and of each decimal
+    # exponent the writer estimates
+    out = []
+    for k in range(-5, 18):
+        p = float(f"1e{k}")
+        below = above = p
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            out += [below, above]
+        out.append(p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N", [1, 4])
+def test_write_csv_edge_cases_equal_percent_17g(tmp_path, N):
+    edges = powers_of_ten_and_neighbours()
+    # exact 17-digit ties: a / 2**18 for odd a has 18 decimals ending in 5
+    ties = np.arange(26215, 262144, 2) / 2.0 ** 18
+    special = [10.0, 1200.0, 1e15, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e-310, 123456789012345.6,
+               1.0000000000000002, 0.99999999999999989, 9999999999999998.0]
+    values = np.concatenate([edges, -edges, ties, -ties[::7], special])
+    assert_cells_are_percent_17g(tmp_path / "edge.csv", values, N)
+
+
+@pytest.mark.parametrize("T", [2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                               CSV_BLOCK_ROWS + 1])
+def test_write_csv_block_edges_equal_percent_17g(tmp_path, T):
+    gen = np.random.default_rng(T)
+    values = gen.laplace(size=T * 3) * 10.0 ** gen.integers(-6, 18, T * 3)
+    assert_cells_are_percent_17g(tmp_path / "block.csv", values, 3)
+
+
+def test_write_csv_random_bits_and_data_scale_equal_percent_17g(tmp_path):
+    gen = np.random.default_rng(20240613)
+    bits = gen.integers(-2 ** 63, 2 ** 63, size=120_000, dtype=np.int64)
+    bits = bits.view(np.float64)
+    mixed = gen.laplace(size=(30_000, 4)) @ gen.normal(size=(4, 4))
+    rounded = np.round(gen.normal(size=20_000) * 1e4) / 100
+    values = np.concatenate([bits[np.isfinite(bits)], mixed.ravel(), rounded])
+    assert_cells_are_percent_17g(tmp_path / "sweep.csv", values, 4)
+
+
+def test_fixed_cells_leave_off_by_one_exponents_to_the_fallback():
+    # An exponent estimate one too small puts D at 10**17 or above, one too
+    # large below 10**16: _fixed_cells must leave such cells unprinted.
+    from icageo.data import _fixed_cells
+    x = np.array([1e-4, 1.0, 9.5, 1234.5, 1e15 + 3, 9.999999999999998e15])
+    e = np.array([int(("%.16e" % v)[-3:]) for v in x], dtype=np.int8)
+    for shift in (-1, 1):
+        est = np.clip(e + shift, -4, 15).astype(np.int8)
+        keep = est != e
+        order = np.argsort(est[keep], kind="stable")
+        _, ok = _fixed_cells(x[keep][order], est[keep][order])
+        assert not ok.any()
+    _, ok = _fixed_cells(x, e)
+    assert ok.all()
+
+
+def test_write_csv_memory_stays_below_the_row_formatting_writer(tmp_path):
+    # The writer that %-formatted 8192-row blocks peaked at 2,041,553 bytes
+    # of traced allocations on this dataset; array blocks must not need more.
+    data = Dataset(np.random.default_rng(5).laplace(size=(100_000, 4)))
+    write_csv(tmp_path / "warm.csv", data)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "m.csv", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_041_553
+
+
+NAME =st.text("abcxyz_019 ", min_size=1, max_size=6).filter(str.strip)
 # renderings float() reads back exactly, and two that round (%.3e can
 # round past the largest float64 to inf)
 EXACT_FORMATS = ["%.17g", "%r", "%.25g"]
