@@ -7,11 +7,11 @@ Chebyshev metric, and a binned kernel density score table with a
 smoothing-bias correction.  All are deterministic functions of their inputs.
 """
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma
 
 from .data import Dataset
 from .errors import (DegenerateSample, DimensionMismatch, DimensionTooHigh,
@@ -73,6 +73,32 @@ def _check_vector(x, minimum: int) -> np.ndarray:
     if v.max() == v.min():
         raise DegenerateSample("all sample values are equal")
     return v
+
+
+# psi(n) = H(n - 1) - Euler's gamma for n = 1..10, the harmonic sums taken
+# in order, and the coefficients of the asymptotic series of
+# ln n - 1/(2n) - psi(n) in z = 1/n**2 (divided by z), highest power first
+_PSI_SMALL = tuple(h - 0.5772156649015329 for h in itertools.accumulate(
+    (1.0 / i for i in range(1, 10)), initial=0.0))
+_PSI_SERIES = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
+               1 / 12)
+
+
+def digamma(n):
+    """The digamma function at a positive integer n, or elementwise at an
+    integer array: the harmonic sum for n <= 10 and the asymptotic series
+    above, as Cephes evaluates them (scipy.special.digamma's values)."""
+    if np.ndim(n):
+        values, inverse = np.unique(n, return_inverse=True)
+        return np.array([digamma(int(v)) for v in values])[inverse]
+    if n <= 10:
+        return _PSI_SMALL[n - 1]
+    x = float(n)
+    z = 1.0 / (x * x)
+    series = 0.0
+    for a in _PSI_SERIES:
+        series = series * z + a
+    return math.log(x) - 0.5 / x - z * series
 
 
 @functools.lru_cache(maxsize=32)

@@ -10,7 +10,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidDistribution
 
@@ -26,7 +25,7 @@ _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale b
 
 def _gg_alpha(beta: float) -> float:
     # scale making exp(-|x/alpha|^beta) have unit variance
-    return math.exp(0.5 * (gammaln(1.0 / beta) - gammaln(3.0 / beta)))
+    return math.exp(0.5 * (math.lgamma(1.0 / beta) - math.lgamma(3.0 / beta)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class SourceSpec:
         if self.family == "generalized-gaussian":
             beta = float(self.beta)
             alpha = _gg_alpha(beta)
-            lognorm = math.log(beta) - math.log(2.0 * alpha) - gammaln(1.0 / beta)
+            lognorm = math.log(beta) - math.log(2.0 * alpha) - math.lgamma(1.0 / beta)
             return np.exp(lognorm - np.abs(x / alpha) ** beta)
         with np.errstate(over="ignore"):
             return 0.5 / np.cosh(0.5 * math.pi * x)
@@ -101,7 +100,7 @@ class SourceSpec:
             beta = float(self.beta)
             alpha = _gg_alpha(beta)
             return (1.0 / beta + math.log(2.0 * alpha / beta)
-                    + gammaln(1.0 / beta))
+                    + math.lgamma(1.0 / beta))
         # unit-variance hyperbolic secant
         return math.log(4.0)
 

@@ -821,13 +821,18 @@ def test_console_entrypoint_runs():
     assert "icageo" in proc.stdout
 
 
-def loaded_by_cli_import(module):
+def after_cli_import(expression):
+    """The printed value of `expression` in a fresh interpreter that has
+    imported icageo.cli and sys."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import icageo.cli, sys; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", f"import icageo.cli, sys; print({expression})"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    return proc.stdout.strip()
+
+
+def loaded_by_cli_import(module):
+    return after_cli_import(f"{module!r} in sys.modules") == "True"
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -839,3 +844,15 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     # only the kNN mutual information needs scipy.spatial, which adds
     # about a fifth to the start-up import time of the CLI
     assert not loaded_by_cli_import("scipy.spatial")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special took about half of the start-up import time of the
+    # CLI; the estimators and sources evaluate digamma and lgamma at
+    # integers and scalars without it
+    assert not loaded_by_cli_import("scipy.special")
+
+
+def test_cli_import_builds_no_csv_formatting_tables():
+    assert after_cli_import(
+        "icageo.data._csv_tables.cache_info().currsize") == "0"

@@ -112,6 +112,18 @@ def reference_vasicek(x, m):
     return base + corr
 
 
+def test_library_digamma_is_within_2_ulp_of_scipy():
+    from icageo.estimators import digamma as library_digamma
+    n = np.concatenate([np.arange(1, 200_001),
+                        np.unique(np.geomspace(2e5, 1e15, 2000).astype(np.int64))])
+    got = library_digamma(n)
+    want = digamma(n)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    for k in (1, 2, 10, 11, 12, 13, 1000, 20001, 10 ** 9):
+        assert abs(library_digamma(k) - digamma(k)) <= 2 * np.spacing(abs(digamma(k)))
+        assert library_digamma(k) == library_digamma(np.array([k]))[0]
+
+
 @pytest.mark.parametrize("n", [10, 1000, 20001])
 def test_negentropy_raw_bitwise_equals_reference(n):
     m = max(1, int(math.sqrt(n)))
