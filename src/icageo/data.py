@@ -223,23 +223,30 @@ def _format_rows(block: np.ndarray) -> str:
 
     Cells with 1e-4 <= |x| < 1e16 print in fixed notation and are laid out
     by array operations (_fixed_cells).  Every other cell takes
-    `"%.17g" % x` itself: zeros, |x| outside that range, and the cells
-    _fixed_cells cannot print with certainty.
+    `"%.17g" % x` itself, in one string operation: zeros, |x| outside that
+    range, and the cells _fixed_cells cannot print with certainty.
     """
     rows, n = block.shape
     v = block.ravel()
+    x = np.abs(v)
+    fixed = (x >= 1e-4) & (x < 1e16)
     # cells sorted by decimal exponent, so that each exponent's layout is
-    # plain column slices; out-of-range magnitudes are clamped and fall back
-    x = np.minimum(np.abs(v), 1e16)
+    # plain column slices; exponent notation (key 16) sorts last
     e = np.floor(np.log10(np.clip(x, 1e-4, 1e15))).astype(np.int8)
+    e[~fixed] = 16
     order = np.argsort(e, kind="stable")
-    cells, ok = _fixed_cells(x[order], e[order])
+    n_fixed = np.count_nonzero(fixed)
+    cells = np.zeros((v.size, _CELL_BYTES), dtype=np.uint8)
     cells[:, 0] = np.signbit(v[order]) * ord("-")
-    slow = np.flatnonzero(~ok)
+    ok = _fixed_cells(x[order[:n_fixed]], e[order[:n_fixed]], cells[:n_fixed])
+    slow = np.concatenate([np.flatnonzero(~ok), np.arange(n_fixed, v.size)])
     if slow.size:
-        text = ["%.17g" % y for y in v[order[slow]].tolist()]
-        cells[slow, :-2] = np.array(text, dtype=f"S{_CELL_BYTES - 2}") \
-            .view(np.uint8).reshape(slow.size, -1)
+        # left-justified to the slot width; "%.17g" never prints a space
+        text = (f"%-{_CELL_BYTES - 2}.17g" * slow.size) \
+            % tuple(v[order[slow]].tolist())
+        padded = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        cells[slow, :-2] = np.where(padded == ord(" "), 0, padded) \
+            .reshape(slow.size, -1)
     out = np.empty((rows, n, _CELL_BYTES), dtype=np.uint8)
     out.reshape(v.size, -1).view(f"V{_CELL_BYTES}")[order] = \
         cells.view(f"V{_CELL_BYTES}")
@@ -250,20 +257,21 @@ def _format_rows(block: np.ndarray) -> str:
     return str(out[out != 0], "ascii")
 
 
-def _fixed_cells(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-notation `%.17g` bytes of |x| >= 0 with estimated decimal
-    exponents e in [-4, 15], sorted by e: one _CELL_BYTES row per cell,
-    text from column 1, NUL padded.  Also returns the mask of the cells
-    printed; the rest are left to `"%.17g" % x`.
+def _fixed_cells(x: np.ndarray, e: np.ndarray,
+                 cells: np.ndarray) -> np.ndarray:
+    """Write the fixed-notation `%.17g` bytes of 1e-4 <= x < 1e16, sorted
+    by their estimated decimal exponents e, into the zeroed rows `cells`
+    from column 1, NUL padded.  Returns the mask of the cells printed; the
+    rest are left to `"%.17g" % x`.
 
     The text is the 17 correctly rounded significant digits
     D = round(x * 10**(16 - e)) with trailing zeros of the fraction
     dropped.  D is exact: 10**(16 - e) is an exact double and Dekker's
     two-product gives x * 10**(16 - e) as hi + lo without rounding.  A cell
-    is left out when D falls outside [1e16, 1e17) (x is zero or clamped, or
-    e is off by one), when lo is within 1e-6 of a rounding tie, or when its
-    integer part ends in zeros.  Temporaries are dropped as soon as they
-    are spent, which keeps a block's peak memory about a quarter lower.
+    is left out when e is off by one (D outside [1e16, 1e17)), when lo is
+    within 1e-6 of a rounding tie, or when its integer part ends in zeros.
+    Temporaries are dropped as soon as they are spent, which keeps a
+    block's peak memory about a quarter lower.
     """
     quads, kept, pow10, pow_hi, pow_lo = _csv_tables()
     k = 16 - e.astype(np.intp)
@@ -298,7 +306,6 @@ def _fixed_cells(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j, i in enumerate(idx, start=1):
         words[:, j] = quads[i]
     point = np.where(last > e, ord("."), 0)
-    cells = np.zeros((x.size, _CELL_BYTES), dtype=np.uint8)
     start = 0
     for exp, count in enumerate(np.bincount(e + 4).tolist(), start=-4):
         s = slice(start, start + count)
@@ -311,7 +318,7 @@ def _fixed_cells(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 b"0." + b"0" * (-1 - exp), dtype=np.uint8)
             cells[s, 2 - exp:19 - exp] = digits[s]
         start += count
-    return cells, ok
+    return ok
 
 
 def read_csv(path) -> Dataset:

@@ -428,10 +428,9 @@ def test_fixed_cells_leave_off_by_one_exponents_to_the_fallback():
         est = np.clip(e + shift, -4, 15).astype(np.int8)
         keep = est != e
         order = np.argsort(est[keep], kind="stable")
-        _, ok = _fixed_cells(x[keep][order], est[keep][order])
-        assert not ok.any()
-    _, ok = _fixed_cells(x, e)
-    assert ok.all()
+        cells = np.zeros((order.size, 26), dtype=np.uint8)
+        assert not _fixed_cells(x[keep][order], est[keep][order], cells).any()
+    assert _fixed_cells(x, e, np.zeros((x.size, 26), dtype=np.uint8)).all()
 
 
 def test_write_csv_memory_stays_below_the_row_formatting_writer(tmp_path):
