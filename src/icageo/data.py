@@ -224,18 +224,23 @@ def _format_rows(block: np.ndarray) -> str:
     Cells with 1e-4 <= |x| < 1e16 print in fixed notation and are laid out
     by array operations (_fixed_cells).  Every other cell takes
     `"%.17g" % x` itself, in one string operation: zeros, |x| outside that
-    range, and the cells _fixed_cells cannot print with certainty.
+    range, and the cells _fixed_cells cannot print with certainty.  A block
+    without any fixed-notation cell is formatted by that string operation
+    alone.
     """
     rows, n = block.shape
     v = block.ravel()
     x = np.abs(v)
     fixed = (x >= 1e-4) & (x < 1e16)
+    n_fixed = np.count_nonzero(fixed)
+    if not n_fixed:  # e.g. data at a 1e-5 scale: nothing to lay out
+        row = ",".join(["%.17g"] * n) + "\r\n"
+        return (row * rows) % tuple(v.tolist())
     # cells sorted by decimal exponent, so that each exponent's layout is
     # plain column slices; exponent notation (key 16) sorts last
     e = np.floor(np.log10(np.clip(x, 1e-4, 1e15))).astype(np.int8)
     e[~fixed] = 16
     order = np.argsort(e, kind="stable")
-    n_fixed = np.count_nonzero(fixed)
     cells = np.zeros((v.size, _CELL_BYTES), dtype=np.uint8)
     cells[:, 0] = np.signbit(v[order]) * ord("-")
     ok = _fixed_cells(x[order[:n_fixed]], e[order[:n_fixed]], cells[:n_fixed])

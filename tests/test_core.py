@@ -400,6 +400,18 @@ def test_write_csv_edge_cases_equal_percent_17g(tmp_path, N):
     assert_cells_are_percent_17g(tmp_path / "edge.csv", values, N)
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e25])
+def test_write_csv_blocks_without_fixed_notation_equal_percent_17g(
+        tmp_path, scale):
+    # every cell in exponent notation or zero; the second block holds one
+    # fixed-notation cell among them
+    gen = np.random.default_rng(17)
+    values = gen.laplace(size=(CSV_BLOCK_ROWS + 5) * 2) * scale
+    values[::97] = 0.0
+    values[-3] = 0.5
+    assert_cells_are_percent_17g(tmp_path / "exp.csv", values, 2)
+
+
 @pytest.mark.parametrize("T", [2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                CSV_BLOCK_ROWS + 1])
 def test_write_csv_block_edges_equal_percent_17g(tmp_path, T):
