@@ -225,15 +225,17 @@ def _format_rows(block: np.ndarray) -> str:
     by array operations (_fixed_cells).  Every other cell takes
     `"%.17g" % x` itself, in one string operation: zeros, |x| outside that
     range, and the cells _fixed_cells cannot print with certainty.  A block
-    without any fixed-notation cell is formatted by that string operation
-    alone.
+    in which fewer than a third of the cells print in fixed notation is
+    formatted by that string operation alone.
     """
     rows, n = block.shape
     v = block.ravel()
     x = np.abs(v)
     fixed = (x >= 1e-4) & (x < 1e16)
     n_fixed = np.count_nonzero(fixed)
-    if not n_fixed:  # e.g. data at a 1e-5 scale: nothing to lay out
+    if 3 * n_fixed < v.size:
+        # e.g. data at a 1e-5 scale: below a fixed-notation share of about
+        # 0.3 the one string operation costs less than the array layout
         row = ",".join(["%.17g"] * n) + "\r\n"
         return (row * rows) % tuple(v.tolist())
     # cells sorted by decimal exponent, so that each exponent's layout is

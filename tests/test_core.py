@@ -401,15 +401,18 @@ def test_write_csv_edge_cases_equal_percent_17g(tmp_path, N):
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e25])
-def test_write_csv_blocks_without_fixed_notation_equal_percent_17g(
+def test_write_csv_blocks_mostly_outside_fixed_notation_equal_percent_17g(
         tmp_path, scale):
-    # every cell in exponent notation or zero; the second block holds one
-    # fixed-notation cell among them
+    # blocks of exponent-notation cells and zeros with a fixed-notation
+    # share of 0, 0.2 and 0.5: one string operation, or arrays for part
     gen = np.random.default_rng(17)
-    values = gen.laplace(size=(CSV_BLOCK_ROWS + 5) * 2) * scale
+    values = gen.laplace(size=(3 * CSV_BLOCK_ROWS, 2)) * scale
     values[::97] = 0.0
-    values[-3] = 0.5
-    assert_cells_are_percent_17g(tmp_path / "exp.csv", values, 2)
+    for block, share in ((1, 0.2), (2, 0.5)):
+        rows = slice(block * CSV_BLOCK_ROWS, (block + 1) * CSV_BLOCK_ROWS)
+        mask = gen.random(size=(CSV_BLOCK_ROWS, 2)) < share
+        values[rows][mask] = gen.laplace(size=mask.sum())
+    assert_cells_are_percent_17g(tmp_path / "exp.csv", values.ravel(), 2)
 
 
 @pytest.mark.parametrize("T", [2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
@@ -424,9 +427,14 @@ def test_write_csv_random_bits_and_data_scale_equal_percent_17g(tmp_path):
     gen = np.random.default_rng(20240613)
     bits = gen.integers(-2 ** 63, 2 ** 63, size=120_000, dtype=np.int64)
     bits = bits.view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    # the same signs and significand bits with binary exponents -13..54,
+    # which span fixed notation, [1e-4, 1e16), with a margin on each side
+    mantissa = np.frexp(bits)[0]
+    moved = np.ldexp(mantissa, gen.integers(-13, 55, size=mantissa.size))
     mixed = gen.laplace(size=(30_000, 4)) @ gen.normal(size=(4, 4))
     rounded = np.round(gen.normal(size=20_000) * 1e4) / 100
-    values = np.concatenate([bits[np.isfinite(bits)], mixed.ravel(), rounded])
+    values = np.concatenate([bits, moved, mixed.ravel(), rounded])
     assert_cells_are_percent_17g(tmp_path / "sweep.csv", values, 4)
 
 
