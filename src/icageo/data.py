@@ -224,23 +224,19 @@ def _format_rows(block: np.ndarray) -> str:
     Cells with 1e-4 <= |x| < 1e16 print in fixed notation and are laid out
     by array operations (_fixed_cells).  Every other cell takes
     `"%.17g" % x` itself, in one string operation: zeros, |x| outside that
-    range, and the cells _fixed_cells cannot print with certainty.  A block
-    in which fewer than a third of the cells print in fixed notation is
-    formatted by that string operation alone.
+    range, and the cells _fixed_cells cannot print with certainty.
     """
     rows, n = block.shape
     v = block.ravel()
     x = np.abs(v)
     fixed = (x >= 1e-4) & (x < 1e16)
     n_fixed = np.count_nonzero(fixed)
-    if 3 * n_fixed < v.size:
-        # e.g. data at a 1e-5 scale: below a fixed-notation share of about
-        # 0.3 the one string operation costs less than the array layout
-        row = ",".join(["%.17g"] * n) + "\r\n"
-        return (row * rows) % tuple(v.tolist())
     # cells sorted by decimal exponent, so that each exponent's layout is
-    # plain column slices; exponent notation (key 16) sorts last
-    e = np.floor(np.log10(np.clip(x, 1e-4, 1e15))).astype(np.int8)
+    # plain column slices; exponent notation (key 16) sorts last.  The
+    # estimate itself is kept in [-4, 15]: log10 may be a few ulp off, and
+    # _fixed_cells leaves an estimate one off to the fallback.
+    e = np.clip(np.floor(np.log10(np.clip(x, 1e-4, 1e15))), -4, 15) \
+        .astype(np.int8)
     e[~fixed] = 16
     order = np.argsort(e, kind="stable")
     cells = np.zeros((v.size, _CELL_BYTES), dtype=np.uint8)

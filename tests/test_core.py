@@ -404,7 +404,7 @@ def test_write_csv_edge_cases_equal_percent_17g(tmp_path, N):
 def test_write_csv_blocks_mostly_outside_fixed_notation_equal_percent_17g(
         tmp_path, scale):
     # blocks of exponent-notation cells and zeros with a fixed-notation
-    # share of 0, 0.2 and 0.5: one string operation, or arrays for part
+    # share of 0, 0.2 and 0.5: most cells take the fallback
     gen = np.random.default_rng(17)
     values = gen.laplace(size=(3 * CSV_BLOCK_ROWS, 2)) * scale
     values[::97] = 0.0
@@ -453,6 +453,19 @@ def test_fixed_cells_leave_off_by_one_exponents_to_the_fallback():
     assert _fixed_cells(x, e, np.zeros((x.size, 26), dtype=np.uint8)).all()
 
 
+@pytest.mark.parametrize("error", [-1e-9, 1e-9])
+def test_write_csv_survives_an_inexact_log10(tmp_path, monkeypatch, error):
+    # numpy's log10 is only accurate to a few ulp; an exponent estimate
+    # pushed across a power of ten, or below 1e-4, must still print the
+    # same bytes
+    exact = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: exact(a) + error)
+    edges = powers_of_ten_and_neighbours()
+    values = np.concatenate([edges, -edges, np.random.default_rng(3)
+                             .laplace(size=4000)])
+    assert_cells_are_percent_17g(tmp_path / "log.csv", values, 4)
+
+
 def test_write_csv_memory_stays_below_the_row_formatting_writer(tmp_path):
     # The writer that %-formatted 8192-row blocks peaked at 2,041,553 bytes
     # of traced allocations on this dataset; array blocks must not need more.
@@ -467,7 +480,7 @@ def test_write_csv_memory_stays_below_the_row_formatting_writer(tmp_path):
     assert peak <= 2_041_553
 
 
-NAME =st.text("abcxyz_019 ", min_size=1, max_size=6).filter(str.strip)
+NAME = st.text("abcxyz_019 ", min_size=1, max_size=6).filter(str.strip)
 # renderings float() reads back exactly, and two that round (%.3e can
 # round past the largest float64 to inf)
 EXACT_FORMATS = ["%.17g", "%r", "%.25g"]
