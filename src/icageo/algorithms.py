@@ -107,18 +107,19 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """Demixing estimate with its convergence record.
+    """Demixing estimate, its convergence record and the solver's findings.
 
-    recovered is exactly data times demixing^T.  trajectory holds the
-    per-iteration stationarity norm for the relative-gradient solver, its
-    last entry always the norm at the returned demixing (a run stopped by
-    max_iter appends it), and the per-sweep best rotation gain for the
-    orthogonal one.
-    no_improvement marks runs where no rotation ever improved the
-    non-Gaussianity objective beyond the noise floor (Gaussian-like data).
-    stability_margins (relative gradient only) holds each output channel's
-    kappa_i = E psi_i'(Y_i) E Y_i^2 - E psi_i(Y_i) Y_i; the solution is a
-    stable point of the likelihood when every margin is positive.
+    recovered is exactly data times demixing^T.  trajectory holds one value
+    per iteration of the measure it names: "stationarity_norm" (relative
+    gradient; the last entry is always the norm at the returned demixing,
+    which a run stopped by max_iter appends) or "last_sweep_gain"
+    (orthogonal: the best rotation gain of each sweep).  report holds the
+    findings under their report.json keys: score (None for the orthogonal
+    search) and no_improvement, true when no rotation ever beat the noise
+    floor (Gaussian-like data; always false for the relative gradient).
+    The relative gradient adds stability_margins, the array of each output's
+    kappa_i = E psi_i'(Y_i) E Y_i^2 - E psi_i(Y_i) Y_i, and stable: every
+    margin is positive, so the outputs are a stable point of the likelihood.
     """
 
     demixing: np.ndarray
@@ -126,8 +127,8 @@ class SeparationResult:
     iterations: int
     converged: bool
     trajectory: np.ndarray
-    no_improvement: bool = False
-    stability_margins: np.ndarray | None = None
+    measure: str
+    report: dict
 
 
 def stationarity_matrix(Y: Dataset, scores) -> np.ndarray:
@@ -214,7 +215,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     OUTER_CADENCE iterations the objective proxy is monitored (halving mu
     if it rose beyond estimator noise) and adaptive score tables are
     refreshed.  Stops when the off-diagonal stationarity norm falls below
-    tol.  The result carries the stability margins of the final outputs.
+    tol.  The report carries the stability margins of the final outputs.
     """
     X = data.samples
     n = data.N
@@ -255,9 +256,12 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
         Y = X @ B.T
         F, a, v = _newton_terms(Y, scores)
         trajectory.append(float(np.linalg.norm(F - np.diag(np.diag(F)))))
+    margins = a * v - np.diag(F)
     return SeparationResult(B, Dataset(Y), iterations, converged,
-                            np.asarray(trajectory),
-                            stability_margins=a * v - np.diag(F))
+                            np.asarray(trajectory), "stationarity_norm",
+                            {"score": config.score, "no_improvement": False,
+                             "stability_margins": margins,
+                             "stable": bool((margins > 0.0).all())})
 
 
 def _brent_max(f, x: float, fx: float, lo: float, hi: float,
@@ -403,11 +407,11 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
             converged = True
             break
     B = U @ W
-    recovered = Dataset(X @ B.T)
     return SeparationResult(
-        B, recovered, len(sweep_gains), converged,
-        np.asarray(sweep_gains, dtype=float),
-        no_improvement=bool(best_gain_ever < NO_IMPROVEMENT_FLOOR))
+        B, Dataset(X @ B.T), len(sweep_gains), converged,
+        np.asarray(sweep_gains, dtype=float), "last_sweep_gain",
+        {"score": None,
+         "no_improvement": bool(best_gain_ever < NO_IMPROVEMENT_FLOOR)})
 
 
 def objective_trace(data: Dataset, B_sequence) -> list[float]:

@@ -30,7 +30,7 @@ from .sources import parse_source
 
 def _json_dump(path: Path, obj) -> None:
     with open_text(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -134,7 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_csv(out / "X.csv", X)
     write_csv(out / "S.csv", S)
     _json_dump(out / "model.json", {
-        "mixing": model.mixing.tolist(),
+        "mixing": model.mixing,
         "sources": [s.label() for s in specs],
         "samples": args.samples,
         "seed": args.seed,
@@ -172,50 +172,44 @@ def _load_model(path, specs=None) -> MixingModel:
 
 def cmd_separate(args: argparse.Namespace) -> int:
     data = _read_input(args)
-    orthogonal = args.algorithm == "orthogonal"
     # the settings left unset take SolverConfig's defaults
     settings = {key: getattr(args, key) for key in ("score", "step",
                                                     "max_iter", "tol")
                 if getattr(args, key) is not None}
-    for key in ("score", "step"):
-        if orthogonal and key in settings:
-            raise InvalidConfig(f"--{key}: the orthogonal rotation search "
-                                "uses no score and no step")
+    solve = relative_gradient_ica
+    if args.algorithm == "orthogonal":
+        solve = orthogonal_ica
+        for key in ("score", "step"):
+            if key in settings:
+                raise InvalidConfig(f"--{key}: the orthogonal rotation search "
+                                    "uses no score and no step")
     config = SolverConfig(**settings)
     model = _load_model(args.model) if args.model else None
     if model is not None and model.N != data.N:
         raise DimensionMismatch(f"{args.model} has {model.N} sources but the "
                                 f"input has {data.N} channels")
-    result = (orthogonal_ica if orthogonal
-              else relative_gradient_ica)(data, config)
+    result = solve(data, config)
     out = _outdir(args)
-    _json_dump(out / "B.json", {"demixing": result.demixing.tolist()})
+    _json_dump(out / "B.json", {"demixing": result.demixing})
     write_csv(out / "Y.csv", result.recovered)
     with open_text(out / "trace.csv", "w") as fh:
         fh.write("iteration,value\n")
         for k, v in enumerate(result.trajectory):
             fh.write(f"{k},{v:.17g}\n")
-    # the orthogonal solver uses no score, and its trajectory holds the
-    # best rotation gain of each sweep
-    final = "last_sweep_gain" if orthogonal else "stationarity_norm"
+    final = float(result.trajectory[-1])
     report = {
         "algorithm": args.algorithm,
-        "score": None if orthogonal else config.score,
         "converged": result.converged,
         "iterations": result.iterations,
-        final: float(result.trajectory[-1]),
-        "no_improvement": result.no_improvement,
+        result.measure: final,
         "correlation_C": correlation_C(sample_covariance(result.recovered)),
+        **result.report,
     }
-    if not orthogonal:
-        margins = result.stability_margins
-        report["stability_margins"] = margins.tolist()
-        report["stable"] = bool((margins > 0.0).all())
     if model is not None:
         report["amari_index"] = amari_index(result.demixing @ model.mixing).value
     _json_dump(out / "report.json", report)
-    print(f"converged={report['converged']} iterations={report['iterations']} "
-          f"{final}={report[final]:.3e}"
+    print(f"converged={result.converged} iterations={result.iterations} "
+          f"{result.measure}={final:.3e}"
           + (f" amari_index={report['amari_index']:.4f}"
              if "amari_index" in report else ""))
     return 0
@@ -279,12 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"icageo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="flat key=value config file; "
                        "command-line flags override it")
-        p.add_argument("--seed", type=int,
-                       default=os.environ.get("ICAGEO_SEED", "0"),
-                       help="64-bit seed (default: $ICAGEO_SEED or 0)")
+        if seed:
+            p.add_argument("--seed", type=int,
+                           default=os.environ.get("ICAGEO_SEED", "0"),
+                           help="64-bit seed (default: $ICAGEO_SEED or 0)")
         p.add_argument("--output-dir", default=".",
                        help="directory for output files (default: .)")
 
@@ -325,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", action="store_true",
                    help="subtract channel means first")
 
+    # the suite draws from its own fixed seed
     p = sub.add_parser("verify", help="run the divergence-identity suite")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--spec",
                    help="JSON file with a user 'joint' table or 'density'")
     p.add_argument("--step", type=float,
@@ -352,6 +348,8 @@ def main(argv=None) -> int:
             # therefore win; argparse checks both alike
             args = parser.parse_args([args.command, *_config_flags(args),
                                       *argv[1:]])
+        if "seed" in args:
+            Rng(args.seed)  # the range check, before any command runs
         return _COMMANDS[args.command](args)
     except IcageoError as err:
         print(f"icageo {args.command}: error: {err}", file=sys.stderr)

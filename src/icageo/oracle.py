@@ -74,10 +74,6 @@ class IdentityReport:
     residual: float
     terms: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "residual": self.residual,
-                "terms": {k: float(v) for k, v in self.terms.items()}}
-
 
 def _xlogx_sum(p: np.ndarray, q: np.ndarray) -> float:
     # sum p*ln(p/q) with the 0*ln0 = 0 convention; q must be > 0 where p > 0

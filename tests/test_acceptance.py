@@ -327,9 +327,9 @@ def test_acceptance_9_gaussian_non_identifiability_control():
     # Gaussian vector is an equally valid answer
     report = diagnose(result.recovered, seed=0)
     gsum = sum(g.value for g in report.marginal_negentropies)
-    ok = (result.no_improvement is True and result.converged is True
+    ok = (result.report["no_improvement"] is True and result.converged is True
           and gsum < 0.02)
     _gate(9, "gaussian-only mixtures flag no improvement and show no "
              "non-gaussianity", ok,
-          f"no_improvement={result.no_improvement}, "
+          f"no_improvement={result.report['no_improvement']}, "
           f"converged={result.converged}, sum negentropy {gsum:.4f}")

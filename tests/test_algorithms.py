@@ -122,7 +122,8 @@ def test_relative_gradient_is_deterministic():
         r2 = relative_gradient_ica(X, cfg)
         assert_array_equal(r1.demixing, r2.demixing)
         assert_array_equal(r1.trajectory, r2.trajectory)
-        assert_array_equal(r1.stability_margins, r2.stability_margins)
+        assert_array_equal(r1.report["stability_margins"],
+                           r2.report["stability_margins"])
 
 
 def reference_newton_direction(F, a, v, floor):
@@ -195,7 +196,7 @@ def test_stability_margins_are_computed_on_the_outputs():
             F = stationarity_matrix(result.recovered, [model] * 2)
             expected = (model(Y, slope=True)[1].mean(axis=0)
                         * (Y * Y).mean(axis=0) - np.diag(F))
-            assert_allclose(result.stability_margins, expected,
+            assert_allclose(result.report["stability_margins"], expected,
                             rtol=1e-12, atol=1e-14)
 
 
@@ -221,7 +222,7 @@ def test_stability_margins_flag_mismatched_scores(score, families, base,
     for trial in range(3):
         X = acceptance_mixture(base + trial, families)
         result = relative_gradient_ica(X, SolverConfig(score=score))
-        margins = result.stability_margins
+        margins = result.report["stability_margins"]
         assert result.converged
         assert margins.shape == (len(families),)
         assert bool((margins > 0.0).all()) is stable
@@ -269,7 +270,7 @@ def test_orthogonal_separates_and_decorrelates():
     assert amari_index(result.demixing @ A).value < 0.05
     # whitening plus rotation leaves exactly decorrelated outputs
     assert correlation_C(sample_covariance(result.recovered)) < 1e-10
-    assert not result.no_improvement
+    assert not result.report["no_improvement"]
 
 
 def test_orthogonal_demixing_is_rotation_times_whitener():
@@ -286,7 +287,7 @@ def test_orthogonal_flags_gaussian_data():
     X = Dataset(gen.standard_normal((20000, 2)) @
                 np.array([[1.0, 0.4], [0.0, 0.9]]).T)
     result = orthogonal_ica(X, SolverConfig())
-    assert result.no_improvement
+    assert result.report["no_improvement"]
     assert result.converged  # settled, just with nothing gained
 
 
@@ -364,7 +365,7 @@ def test_orthogonal_equals_reference_with_fewer_searches(monkeypatch,
     assert_array_equal(result.demixing, B)
     assert_array_equal(result.trajectory, trajectory)
     assert result.iterations == iterations
-    assert result.no_improvement == no_improvement
+    assert result.report["no_improvement"] == no_improvement
     assert result.converged
     if len(families) == 4:
         # the final sweep re-searches no pair whose columns are unchanged

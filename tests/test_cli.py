@@ -141,10 +141,12 @@ def test_config_file_errors(tmp_path, capsys):
     (["separate", "{csv}"], "config = other.cfg\n", "config"),
     (["diagnose", "{csv}"], "input = other.csv\n", "input"),
     (["verify"], "max-iter = 5\n", "max-iter"),
+    # the suite draws from its own fixed seed
+    (["verify"], "seed = 1\n", "seed"),
     # argparse would expand the flag --max to --max-iter; a key may not
     (["separate", "{csv}"], "max = 5\n", "max"),
 ], ids=["simulate-typos", "command", "config", "input", "verify-max-iter",
-        "prefix"])
+        "verify-seed", "prefix"])
 def test_config_key_naming_no_option_is_input_error(tmp_path, capsys, command,
                                                     lines, keys):
     csv = tmp_path / "x.csv"
@@ -266,11 +268,17 @@ def test_separate_is_byte_identical_across_runs(tmp_path):
 
 def test_separate_reports_stability_margins(tmp_path):
     sim = simulate_into(tmp_path / "sim", samples=5000)
+    common = {"algorithm", "converged", "correlation_C", "iterations",
+              "no_improvement", "score"}
+    keys = {"relative_gradient": common | {"stability_margins", "stable",
+                                           "stationarity_norm"},
+            "orthogonal": common | {"last_sweep_gain"}}
     for algorithm in ("relative_gradient", "orthogonal"):
         out = tmp_path / algorithm
         assert run(["separate", sim / "X.csv", "--algorithm", algorithm,
                     "--output-dir", out]) == 0
         report = json.loads((out / "report.json").read_text())
+        assert set(report) == keys[algorithm]
         if algorithm == "orthogonal":
             # no score, no likelihood Hessian: no margins to report
             assert "stability_margins" not in report
@@ -523,6 +531,20 @@ def test_verify_step_with_spec_is_input_error(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert f'the spec {spec} sets its own "step"' in err
     assert not out.exists()
+
+
+def test_verify_takes_no_seed(tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--seed", 1, "--output-dir", tmp_path / "flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
+    # nor does the seed variable concern it
+    monkeypatch.setenv("ICAGEO_SEED", "abc")
+    spec = tmp_path / "user.json"
+    spec.write_text(json.dumps({"joint": [[0.4, 0.1], [0.1, 0.4]]}))
+    assert run(["verify", "--spec", spec, "--output-dir", tmp_path / "env"]) == 0
+    capsys.readouterr()
 
 
 def test_verify_malformed_spec_is_input_error(tmp_path, capsys):
@@ -810,6 +832,24 @@ def test_simulate_seed_out_of_range_is_input_error(tmp_path, capsys, seed):
     assert run([*SIMULATE, "--seed", seed, "--output-dir", tmp_path / "o"]) == 2
     assert "unsigned 64-bit" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "env"])
+@pytest.mark.parametrize("seed", [2**64, -1], ids=["max-plus-one", "negative"])
+def test_diagnose_seed_out_of_range_is_input_error(tmp_path, capsys,
+                                                   monkeypatch, seed, where):
+    # repeated values make the kNN mutual information draw its jitter
+    csv = tmp_path / "x.csv"
+    X = np.round(np.random.default_rng(1).laplace(size=(2000, 2)), 2)
+    write_csv(csv, Dataset(X))
+    option = ["--seed", seed]
+    if where == "env":
+        monkeypatch.setenv("ICAGEO_SEED", str(seed))
+        option = []
+    out = tmp_path / "o"
+    assert run(["diagnose", csv, *option, "--output-dir", out]) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- process-level sanity --------------------------------------------------------------

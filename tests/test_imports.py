@@ -1,7 +1,8 @@
 """Static checks over the icageo sources: every module-level import is used,
 only `data.py`, whose opener maps every file failure onto IoError, calls
-the builtin `open`, every public name has a user, and every option the CLI
-reads is one its parser defines."""
+the builtin `open`, every public name has a user, every option the CLI
+reads is one its parser defines, and every option a command defines is
+read."""
 import argparse
 import ast
 import re
@@ -131,3 +132,73 @@ def test_cli_reads_only_options_its_parser_defines():
     assert unknown_option_keys(cli, parser_dests()) == []
     # and the check sees the reads: with no dests, every one is unknown
     assert len(unknown_option_keys(cli, set())) >= 10
+
+
+def option_reads(funcs: dict, func: str, seen=None) -> set[str]:
+    """The options that function `func` and the module functions it passes
+    `args` to read: `args.<name>`, `getattr(args, "<name>")`, and
+    `getattr(args, key)` for each name of a literal tuple `key` runs over."""
+    seen = set() if seen is None else seen
+    seen.add(func)
+    tuples, reads = {}, set()
+    for node in ast.walk(funcs[func]):
+        if (isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            tuples.setdefault(node.target.id, set()).update(
+                e.value for e in node.iter.elts if isinstance(e, ast.Constant))
+    for node in ast.walk(funcs[func]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "args"
+                      for a in node.args)):
+            callee = node.func.id
+            if callee == "getattr":
+                key = node.args[1]
+                reads |= ({key.value} if isinstance(key, ast.Constant)
+                          else tuples.get(getattr(key, "id", None), set()))
+            elif callee in funcs and callee not in seen:
+                reads |= option_reads(funcs, callee, seen)
+    return reads
+
+
+def unread_options(path: Path, parser: argparse.ArgumentParser,
+                   unused_by_main=()) -> list[str]:
+    """`command: dest` for each option of a subcommand of parser that
+    neither the module's `cmd_<command>` nor its `main` reads (see
+    option_reads); main's reads of unused_by_main count for no command."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    shared = option_reads(funcs, "main") - set(unused_by_main)
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return [f"{command}: {a.dest}" for command, p in sub.choices.items()
+            for a in p._actions if a.dest != "help"
+            and a.dest not in shared | option_reads(funcs, f"cmd_{command}")]
+
+
+def test_unread_option_check_flags_an_option_nobody_reads(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def _out(args):\n    return args.out\n\n\n"
+                   "def cmd_run(args):\n"
+                   "    opts = {k: getattr(args, k) for k in ('a', 'b')}\n"
+                   "    return _out(args), args.used, opts\n\n\n"
+                   "def main(args):\n    return args.config, args.seed\n")
+    parser = argparse.ArgumentParser()
+    run = parser.add_subparsers(dest="command").add_parser("run")
+    for flag in ("--config", "--seed", "--out", "--used", "--a", "--b",
+                 "--unused"):
+        run.add_argument(flag)
+    assert unread_options(mod, parser) == ["run: unused"]
+    assert unread_options(mod, parser, ("seed",)) == ["run: seed",
+                                                      "run: unused"]
+
+
+def test_every_option_a_command_defines_is_read():
+    cli = Path(icageo.__file__).parent / "cli.py"
+    # main reads --seed only to check its range before any command runs.
+    # separate's --seed changes no output, but the benchmark workloads
+    # (bench/workloads.py) pass it, so it stays until they stop
+    assert unread_options(cli, build_parser(), ("seed",)) == ["separate: seed"]

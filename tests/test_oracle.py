@@ -16,6 +16,7 @@ from icageo import (DimensionMismatch, DiscreteJoint, GridSpec, IdentityReport,
                     load_verify_spec, product_density, quad_kld_2d,
                     random_discrete_joint, rotated_product_density,
                     verify_four_point_identity, verify_product_pythagoras)
+from icageo.oracle import _report_check
 
 # hand-computed sum p ln(p/(px py)) for the 2x2 table below
 TABLE = [[0.30, 0.10], [0.05, 0.55]]
@@ -290,10 +291,12 @@ def test_four_point_terms_converge_to_continuum():
 
 
 def test_identity_report_json_shape():
+    # an identity report as `verify` writes it into identities.json
     rep = verify_four_point_identity(
         gaussian_density([[1.0, 0.2], [0.2, 1.0]]), COARSE)
-    doc = rep.to_json()
-    assert set(doc) == {"lhs", "rhs", "residual", "terms"}
+    doc = _report_check("four_point", rep, 1e-3)
+    assert set(doc) == {"name", "lhs", "rhs", "residual", "threshold",
+                        "passed", "terms"}
     assert isinstance(doc["terms"]["correlation"], float)
     json.dumps(doc)  # serializable as-is
 
