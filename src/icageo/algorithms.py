@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import (Diverged, InvalidConfig, SingularCovariance,
-                     TooFewSamples)
+from .errors import (DegenerateSample, Diverged, InvalidConfig,
+                     SingularCovariance, TooFewSamples)
 from .estimators import SCORE_TABLE_MIN_SAMPLES, _negentropy_raw, score_table
 from .gaussian import Covariance, correlation_C, sample_covariance, whitener
 
@@ -43,6 +43,8 @@ COARSE_ANGLES = (-0.25 * math.pi
                  + 0.5 * math.pi * (np.arange(1, 17) / 16.0)).tolist()
 # half-width of the bracket refined around the best coarse angle
 COARSE_SPAN = 0.5 * math.pi / 16.0
+# the coarse scan reads every ceil(T / COARSE_ROWS)-th row of a longer pair
+COARSE_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -321,15 +323,10 @@ def _brent_max(f, x: float, fx: float, lo: float, hi: float,
                 v, fv = u, fu
 
 
-def _search_pair(yi: np.ndarray, yj: np.ndarray) -> tuple[float, float]:
-    """Givens angle and gain of the best rotation of one output pair.
-
-    The gain of rotating (yi, yj) by theta is the rise of the pair's summed
-    negentropy.  It is scanned at the 15 nonzero COARSE_ANGLES (at theta =
-    0 it is exactly 0) and refined by _brent_max on the best coarse angle
-    +- COARSE_SPAN to ANGLE_TOL, starting from that angle and its gain.
-    Every variance is taken from the pair's centred 2 x 2 second moments:
-    var(c yi - s yj) = c^2 S_ii + s^2 S_jj - 2 c s S_ij.
+def _pair_gain(yi: np.ndarray, yj: np.ndarray):
+    """The gain of rotating (yi, yj) by theta: the rise of the pair's summed
+    negentropy.  Every variance is taken from the pair's centred 2 x 2
+    second moments: var(c yi - s yj) = c^2 S_ii + s^2 S_jj - 2 c s S_ij.
     """
     pair = np.column_stack((yi, yj))
     pair -= pair.mean(axis=0)
@@ -345,10 +342,40 @@ def _search_pair(yi: np.ndarray, yj: np.ndarray) -> tuple[float, float]:
                                   var=s * s * sii + c * c * sjj + cross)
                 - base)
 
+    return gain
+
+
+def _coarse_peak(gain) -> tuple[float, float]:
+    # the best of the COARSE_ANGLES and its gain, exactly 0 at theta = 0
     values = [gain(t) if t else 0.0 for t in COARSE_ANGLES]
     k = int(np.argmax(values))
-    peak = COARSE_ANGLES[k]
-    return _brent_max(gain, peak, values[k], peak - COARSE_SPAN,
+    return COARSE_ANGLES[k], values[k]
+
+
+def _search_pair(yi: np.ndarray, yj: np.ndarray) -> tuple[float, float]:
+    """Givens angle and gain of the best rotation of one output pair.
+
+    The gain (_pair_gain) is scanned at the 15 nonzero COARSE_ANGLES and
+    refined by _brent_max on the best coarse angle +- COARSE_SPAN to
+    ANGLE_TOL, starting from that angle and its gain.  A pair longer than
+    COARSE_ROWS is scanned on every stride-th row, stride = ceil(T /
+    COARSE_ROWS), and Brent starts from the full pair's gain at the
+    subsample's peak, so the returned gain is always a full-data value; a
+    subsample with a zero variance is not scanned, the full pair is.
+    """
+    stride = -(-yi.size // COARSE_ROWS)
+    if stride > 1:
+        try:
+            peak = _coarse_peak(_pair_gain(yi[::stride], yj[::stride]))[0]
+        except DegenerateSample:
+            # every stride-th row can be constant where the pair is not
+            stride = 1
+    gain = _pair_gain(yi, yj)
+    if stride == 1:
+        peak, value = _coarse_peak(gain)
+    else:
+        value = gain(peak) if peak else 0.0
+    return _brent_max(gain, peak, value, peak - COARSE_SPAN,
                       peak + COARSE_SPAN, ANGLE_TOL)
 
 
@@ -357,14 +384,14 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
 
     Jacobi sweeps over channel pairs in lexicographic order; each pair's
     Givens angle is located by _search_pair: a scan of 15 coarse angles
-    over (-pi/4, pi/4], then Brent's method to ANGLE_TOL around the best
-    one.  A rotation is kept when it improves the
-    pair's negentropy sum by more than config.tol; sweeping stops when no
-    pair improves by that much, or after config.max_iter sweeps (never
-    more than MAX_SWEEPS).  A rejected pair is not searched again
-    until one of its columns has been rotated.  The returned demixing is
-    the rotation times the whitener, so the recovered channels are exactly
-    decorrelated.
+    over (-pi/4, pi/4] on every ceil(T / COARSE_ROWS)-th row, then Brent's
+    method on the full pair to ANGLE_TOL around the best one.  A rotation
+    is kept when it improves the pair's negentropy sum by more than
+    config.tol; sweeping stops when no pair improves by that much, or
+    after config.max_iter sweeps (never more than MAX_SWEEPS).  A rejected
+    pair is not searched again until one of its columns has been rotated.
+    The returned demixing is the rotation times the whitener, so the
+    recovered channels are exactly decorrelated.
     """
     X = data.samples
     n = data.N
@@ -390,7 +417,8 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
                 yi = Y[:, i].copy()
                 yj = Y[:, j].copy()
                 theta, improvement = _search_pair(yi, yj)
-                # the search never returns less than its best coarse gain
+                # a full-data gain, never less than the full pair's gain
+                # at the coarse peak (0 when that peak is theta = 0)
                 best_gain_ever = max(best_gain_ever, improvement)
                 if improvement > config.tol:
                     sweep_best = max(sweep_best, improvement)

@@ -14,8 +14,8 @@ from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
                     orthogonal_ica, parse_source, random_mixing, relative_gradient_ica,
                     sample_covariance, simulate, stationarity_matrix)
 from icageo import algorithms
-from icageo.algorithms import (ANGLE_TOL, COARSE_ANGLES, COARSE_SPAN,
-                               NO_IMPROVEMENT_FLOOR, SCORE_NAMES)
+from icageo.algorithms import (ANGLE_TOL, COARSE_ANGLES, COARSE_ROWS,
+                               COARSE_SPAN, NO_IMPROVEMENT_FLOOR, SCORE_NAMES)
 from icageo.gaussian import whitener
 
 
@@ -415,9 +415,36 @@ def golden_pair_search(yi, yj):
                           COARSE_ANGLES[k] + COARSE_SPAN, ANGLE_TOL)
 
 
+def full_pair_search(yi, yj):
+    """The pair search before the subsampled coarse scan, which every pair
+    of at most COARSE_ROWS rows still takes: moment variances, the 15
+    nonzero coarse angles on the full pair, then Brent's method; returns
+    (angle, gain)."""
+    negentropy = algorithms._negentropy_raw
+    pair = np.column_stack((yi, yj))
+    pair -= pair.mean(axis=0)
+    (sii, sij), (_, sjj) = (pair.T @ pair / pair.shape[0]).tolist()
+    base = negentropy(yi, var=sii) + negentropy(yj, var=sjj)
+
+    def gain(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        cross = 2.0 * c * s * sij
+        return (negentropy(c * yi - s * yj,
+                           var=c * c * sii + s * s * sjj - cross)
+                + negentropy(s * yi + c * yj,
+                             var=s * s * sii + c * c * sjj + cross)
+                - base)
+
+    values = [gain(t) if t else 0.0 for t in COARSE_ANGLES]
+    k = int(np.argmax(values))
+    peak = COARSE_ANGLES[k]
+    return algorithms._brent_max(gain, peak, values[k], peak - COARSE_SPAN,
+                                 peak + COARSE_SPAN, ANGLE_TOL)
+
+
 def recorded_pair_searches(X, monkeypatch):
     """Every (yi, yj, angle, gain) the orthogonal solver searched on X, and
-    the number of _negentropy_raw calls it made."""
+    the size of every vector it passed to _negentropy_raw."""
     search, negentropy = algorithms._search_pair, algorithms._negentropy_raw
     searches, calls = [], []
 
@@ -434,7 +461,7 @@ def recorded_pair_searches(X, monkeypatch):
     monkeypatch.setattr(algorithms, "_negentropy_raw", counted)
     orthogonal_ica(X, SolverConfig())
     monkeypatch.undo()
-    return searches, len(calls)
+    return searches, calls
 
 
 SHAPES = {
@@ -483,21 +510,36 @@ def test_pair_search_gains_at_least_the_golden_section(families, seed):
 
 def test_pair_search_variances_are_the_columns_variances(monkeypatch):
     # the solver passes white pairs, where any mix of S_ii, S_jj and S_ij
-    # reads close to 1; an unequal, correlated pair tells them apart
-    gen = np.random.default_rng(5)
-    yi = 3.0 * gen.laplace(size=4000) + 1.0
-    yj = 0.5 * gen.uniform(-1.0, 1.0, 4000) - 0.8 * yi
-    negentropy = algorithms._negentropy_raw
-    passed = []
+    # reads close to 1; an unequal, correlated pair tells them apart.  Past
+    # COARSE_ROWS the coarse scan reads every stride-th row (4097 of 8193,
+    # 6667 of 2e4), with the subsample's own moments
+    coarse = 2 + 2 * 15
+    for T, stride in ((4000, 1), (COARSE_ROWS + 1, 2), (20000, 3)):
+        gen = np.random.default_rng(5)
+        yi = 3.0 * gen.laplace(size=T) + 1.0
+        yj = 0.5 * gen.uniform(-1.0, 1.0, T) - 0.8 * yi
+        negentropy = algorithms._negentropy_raw
+        sizes = []
 
-    def checked(v, var=None):
-        passed.append(var)
-        assert var == pytest.approx(np.var(v), rel=1e-12)
-        return negentropy(v, var=var)
+        def checked(v, var=None):
+            sizes.append(v.size)
+            assert var == pytest.approx(np.var(v), rel=1e-12)
+            return negentropy(v, var=var)
 
-    monkeypatch.setattr(algorithms, "_negentropy_raw", checked)
-    algorithms._search_pair(yi, yj)
-    assert len(passed) > 2 + 2 * 15
+        monkeypatch.setattr(algorithms, "_negentropy_raw", checked)
+        theta, gain = algorithms._search_pair(yi, yj)
+        monkeypatch.undo()
+        assert len(sizes) > coarse + 2
+        assert sizes[:coarse] == [-(-T // stride)] * coarse
+        assert sizes[coarse:] == [T] * (len(sizes) - coarse)
+        # the returned gain is the full pair's, and Brent starts from the
+        # full pair's gain at the subsample's coarse peak
+        full = algorithms._pair_gain(yi, yj)
+        assert gain == full(theta)
+        values = [algorithms._pair_gain(yi[::stride], yj[::stride])(t)
+                  if t else 0.0 for t in COARSE_ANGLES]
+        peak = COARSE_ANGLES[int(np.argmax(values))]
+        assert gain >= (full(peak) if peak else 0.0)
 
 
 @pytest.mark.parametrize("families", FOUR_CHANNEL_FAMILIES)
@@ -506,7 +548,58 @@ def test_pair_search_negentropy_budget(monkeypatch, families):
     # for 16 coarse angles, 36 for 18 golden steps
     searches, calls = recorded_pair_searches(mixed(families, 5000, 4),
                                              monkeypatch)
-    assert calls <= 56 * len(searches)
+    assert len(calls) <= 56 * len(searches)
+
+
+# samples sorted per pair search on workload_mixture(4) before the coarse
+# scan was subsampled: 54,000,000 over 21 searches in 4 sweeps
+FULL_SCAN_SORTED_PER_SEARCH = 54_000_000 / 21
+
+
+def workload_mixture(seed):
+    # the benchmark's orthogonal workload: laplace, laplace, uniform,
+    # uniform through its fixed mixing matrix (bench/workloads.py MIXING_4)
+    A = np.array([
+        [1.0991540090327434, -0.3499614256195433, 1.5051000313415315,
+         0.32451079023799345],
+        [-0.4650817747469242, 0.875117771521695, 0.4069976962521078,
+         -0.23081317457406178],
+        [-0.17615413091485047, 0.16662492311128052, 1.054811998564043,
+         0.46279586975504716],
+        [0.5965857859214981, 0.6541650047308593, 0.4744940126452421,
+         0.4448438499314925],
+    ])
+    specs = tuple(parse_source(f)
+                  for f in ("laplace", "laplace", "uniform", "uniform"))
+    return simulate(MixingModel(A, specs), 50000, Rng(seed))[0]
+
+
+def test_pair_search_sort_budget_at_workload_size(monkeypatch):
+    searches, calls = recorded_pair_searches(workload_mixture(4),
+                                             monkeypatch)
+    assert sum(calls) <= 0.7 * FULL_SCAN_SORTED_PER_SEARCH * len(searches)
+
+
+@pytest.mark.parametrize("families", [("laplace", "uniform"),
+                                      *FOUR_CHANNEL_FAMILIES])
+def test_pair_search_up_to_coarse_rows_is_the_full_pair_search(
+        monkeypatch, families):
+    for T in (5000, COARSE_ROWS):
+        searches, _ = recorded_pair_searches(mixed(families, T, 6),
+                                             monkeypatch)
+        for yi, yj, theta, gain in searches:
+            assert (theta, gain) == full_pair_search(yi, yj)
+
+
+def test_orthogonal_separates_when_the_subsample_is_constant():
+    # every third row is zero, so the stride-3 coarse subsample of each
+    # white pair is constant: the coarse scan falls back to the full pair
+    X, A = mixed_pair(11)
+    samples = X.samples.copy()
+    samples[::3] = 0.0
+    result = orthogonal_ica(Dataset(samples), SolverConfig())
+    assert result.converged
+    assert amari_index(result.demixing @ A).value < 0.05
 
 
 def test_objective_trace_is_deterministic_and_ordered():
