@@ -30,8 +30,7 @@ from .oracle import (AnalyticDensity2D, DiscreteJoint, GridSpec,
                      load_verify_spec, product_density, quad_kld_2d,
                      random_discrete_joint, rotated_product_density,
                      verify_four_point_identity, verify_product_pythagoras)
-from .algorithms import (ScoreModel, SolverConfig, make_score,
-                         objective_trace, orthogonal_ica,
+from .algorithms import (SolverConfig, make_score, orthogonal_ica,
                          relative_gradient_ica, stationarity_matrix)
 from .evaluation import DecompositionReport, amari_index, diagnose
 
@@ -58,8 +57,7 @@ __all__ = [
     "rotated_product_density", "linear_image", "quad_kld_2d",
     "verify_four_point_identity", "gaussianity_invariance_check",
     "builtin_suite", "load_verify_spec",
-    "ScoreModel", "SolverConfig", "make_score",
+    "SolverConfig", "make_score",
     "stationarity_matrix", "relative_gradient_ica", "orthogonal_ica",
-    "objective_trace",
     "amari_index", "DecompositionReport", "diagnose",
 ]

@@ -10,6 +10,7 @@ summed marginal non-Gaussianity pair by pair, which enforces exact output
 decorrelation by construction.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,6 @@ from .errors import (DegenerateSample, Diverged, InvalidConfig,
                      SingularCovariance, TooFewSamples)
 from .estimators import SCORE_TABLE_MIN_SAMPLES, _negentropy_raw, score_table
 from .gaussian import Covariance, correlation_C, sample_covariance, whitener
-
-SCORE_NAMES = ("tanh", "cube", "identity", "adaptive")
 
 # entry magnitude beyond which the demixing iteration counts as diverged
 DIVERGENCE_BOUND = 1e12
@@ -47,37 +46,34 @@ COARSE_SPAN = 0.5 * math.pi / 16.0
 COARSE_ROWS = 1 << 13
 
 
-@dataclass(frozen=True)
-class ScoreModel:
-    """A score function psi = -q'/q for a working source density q, with
-    its derivative dpsi(s, psi), which may reuse psi, for the Newton step."""
-
-    name: str
-    psi: object
-    dpsi: object
-
-    def __call__(self, s: np.ndarray, slope: bool = False):
-        """psi at s; with slope=True, (psi, dpsi) from one call."""
-        psi = self.psi(s)
-        return (psi, self.dpsi(s, psi)) if slope else psi
+# Fixed scores psi = -q'/q of working densities q: tanh the 1/cosh
+# (log-cosh) model, cube exp(-s^4/4), identity the Gaussian negative control.
+# Each returns psi at s, or with slope=True (psi, psi') from one call.
+def _tanh(s: np.ndarray, slope: bool = False):
+    psi = np.tanh(s)
+    return (psi, 1.0 - psi ** 2) if slope else psi
 
 
-def make_score(name: str) -> ScoreModel:
-    # working densities: tanh the 1/cosh (log-cosh) model, cube exp(-s^4/4),
-    # identity the Gaussian negative control; adaptive scores are kernel
-    # tables refreshed from the outputs
-    if name == "tanh":
-        return ScoreModel("tanh", np.tanh, lambda s, psi: 1.0 - psi ** 2)
-    if name == "cube":
-        return ScoreModel("cube", lambda s: s * s * s,
-                          lambda s, psi: 3.0 * s * s)
-    if name == "identity":
-        return ScoreModel("identity", lambda s: s,
-                          lambda s, psi: np.ones_like(s))
-    if name == "adaptive":
-        return ScoreModel("adaptive", None, None)
-    raise InvalidConfig(f"unknown score {name!r}; choose from "
-                        f"{', '.join(SCORE_NAMES)}")
+def _cube(s: np.ndarray, slope: bool = False):
+    psi = s * s * s
+    return (psi, 3.0 * s * s) if slope else psi
+
+
+def _identity(s: np.ndarray, slope: bool = False):
+    return (s, np.ones_like(s)) if slope else s
+
+
+FIXED_SCORES = {"tanh": _tanh, "cube": _cube, "identity": _identity}
+# adaptive scores are kernel tables refit from the outputs by the solver
+SCORE_NAMES = (*FIXED_SCORES, "adaptive")
+
+
+def make_score(name: str):
+    """The fixed score of that name, f(s, slope=False)."""
+    if name not in FIXED_SCORES:
+        raise InvalidConfig(f"{name!r} is not a fixed score; choose from "
+                            f"{', '.join(FIXED_SCORES)}")
+    return FIXED_SCORES[name]
 
 
 @dataclass(frozen=True)
@@ -87,24 +83,18 @@ class SolverConfig:
     step: float = 1.0
     max_iter: int = 2000
     tol: float = 1e-4
-    score: object = "adaptive"
+    score: str = "adaptive"
 
     def __post_init__(self):
-        if not (0.0 < self.step <= 1.0):
+        if not (isinstance(self.step, numbers.Real) and 0.0 < self.step <= 1.0):
             raise InvalidConfig("step must lie in (0, 1]")
-        if not (self.tol > 0.0):
+        if not (isinstance(self.tol, numbers.Real) and self.tol > 0.0):
             raise InvalidConfig("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidConfig("max_iter must be at least 1")
-
-    def score_models(self, n: int) -> list[ScoreModel]:
-        sc = self.score
-        if isinstance(sc, str):
-            return [make_score(sc)] * n
-        models = [make_score(s) if isinstance(s, str) else s for s in sc]
-        if len(models) != n:
-            raise InvalidConfig(f"need one score per channel ({n})")
-        return models
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise InvalidConfig("max_iter must be an integer of at least 1")
+        if self.score not in SCORE_NAMES:
+            raise InvalidConfig(f"unknown score {self.score!r}; choose from "
+                                f"{', '.join(SCORE_NAMES)}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +106,11 @@ class SeparationResult:
     gradient; the last entry is always the norm at the returned demixing,
     which a run stopped by max_iter appends) or "last_sweep_gain"
     (orthogonal: the best rotation gain of each sweep).  report holds the
-    findings under their report.json keys: score (None for the orthogonal
-    search) and no_improvement, true when no rotation ever beat the noise
-    floor (Gaussian-like data; always false for the relative gradient).
+    findings under their report.json keys: score (the SolverConfig.score
+    name; each output's psi_i is that fixed score or, for "adaptive", a
+    ScoreTable; None for the orthogonal search) and no_improvement, true
+    when no rotation ever beat the noise floor (Gaussian-like data; always
+    false for the relative gradient).
     The relative gradient adds stability_margins, the array of each output's
     kappa_i = E psi_i'(Y_i) E Y_i^2 - E psi_i(Y_i) Y_i, and stable: every
     margin is positive, so the outputs are a stable point of the likelihood.
@@ -134,25 +126,23 @@ class SeparationResult:
 
 
 def stationarity_matrix(Y: Dataset, scores) -> np.ndarray:
-    """F with F_ij = (1/T) sum_t psi_i(Y_ti) Y_tj.
+    """F with F_ij = (1/T) sum_t psi_i(Y_ti) Y_tj, where scores holds one
+    fixed score or ScoreTable per channel.
 
     At a maximum-likelihood separation point the off-diagonal part
     vanishes; its Frobenius norm is the solver's convergence measure.
     The solver's own _newton_terms computes it: an overflow is Diverged.
     """
-    models = list(scores)
-    if len(models) != Y.N:
+    scores = list(scores)
+    if len(scores) != Y.N:
         raise InvalidConfig(f"need one score per channel ({Y.N})")
-    if any(isinstance(m, ScoreModel) and m.psi is None for m in models):
-        raise InvalidConfig("adaptive scores need fitted tables; "
-                            "pass a ScoreTable or fixed score here")
-    return _newton_terms(Y.samples, models)[0]
+    return _newton_terms(Y.samples, scores)[0]
 
 
 def _newton_terms(Y: np.ndarray, scores):
     """F, a_i = E psi_i'(Y_i) and v_i = E Y_i^2 of the outputs Y.
 
-    Each score is a ScoreModel or a ScoreTable; one call gives a channel's
+    Each score is a fixed score or a ScoreTable; one call gives a channel's
     psi and psi', so a table locates every sample on its grid once.
     """
     T, n = Y.shape
@@ -223,14 +213,13 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     n = data.N
     if data.T <= 10 * n:
         raise TooFewSamples("need T > 10 N for separation")
-    models = config.score_models(n)
-    adaptive = np.flatnonzero([m.name == "adaptive" for m in models])
-    if adaptive.size and data.T < SCORE_TABLE_MIN_SAMPLES:
+    adaptive = config.score == "adaptive"
+    if adaptive and data.T < SCORE_TABLE_MIN_SAMPLES:
         raise TooFewSamples(f"the adaptive score needs T >= "
                             f"{SCORE_TABLE_MIN_SAMPLES} samples, got {data.T}")
     B = whitener(sample_covariance(data)).matrix.copy()
     mu = config.step
-    scores = list(models)
+    scores = None if adaptive else [make_score(config.score)] * n
     trajectory = []
     converged = False
     prev_obj = None
@@ -238,8 +227,8 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     for it in range(config.max_iter):
         Y = X @ B.T
         if it % OUTER_CADENCE == 0:
-            for i in adaptive:
-                scores[i] = score_table(Y[:, i])
+            if adaptive:
+                scores = [score_table(Y[:, i]) for i in range(n)]
             obj = _objective_value(Y)
             if prev_obj is not None and obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
                 mu *= 0.5
@@ -440,10 +429,3 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
         np.asarray(sweep_gains, dtype=float), "last_sweep_gain",
         {"score": None,
          "no_improvement": bool(best_gain_ever < NO_IMPROVEMENT_FLOOR)})
-
-
-def objective_trace(data: Dataset, B_sequence) -> list[float]:
-    """The objective proxy of the outputs of each demixing matrix in a
-    trajectory."""
-    return [_objective_value(data.samples @ np.asarray(B, dtype=float).T)
-            for B in B_sequence]

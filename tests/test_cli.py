@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface (in-process)."""
+import argparse
 import json
 import math
 import subprocess
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from icageo import (Dataset, NonFinite, make_score, read_csv,
                     stationarity_matrix, write_csv)
-from icageo.cli import main
+from icageo.algorithms import SCORE_NAMES
+from icageo.cli import build_parser, main
 
 TABLE_MI = 0.19274475702175753  # exact MI of [[0.4,0.1],[0.1,0.4]]
 
@@ -366,6 +368,15 @@ def test_separate_rejects_identity_score_on_cli(capsys):
         run(["separate", "x.csv", "--score", "identity"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_separate_score_choices_are_the_library_scores():
+    # identity, the Gaussian negative control, is library-only
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    (score,) = [a for a in sub.choices["separate"]._actions
+                if a.dest == "score"]
+    assert set(score.choices) == set(SCORE_NAMES) - {"identity"}
 
 
 def test_separate_input_errors(tmp_path, capsys):
