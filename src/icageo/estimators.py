@@ -9,6 +9,7 @@ smoothing-bias correction.  All are deterministic functions of their inputs.
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,9 @@ SCORE_TABLE_MIN_SAMPLES = 1000
 MI_MIN_SAMPLES = 1000
 # fine binning grid points per score-table node interval
 FINE_BINS_PER_NODE = 16
+# digamma of an integer array looks its values up in a table indexed by
+# value when the largest is at most this multiple of the array's length
+DIGAMMA_TABLE_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -84,13 +88,37 @@ _PSI_SERIES = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
                1 / 12)
 
 
+def _digamma_values(values: np.ndarray) -> np.ndarray:
+    # digamma(v) for each v of a 1-D integer array, by the scalar path's
+    # float operations in the same order, so every bit is the same
+    x = values.astype(float)
+    z = 1.0 / (x * x)
+    series = np.zeros_like(x)
+    for a in _PSI_SERIES:
+        series = series * z + a
+    out = np.fromiter(map(math.log, x), float, x.size) - 0.5 / x - z * series
+    small = values <= 10
+    out[small] = np.take(_PSI_SMALL, values[small] - 1)
+    return out
+
+
 def digamma(n):
     """The digamma function at a positive integer n, or elementwise at an
     integer array: the harmonic sum for n <= 10 and the asymptotic series
-    above, as Cephes evaluates them (scipy.special.digamma's values)."""
+    above, as Cephes evaluates them (scipy.special.digamma's values).  An
+    array evaluates each distinct value once."""
     if np.ndim(n):
-        values, inverse = np.unique(n, return_inverse=True)
-        return np.array([digamma(int(v)) for v in values])[inverse]
+        n = np.asarray(n)
+        top = int(n.max(initial=0))
+        if top > DIGAMMA_TABLE_FACTOR * n.size:
+            values, inverse = np.unique(n, return_inverse=True)
+            return _digamma_values(values)[inverse]
+        # a table indexed by value, filled at the values present
+        table = np.zeros(top + 1)
+        table[n] = 1.0
+        values = np.flatnonzero(table)
+        table[values] = _digamma_values(values)
+        return table[n]
     if n <= 10:
         return _PSI_SMALL[n - 1]
     x = float(n)
@@ -199,12 +227,24 @@ def negentropy_scalar(x, m: int | None = None) -> NegentropyEstimate:
 
 
 def _marginal_digamma_counts(column: np.ndarray, eps: np.ndarray) -> float:
-    # strict |xi - xj| < eps_i counts, excluding the point itself
-    xs = np.sort(column)
-    hi = np.searchsorted(xs, column + eps, side="left")
-    lo = np.searchsorted(xs, column - eps, side="right")
-    counts = np.maximum(hi - lo - 1, 1)
+    # strict |xi - xj| < eps_i counts, excluding the point itself; the
+    # queries run in sorted order, and the counts go back to sample order
+    # before the mean, so the sum sees them in the same order
+    order = np.argsort(column)
+    xs = column[order]
+    e = eps[order]
+    hi = np.searchsorted(xs, xs + e, side="left")
+    lo = np.searchsorted(xs, xs - e, side="right")
+    counts = np.empty_like(hi)
+    counts[order] = np.maximum(hi - lo - 1, 1)
     return float(np.mean(digamma(counts + 1)))
+
+
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, which can be fewer than the machine's
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _knn_mi(Y: np.ndarray, k: int) -> tuple[float, float]:
@@ -213,8 +253,9 @@ def _knn_mi(Y: np.ndarray, k: int) -> tuple[float, float]:
     from scipy.spatial import cKDTree
 
     T, N = Y.shape
-    dist, _ = cKDTree(Y).query(Y, k=k + 1, p=np.inf)
-    eps = dist[:, -1]
+    # the distance to the k-th neighbour other than the point itself
+    dist, _ = cKDTree(Y).query(Y, k=[k + 1], p=np.inf, workers=_usable_cpus())
+    eps = dist[:, 0]
     total = 0.0
     for j in range(N):
         total += _marginal_digamma_counts(Y[:, j], eps)

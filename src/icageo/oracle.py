@@ -2,11 +2,14 @@
 
 Two worlds live here.  Discrete bivariate distributions give the product
 Pythagoras and mutual-information identities exactly, to round-off.
-Analytic 2-D densities are handled by midpoint quadrature on grids that
-respect each density's natural frame: bounded supports get cell edges
-aligned to the support boundary, and densities defined through a linear
-frame (rotations, shears, Gaussian Cholesky factors) are integrated in
-pulled-back base coordinates so the change of variables is exact.
+Analytic 2-D densities are base densities under a linear frame (a
+rotation, a shear, a Gaussian's Cholesky factor), handled by midpoint
+quadrature on grids that respect that frame: bounded supports get cell
+edges aligned to the support boundary, and a density is integrated in
+pulled-back base coordinates so the change of variables is exact.  Every
+grid is walked in row blocks, and a density is evaluated at the grid's
+base coordinates; when the map from grid to base coordinates is
+axis-aligned, a product density is the outer product of two 1-D pdfs.
 
 The four projection targets of the joint identity (product of marginals,
 Gaussian fit, independent Gaussian fit) are all built from the same grid
@@ -132,16 +135,19 @@ def random_discrete_joint(k1: int, k2: int,
 
 @dataclass(frozen=True)
 class AnalyticDensity2D:
-    """Closed-form 2-D density with a linear frame.
+    """Closed-form 2-D density: a base density under a linear frame.
 
-    pdf evaluates the density in observation coordinates y.  frame is a
-    2x2 matrix L mapping base coordinates s to y = L s such that the
-    density's support is an axis-aligned box (possibly unbounded) in s;
-    quadrature runs over s, where the geometry is simple.  base_support
-    gives the exact support interval per base axis, or None if unbounded.
+    base(s1, s2) is the density of the base coordinates s, evaluated
+    elementwise on broadcastable arrays.  frame is a 2x2 matrix F, and the
+    density is that of y = F s.  base_support gives the exact support
+    interval per base axis, or None if unbounded, so the support is an
+    axis-aligned box (possibly unbounded) in s.  Quadrature evaluates base
+    at each grid's base coordinates: when the map from grid to base
+    coordinates is axis-aligned, base receives a column and a row, and a
+    product base is the outer product of two 1-D pdf vectors.
     """
 
-    pdf: object
+    base: object
     frame: np.ndarray
     base_support: tuple
 
@@ -153,6 +159,12 @@ class AnalyticDensity2D:
             raise SingularTransform("density frame is singular")
         L.flags.writeable = False
         object.__setattr__(self, "frame", L)
+
+    def pdf(self, points) -> np.ndarray:
+        """The density at observation points y, shape (..., 2): base at
+        s = F⁻¹ y over |det F|."""
+        s = np.asarray(points, dtype=float) @ np.linalg.inv(self.frame).T
+        return self.base(s[..., 0], s[..., 1]) / abs(np.linalg.det(self.frame))
 
     def y_axis_support(self, axis: int):
         """Support interval along an observation axis, when it is exact.
@@ -172,18 +184,27 @@ class AnalyticDensity2D:
         return (min(lo, hi), max(lo, hi))
 
 
+def _standard_normal_pair(s1, s2):
+    return np.exp(-0.5 * (s1 * s1 + s2 * s2)) * (0.5 / math.pi)
+
+
 def gaussian_density(cov) -> AnalyticDensity2D:
-    """Zero-mean bivariate Gaussian; base coordinates are standard normal."""
+    """Zero-mean bivariate Gaussian: the standard normal pair under the
+    Cholesky factor of cov."""
     cov = np.array(cov, dtype=float)
     if cov.shape != (2, 2):
         raise DimensionMismatch("need a 2x2 covariance")
-    cov = 0.5 * (cov + cov.T)
-
-    def pdf(points):
-        pts = np.asarray(points, dtype=float)
-        return np.exp(_log_gauss_2d(pts[..., 0], pts[..., 1], cov))
-
-    return AnalyticDensity2D(pdf, np.linalg.cholesky(cov), (None, None))
+    c00, c11 = cov[0, 0], cov[1, 1]
+    c10 = 0.5 * (cov[0, 1] + cov[1, 0])
+    # the lower-triangular L with cov = L Lᵀ; l11² is NaN, not positive,
+    # when c00 is not positive or an entry is NaN
+    l00 = math.sqrt(c00) if c00 > 0 else math.nan
+    l10 = c10 / l00
+    l11_sq = c11 - l10 * l10
+    if not l11_sq > 0:
+        raise InvalidDistribution("covariance is not positive definite")
+    chol = [[l00, 0.0], [l10, math.sqrt(l11_sq)]]
+    return AnalyticDensity2D(_standard_normal_pair, chol, (None, None))
 
 
 def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
@@ -198,21 +219,20 @@ def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
     if np.abs(w @ mu).max() > 1e-12:
         raise InvalidDistribution("mixture must have overall mean zero")
 
-    def pdf(points):
-        pts = np.asarray(points, dtype=float)
+    def base(s1, s2):
+        pts = np.stack(np.broadcast_arrays(s1, s2), axis=-1)
         return sum(wi * g.pdf(pts - mi) for wi, mi, g in zip(w, mu, parts))
 
-    return AnalyticDensity2D(pdf, np.eye(2), (None, None))
+    return AnalyticDensity2D(base, np.eye(2), (None, None))
 
 
 def product_density(s1: SourceSpec, s2: SourceSpec) -> AnalyticDensity2D:
     """Independent pair of unit-variance scalar sources."""
 
-    def pdf(points):
-        pts = np.asarray(points, dtype=float)
-        return s1.pdf(pts[..., 0]) * s2.pdf(pts[..., 1])
+    def base(x1, x2):
+        return s1.pdf(x1) * s2.pdf(x2)
 
-    return AnalyticDensity2D(pdf, np.eye(2), (s1.support(), s2.support()))
+    return AnalyticDensity2D(base, np.eye(2), (s1.support(), s2.support()))
 
 
 def rotated_product_density(s1: SourceSpec, s2: SourceSpec,
@@ -224,21 +244,14 @@ def rotated_product_density(s1: SourceSpec, s2: SourceSpec,
 
 
 def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
-    """Pushforward of p through an invertible linear map y -> A y."""
+    """Pushforward of p through an invertible linear map y -> A y: the same
+    base under the frame A F."""
     A = np.array(A, dtype=float)
     if A.shape != (2, 2) or not np.isfinite(A).all():
         raise SingularTransform("transform must be a finite 2x2 matrix")
-    det = np.linalg.det(A)
-    if abs(det) < 1e-12:
+    if abs(np.linalg.det(A)) < 1e-12:
         raise SingularTransform("transform is singular")
-    Ainv = np.linalg.inv(A)
-    base = p.pdf
-
-    def pdf(points):
-        pts = np.asarray(points, dtype=float)
-        return base(pts @ Ainv.T) / abs(det)
-
-    return AnalyticDensity2D(pdf, A @ p.frame, p.base_support)
+    return AnalyticDensity2D(p.base, A @ p.frame, p.base_support)
 
 
 # -- quadrature grids -----------------------------------------------------
@@ -302,16 +315,35 @@ def _mass_ok(mass: float) -> bool:
     return (1.0 - MASS_TOL) <= mass <= (1.0 + MASS_TOL)
 
 
-def _grid_blocks(frame: np.ndarray, sx: np.ndarray, sy: np.ndarray):
-    """(rows, Y) for each slice of QUAD_BLOCK_POINTS points (or one row) of
-    the tensor grid sx x sy, Y holding its points y = frame s, shape
-    (rows, len(sy), 2); each coordinate plane Y[..., k] is contiguous."""
+def _base_blocks(M: np.ndarray, sx: np.ndarray, sy: np.ndarray):
+    """(rows, s1, s2) for each slice of QUAD_BLOCK_POINTS points (or one
+    row) of the tensor grid sx x sy: the coordinates s = M u of its points
+    u, broadcastable to (rows, len(sy)).  For a diagonal M, s1 is a column
+    and s2 one row shared by every block."""
     step = max(1, QUAD_BLOCK_POINTS // len(sy))
+    diagonal = M[0, 1] == 0 and M[1, 0] == 0
+    row = M[1, 1] * sy
     for start in range(0, len(sx), step):
-        s1 = sx[start:start + step, None]
-        yield slice(start, start + step), np.stack(
-            [frame[0, 0] * s1 + frame[0, 1] * sy,
-             frame[1, 0] * s1 + frame[1, 1] * sy]).transpose(1, 2, 0)
+        rows = slice(start, start + step)
+        u1 = sx[rows, None]
+        if diagonal:
+            yield rows, M[0, 0] * u1, row
+        else:
+            yield rows, M[0, 0] * u1 + M[0, 1] * sy, M[1, 0] * u1 + row
+
+
+def _pdf_blocks(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
+                sy: np.ndarray):
+    """(rows, P) for each row block of the tensor grid sx x sy, P holding
+    p's density at the points y = G u: p's base at s = M u, M = F⁻¹ G for
+    p's frame F, over |det F|."""
+    F = p.frame
+    # on p's own base grid M is exactly the identity, which solve() can
+    # miss by round-off in the off-diagonal entries
+    M = np.eye(2) if np.array_equal(G, F) else np.linalg.solve(F, G)
+    scale = 1.0 / abs(np.linalg.det(F))
+    for rows, s1, s2 in _base_blocks(M, sx, sy):
+        yield rows, p.base(s1, s2) * scale
 
 
 def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
@@ -335,8 +367,8 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
                          (float(pulled[1].min()), float(pulled[1].max())))
     cell = hx * hy * abs(np.linalg.det(p.frame))
     sums = np.zeros(3)  # masses of p and q, KLD, each over the cell size
-    for _, Y in _grid_blocks(p.frame, sx, sy):
-        P, Q = p.pdf(Y), q.pdf(Y)
+    for (_, P), (_, Q) in zip(_pdf_blocks(p, p.frame, sx, sy),
+                              _pdf_blocks(q, p.frame, sx, sy)):
         mask = P > DENSITY_FLOOR
         sums += [P.sum(), Q.sum(), np.sum(P[mask] * np.log(
             P[mask] / np.maximum(Q[mask], DENSITY_FLOOR)))]
@@ -354,27 +386,15 @@ def _log_gauss_1d(x: np.ndarray, var: float) -> np.ndarray:
     return -0.5 * (x * x / var + math.log(2.0 * math.pi * var))
 
 
-def _log_gauss_2d(xx, yy, m2: np.ndarray) -> np.ndarray:
-    det = m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2
-    if det <= 0:
-        raise InvalidDistribution("grid covariance is not positive definite")
-    a = m2[1, 1] / det
-    b = m2[0, 0] / det
-    c = -m2[0, 1] / det
-    quad = a * xx * xx + 2.0 * c * xx * yy + b * yy * yy
-    return -0.5 * quad - math.log(2.0 * math.pi) - 0.5 * math.log(det)
-
-
-def _grid_measure(p: AnalyticDensity2D, frame: np.ndarray, sx: np.ndarray,
+def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
                   sy: np.ndarray, cell: float, step: float):
     """Normalized cell masses pi of p on the tensor grid sx x sy mapped
-    through y = frame s, the mass the grid captures, and the uncentered
-    second moments of pi in y, which its zero-mean Gaussian fit matches.
-    step is the grid's nominal step, named if the mass check fails."""
+    through y = G u, the mass the grid captures, and the uncentered second
+    moments of pi in y, which its zero-mean Gaussian fit matches.  step is
+    the grid's nominal step, named if the mass check fails."""
     pi = np.empty((len(sx), len(sy)))
     mass = 0.0
-    for rows, Y in _grid_blocks(frame, sx, sy):
-        P = p.pdf(Y)
+    for rows, P in _pdf_blocks(p, G, sx, sy):
         mass += float(P.sum()) * cell
         pi[rows] = np.where(P > DENSITY_FLOOR, P * cell, 0.0)
     if not _mass_ok(mass):
@@ -383,24 +403,35 @@ def _grid_measure(p: AnalyticDensity2D, frame: np.ndarray, sx: np.ndarray,
                                    "the box")
     pi /= pi.sum()
     cross = sx @ (pi @ sy)
-    m2 = frame @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
-                           [cross, pi.sum(axis=0) @ (sy * sy)]]) @ frame.T
+    m2 = G @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
+                       [cross, pi.sum(axis=0) @ (sy * sy)]]) @ G.T
     return pi, mass, m2
 
 
-def _divergences(pi: np.ndarray, frame: np.ndarray, sx: np.ndarray,
+def _divergences(pi: np.ndarray, G: np.ndarray, sx: np.ndarray,
                  sy: np.ndarray, log_cell: float, m2: np.ndarray,
                  *products) -> list[float]:
     """sum pi (log pi - log q), point by point over a grid measure on the
-    points y = frame s, for q the zero-mean Gaussian with second moments m2
+    points y = G u, for q the zero-mean Gaussian with second moments m2
     times the cell size, then for each product a (x) b given as the logs
     (a, b) of its factors."""
+    det = m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2
+    if det <= 0:
+        raise InvalidDistribution("grid covariance is not positive definite")
+    # the fit's quadratic form in grid coordinates, Gᵀ m2⁻¹ G: a column
+    # term, a row term and the outer product of sx and its cross term
+    Q = G.T @ (np.array([[m2[1, 1], -m2[0, 1]], [-m2[0, 1], m2[0, 0]]])
+               / det) @ G
+    fit_col = (-0.5 * Q[0, 0] * sx * sx - math.log(2.0 * math.pi)
+               - 0.5 * math.log(det) + log_cell)
+    fit_row = -0.5 * Q[1, 1] * sy * sy
+    cross = -Q[0, 1] * sy
     sums = [0.0] * (1 + len(products))
-    for rows, Y in _grid_blocks(frame, sx, sy):
+    for rows, u1, _ in _base_blocks(np.eye(2), sx, sy):
         mask = pi[rows] > 0
         cells = pi[rows][mask]
         log_cells = np.log(cells)
-        log_fit = _log_gauss_2d(Y[..., 0], Y[..., 1], m2) + log_cell
+        log_fit = fit_col[rows, None] + fit_row + u1 * cross
         for k, log_q in enumerate([log_fit] + [a[rows, None] + b
                                                for a, b in products]):
             sums[k] += float(np.sum(cells * (log_cells - log_q[mask])))

@@ -124,6 +124,21 @@ def test_library_digamma_is_within_2_ulp_of_scipy():
         assert library_digamma(k) == library_digamma(np.array([k]))[0]
 
 
+def test_library_digamma_array_equals_scalar_path():
+    from icageo.estimators import digamma as library_digamma
+    # the largest value rules out a table indexed by value: one that size
+    # would take petabytes, so this array goes through np.unique
+    n = np.concatenate([np.arange(1, 200_001),
+                        np.geomspace(2e5, 1e15, 2000).astype(np.int64)])
+    np.random.default_rng(0).shuffle(n)
+    # repeated values below a few times the length fill the table
+    small = np.concatenate([n[n <= 200_000], n[:5000] % 1000 + 1])
+    for values in (n, small):
+        got = library_digamma(values)
+        want = np.array([library_digamma(int(v)) for v in values])
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [10, 1000, 20001])
 def test_negentropy_raw_bitwise_equals_reference(n):
     m = max(1, int(math.sqrt(n)))
@@ -210,6 +225,65 @@ def test_mi_duplicate_jitter_is_deterministic():
     assert a.raw == b.raw
     c = mutual_information(data, seed=5)
     assert c.raw != a.raw  # different jitter stream moves the estimate
+
+
+def reference_digamma(n):
+    from icageo.estimators import digamma as library_digamma
+    values, inverse = np.unique(n, return_inverse=True)
+    return np.array([library_digamma(int(v)) for v in values])[inverse]
+
+
+def reference_marginal_digamma_counts(column, eps):
+    # strict |xi - xj| < eps_i counts, excluding the point itself
+    xs = np.sort(column)
+    hi = np.searchsorted(xs, column + eps, side="left")
+    lo = np.searchsorted(xs, column - eps, side="right")
+    counts = np.maximum(hi - lo - 1, 1)
+    return float(np.mean(reference_digamma(counts + 1)))
+
+
+def reference_knn_mi(Y, k):
+    """The kNN mutual information as it asked the tree for every neighbour
+    and evaluated digamma one distinct count at a time."""
+    from scipy.spatial import cKDTree
+
+    T, N = Y.shape
+    dist, _ = cKDTree(Y).query(Y, k=k + 1, p=np.inf)
+    eps = dist[:, -1]
+    total = 0.0
+    for j in range(N):
+        total += reference_marginal_digamma_counts(Y[:, j], eps)
+    raw = float(reference_digamma(k) + (N - 1) * reference_digamma(T) - total)
+    saturation = float(reference_digamma(T) - reference_digamma(k))
+    return raw, saturation
+
+
+def reference_jitter(Y, seed):
+    Y = np.array(Y, dtype=float)
+    for j in range(Y.shape[1]):
+        col = Y[:, j]
+        if np.unique(col).size < col.size:
+            gen = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(j,))))
+            scale = 1e-10 * max(float(col.std()), 1e-30)
+            Y[:, j] = col + scale * gen.standard_normal(col.size)
+    return Y
+
+
+@pytest.mark.parametrize("N, T, decimals", [
+    (2, 3000, None), (3, 20000, None),
+    (2, 5000, 1), (3, 4000, 2),               # ties: the jitter runs
+])
+def test_knn_mi_bitwise_equals_reference(N, T, decimals):
+    gen = np.random.default_rng(N * T)
+    x = gen.laplace(size=(T, N)) @ gen.standard_normal((N, N))
+    if decimals is not None:
+        x[:, 0] = np.round(x[:, 0], decimals)
+    for k, seed in ((5, 0), (3, 7)):
+        est = mutual_information(Dataset(x), k=k, seed=seed)
+        raw, saturation = reference_knn_mi(reference_jitter(x, seed), k)
+        assert np.float64(est.raw).tobytes() == np.float64(raw).tobytes()
+        assert est.saturation == saturation
 
 
 def test_mi_dimension_and_size_limits():

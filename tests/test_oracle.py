@@ -163,6 +163,28 @@ def test_gaussian_mixture_validation():
                                  [eye, eye])  # overall mean not zero
 
 
+@pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]],
+                                 [[1.0, 0.0], [0.0, 0.0]],
+                                 [[0.0, 0.0], [0.0, 1.0]]])
+def test_covariance_that_is_not_positive_definite_is_refused(cov):
+    with pytest.raises(InvalidDistribution, match="not positive definite"):
+        gaussian_density(cov)
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(InvalidDistribution, match="not positive definite"):
+        gaussian_mixture_density([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]],
+                                 [eye, cov])
+
+
+def test_gaussian_frame_is_the_cholesky_factor():
+    cov = np.array([[1.3, -0.4], [-0.4, 0.7]])
+    p = gaussian_density(cov)
+    assert_allclose(p.frame, np.linalg.cholesky(cov), rtol=1e-15, atol=0)
+    pts = np.random.default_rng(4).standard_normal((50, 2))
+    quad = np.einsum("ni,ij,nj->n", pts, np.linalg.inv(cov), pts)
+    want = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+    assert_allclose(p.pdf(pts), want, rtol=1e-13)
+
+
 def test_linear_image_matches_transformed_gaussian():
     S = np.array([[1.0, 0.3], [0.3, 0.8]])
     A = np.array([[1.2, -0.4], [0.5, 0.9]])

@@ -1,11 +1,16 @@
-"""The blocked quadrature against the whole-grid code it replaced.
+"""The blocked base-coordinate quadrature against whole-grid references.
 
-The references below evaluate each grid at once, with the Gaussian pdfs'
-quadratic forms taken by einsum.  The blocked code sums the same terms in
-another order, so every value must agree to 1e-12, and the coverage check
-must fail on the same inputs.
+The references below evaluate each grid at once, in observation
+coordinates, with the Gaussian pdfs' quadratic forms taken by einsum.  The
+blocked code evaluates each density's base at the grid's base coordinates
+and sums the same terms in another order, so every value must agree to
+1e-12, and the coverage check must fail on the same inputs.  The built-in
+suite must also keep the values recorded in builtin_suite_values.json from
+the quadrature that evaluated every density at observation points.
 """
+import json
 import math
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -18,7 +23,7 @@ from icageo import (GridSpec, IcageoError, InsufficientCoverage,
                     linear_image, product_density, quad_kld_2d,
                     rotated_product_density, verify_four_point_identity)
 from icageo.oracle import (DENSITY_FLOOR, QUAD_BLOCK_POINTS, AnalyticDensity2D,
-                           _axis_cells, _grid_blocks, _mass_ok,
+                           _axis_cells, _base_blocks, _mass_ok,
                            _negentropy_quad)
 from icageo.sources import parse_source
 
@@ -26,6 +31,19 @@ TOL = 1e-12
 
 
 # -- the whole-grid references -------------------------------------------------
+
+def as_base_density(pdf, frame):
+    """The density with observation-space pdf under `frame`, as a base
+    density: base(s) = pdf(F s) |det F|."""
+    frame = np.asarray(frame, dtype=float)
+    jac = abs(np.linalg.det(frame))
+
+    def base(s1, s2):
+        s = np.stack(np.broadcast_arrays(s1, s2), axis=-1)
+        return pdf(s @ frame.T) * jac
+
+    return AnalyticDensity2D(base, frame, (None, None))
+
 
 def reference_gaussian_density(cov):
     cov = np.array(cov, dtype=float)
@@ -38,7 +56,7 @@ def reference_gaussian_density(cov):
         quad = np.einsum("...i,ij,...j->...", pts, prec, pts)
         return norm * np.exp(-0.5 * quad)
 
-    return AnalyticDensity2D(pdf, chol, (None, None))
+    return as_base_density(pdf, chol)
 
 
 def reference_gaussian_mixture_density(weights, means, covs):
@@ -57,7 +75,7 @@ def reference_gaussian_mixture_density(weights, means, covs):
             out += wi * nm * np.exp(-0.5 * quad)
         return out
 
-    return AnalyticDensity2D(pdf, np.eye(2), (None, None))
+    return as_base_density(pdf, np.eye(2))
 
 
 def reference_base_grid(p, grid, extend=None):
@@ -286,25 +304,45 @@ def test_negentropy_quad_matches_whole_grid(case, box, step):
                 outcome(reference_negentropy_quad, p_ref, grid))
 
 
+@pytest.mark.parametrize("M", [
+    [[0.8, -0.6], [0.6, 0.8]],                # a rotation: full blocks
+    [[1.5, 0.0], [0.0, -0.5]],                # diagonal: a column and a row
+], ids=["rotation", "diagonal"])
 @pytest.mark.parametrize("nx, ny", [
     (3, 80),                                  # fewer rows than one block
     (5 * (QUAD_BLOCK_POINTS // 800), 800),    # a multiple of the block
     (1001, 1600),                             # not a multiple
     (4, QUAD_BLOCK_POINTS + 1),               # rows wider than a block
 ])
-def test_grid_blocks_tile_the_whole_grid(nx, ny):
-    frame = np.array([[0.8, -0.6], [0.6, 0.8]])
+def test_base_blocks_tile_the_whole_grid(nx, ny, M):
+    M = np.array(M)
     sx = np.linspace(-1.0, 1.0, nx)
     sy = np.linspace(-2.0, 2.0, ny)
-    blocks = list(_grid_blocks(frame, sx, sy))
-    rows = [range(nx)[r] for r, _ in blocks]
+    blocks = [(r, *np.broadcast_arrays(s1, s2))
+              for r, s1, s2 in _base_blocks(M, sx, sy)]
+    rows = [range(nx)[r] for r, _, _ in blocks]
     assert [i for r in rows for i in r] == list(range(nx))
-    for r, Y in blocks:
-        assert Y.shape == (len(range(nx)[r]), ny, 2)
-        assert Y.shape[0] * ny <= max(QUAD_BLOCK_POINTS, ny)
+    for r, s1, s2 in blocks:
+        assert s1.shape == s2.shape == (len(range(nx)[r]), ny)
+        assert s1.shape[0] * ny <= max(QUAD_BLOCK_POINTS, ny)
     S = np.stack(np.meshgrid(sx, sy, indexing="ij"), axis=-1)
-    np.testing.assert_allclose(np.concatenate([Y for _, Y in blocks]),
-                               S @ frame.T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        np.concatenate([np.stack([s1, s2], axis=-1) for _, s1, s2 in blocks]),
+        S @ M.T, rtol=0, atol=1e-15)
+
+
+def test_builtin_suite_keeps_recorded_values():
+    path = Path(__file__).with_name("builtin_suite_values.json")
+    want = json.loads(path.read_text(encoding="utf-8"))
+    got = builtin_suite()
+    assert [(c["name"], c["passed"]) for c in got] == [
+        (c["name"], c["passed"]) for c in want]
+    for g, w in zip(got, want):
+        assert abs(g["lhs"] - w["lhs"]) <= TOL, g["name"]
+        assert abs(g["rhs"] - w["rhs"]) <= TOL, g["name"]
+        assert list(g["terms"]) == list(w["terms"]), g["name"]
+        for k in w["terms"]:
+            assert abs(g["terms"][k] - w["terms"][k]) <= TOL, (g["name"], k)
 
 
 def test_builtin_suite_memory_is_bounded():
