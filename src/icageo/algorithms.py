@@ -86,6 +86,9 @@ class SolverConfig:
     score: str = "adaptive"
 
     def __post_init__(self):
+        # a bool passes as a number: max_iter=True would run once
+        if any(isinstance(v, bool) for v in (self.step, self.max_iter, self.tol)):
+            raise InvalidConfig("step, max_iter and tol must not be booleans")
         if not (isinstance(self.step, numbers.Real) and 0.0 < self.step <= 1.0):
             raise InvalidConfig("step must lie in (0, 1]")
         if not (isinstance(self.tol, numbers.Real) and self.tol > 0.0):

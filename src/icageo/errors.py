@@ -61,7 +61,9 @@ class InvalidDistribution(IcageoError):
 
 
 class InsufficientCoverage(IcageoError):
-    """Quadrature grid captures less than the required probability mass."""
+    """Quadrature grid captures less than the required probability mass,
+    or a divergence's target density is 0 (or underflows) on the grid
+    where the first density is positive."""
 
 
 class Diverged(IcageoError):

@@ -89,8 +89,7 @@ _PSI_SERIES = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
 
 
 def _digamma_values(values: np.ndarray) -> np.ndarray:
-    # digamma(v) for each v of a 1-D integer array, by the scalar path's
-    # float operations in the same order, so every bit is the same
+    # digamma(v) for each v >= 1 of a 1-D integer array
     x = values.astype(float)
     z = 1.0 / (x * x)
     series = np.zeros_like(x)
@@ -106,27 +105,23 @@ def digamma(n):
     """The digamma function at a positive integer n, or elementwise at an
     integer array: the harmonic sum for n <= 10 and the asymptotic series
     above, as Cephes evaluates them (scipy.special.digamma's values).  An
-    array evaluates each distinct value once."""
-    if np.ndim(n):
-        n = np.asarray(n)
-        top = int(n.max(initial=0))
-        if top > DIGAMMA_TABLE_FACTOR * n.size:
-            values, inverse = np.unique(n, return_inverse=True)
-            return _digamma_values(values)[inverse]
+    array evaluates each distinct value once; a value below 1 raises
+    ValueError."""
+    n = np.asarray(n)
+    if n.min(initial=1) < 1:
+        raise ValueError(f"digamma needs integers >= 1, got {n.min()}")
+    top = int(n.max(initial=0))
+    if top > DIGAMMA_TABLE_FACTOR * n.size:
+        values, inverse = np.unique(n, return_inverse=True)
+        out = _digamma_values(values)[inverse]
+    else:
         # a table indexed by value, filled at the values present
         table = np.zeros(top + 1)
         table[n] = 1.0
         values = np.flatnonzero(table)
         table[values] = _digamma_values(values)
-        return table[n]
-    if n <= 10:
-        return _PSI_SMALL[n - 1]
-    x = float(n)
-    z = 1.0 / (x * x)
-    series = 0.0
-    for a in _PSI_SERIES:
-        series = series * z + a
-    return math.log(x) - 0.5 / x - z * series
+        out = table[n]
+    return out if n.ndim else out.item()
 
 
 @functools.lru_cache(maxsize=32)
@@ -162,12 +157,25 @@ def _spacing_order(n: int, m: int | None) -> int:
     return m
 
 
+def _relative_entropy(p: np.ndarray, *log_qs) -> list[float]:
+    """sum p (ln p - ln q) over the cells of p, for each target q given by
+    ln q, an array that broadcasts to p's shape or a number.  A cell where
+    p = 0 adds nothing, so ln q need only be finite where p > 0."""
+    where = p > 0
+    # ln p where p > 0; the other cells are left unset and never read
+    log_p = np.log(p, out=None, where=where)
+    sums = []
+    for log_q in log_qs:
+        terms = np.subtract(log_p, log_q, out=np.zeros_like(p), where=where)
+        sums.append(float(np.multiply(terms, p, out=terms).sum()))
+    return sums
+
+
 def _hist_entropy(x: np.ndarray, bins: int) -> float:
     lo, hi = float(x.min()), float(x.max())
     counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
-    p = counts[counts > 0] / x.size
     width = (hi - lo) / bins
-    return float(-(p * np.log(p)).sum() + math.log(width))
+    return math.log(width) - _relative_entropy(counts / x.size, 0.0)[0]
 
 
 def entropy_scalar(x, method: str = "vasicek_spacing",
@@ -270,16 +278,13 @@ def _hist_mi(Y: np.ndarray, bins: int) -> tuple[float, float]:
              for j in range(N)]
     counts, _ = np.histogramdd(Y, bins=edges)
     p = counts / T
-    # joint entropy and marginal entropies of the binned law
-    nz = p[p > 0]
-    joint_h = float(-(nz * np.log(nz)).sum())
-    marg_h = 0.0
+    # the binned law's divergence to the product of its marginals; a zero
+    # marginal cell empties its slice of p, so its log is never used
+    log_q = 0.0
     for j in range(N):
-        pj = p.sum(axis=tuple(a for a in range(N) if a != j))
-        pj = pj[pj > 0]
-        marg_h += float(-(pj * np.log(pj)).sum())
-    raw = marg_h - joint_h
-    return raw, math.log(bins)
+        pj = p.sum(axis=tuple(a for a in range(N) if a != j), keepdims=True)
+        log_q = log_q + np.log(pj, out=np.zeros_like(pj), where=pj > 0)
+    return _relative_entropy(p, log_q)[0], math.log(bins)
 
 
 def mutual_information(data: Dataset, method: str = "knn_kl",

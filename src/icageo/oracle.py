@@ -25,13 +25,12 @@ import numpy as np
 from .data import read_json
 from .errors import (DimensionMismatch, InsufficientCoverage,
                      InvalidDistribution, SingularTransform)
+from .estimators import _relative_entropy
 from .gaussian import (Covariance, correlation_C, gaussian_kld,
                        verify_gaussian_pythagoras)
 from .rng import Rng
 from .sources import SourceSpec, parse_source
 
-# density values below this are treated as exact zeros in integrands
-DENSITY_FLOOR = 1e-300
 # allowed deviation of quadrature mass from 1
 MASS_TOL = 1e-4
 # grid points a quadrature evaluates at once, whatever the step: blocks of
@@ -78,19 +77,11 @@ class IdentityReport:
     terms: dict = field(default_factory=dict)
 
 
-def _xlogx_sum(p: np.ndarray, q: np.ndarray) -> float:
-    # sum p*ln(p/q) with the 0*ln0 = 0 convention; q must be > 0 where p > 0
-    mask = p > 0
-    if (q[mask] <= 0).any():
-        return math.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
 def discrete_mi(joint: DiscreteJoint) -> float:
     """Exact mutual information of a bivariate table, in nats."""
-    p = joint.probabilities
     px, py = joint.marginals()
-    return _xlogx_sum(p, np.outer(px, py))
+    return _relative_entropy(joint.probabilities,
+                             np.log(px)[:, None] + np.log(py))[0]
 
 
 def verify_product_pythagoras(joint: DiscreteJoint,
@@ -108,9 +99,9 @@ def verify_product_pythagoras(joint: DiscreteJoint,
                 "target marginals must be strictly positive and sum to 1")
     px, py = joint.marginals()
     mi = discrete_mi(joint)
-    kx = _xlogx_sum(px, tx)
-    ky = _xlogx_sum(py, ty)
-    lhs = _xlogx_sum(p, np.outer(tx, ty))
+    kx = _relative_entropy(px, np.log(tx))[0]
+    ky = _relative_entropy(py, np.log(ty))[0]
+    lhs = _relative_entropy(p, np.log(tx)[:, None] + np.log(ty))[0]
     rhs = mi + kx + ky
     return IdentityReport(lhs, rhs, abs(lhs - rhs), {
         "mutual_information": mi,
@@ -311,10 +302,6 @@ def _axis_cells(support, box: tuple[float, float], step: float,
     return centers, h
 
 
-def _mass_ok(mass: float) -> bool:
-    return (1.0 - MASS_TOL) <= mass <= (1.0 + MASS_TOL)
-
-
 def _base_blocks(M: np.ndarray, sx: np.ndarray, sy: np.ndarray):
     """(rows, s1, s2) for each slice of QUAD_BLOCK_POINTS points (or one
     row) of the tensor grid sx x sy: the coordinates s = M u of its points
@@ -351,9 +338,9 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     """Midpoint-rule KLD(p || q) over a grid adapted to p's frame.
 
     The grid is laid out in p's base coordinates and extended so its image
-    also covers q's mass region; the quadrature then checks that at least
-    1 - 1e-4 of both masses is captured and raises InsufficientCoverage
-    otherwise.
+    also covers q's mass region.  InsufficientCoverage is raised unless at
+    least 1 - 1e-4 of both masses is captured and q's density is positive,
+    not underflowed, at every point where p's is.
     """
     grid = GridSpec() if grid is None else grid
     # y-space box that q's mass lives in: exact support image if bounded,
@@ -367,16 +354,17 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
                          (float(pulled[1].min()), float(pulled[1].max())))
     cell = hx * hy * abs(np.linalg.det(p.frame))
     sums = np.zeros(3)  # masses of p and q, KLD, each over the cell size
-    for (_, P), (_, Q) in zip(_pdf_blocks(p, p.frame, sx, sy),
-                              _pdf_blocks(q, p.frame, sx, sy)):
-        mask = P > DENSITY_FLOOR
-        sums += [P.sum(), Q.sum(), np.sum(P[mask] * np.log(
-            P[mask] / np.maximum(Q[mask], DENSITY_FLOOR)))]
+    # ln 0 = -inf makes the KLD +inf wherever Q vanishes and P does not
+    with np.errstate(divide="ignore"):
+        for (_, P), (_, Q) in zip(_pdf_blocks(p, p.frame, sx, sy),
+                                  _pdf_blocks(q, p.frame, sx, sy)):
+            sums += [P.sum(), Q.sum(), *_relative_entropy(P, np.log(Q))]
     mass_p, mass_q, kld = sums * cell
-    if not (_mass_ok(mass_p) and _mass_ok(mass_q)):
+    _check_mass(grid.step, mass_p, mass_q)
+    if kld == math.inf:
         raise InsufficientCoverage(
-            f"grid captures mass p={mass_p:.6f}, q={mass_q:.6f} at step "
-            f"{grid.step:g}; refine the step or enlarge the box")
+            f"q's density is 0 where p's is positive at step {grid.step:g}; "
+            "the divergence is infinite or beyond the grid's range")
     return float(kld)
 
 
@@ -386,6 +374,13 @@ def _log_gauss_1d(x: np.ndarray, var: float) -> np.ndarray:
     return -0.5 * (x * x / var + math.log(2.0 * math.pi * var))
 
 
+def _check_mass(step: float, *masses: float):
+    if not all(abs(m - 1.0) <= MASS_TOL for m in masses):
+        raise InsufficientCoverage(
+            f"grid captures mass {', '.join(f'{m:.6f}' for m in masses)} at "
+            f"step {step:g}; refine the step or enlarge the box")
+
+
 def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
                   sy: np.ndarray, cell: float, step: float):
     """Normalized cell masses pi of p on the tensor grid sx x sy mapped
@@ -393,15 +388,11 @@ def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
     moments of pi in y, which its zero-mean Gaussian fit matches.  step is
     the grid's nominal step, named if the mass check fails."""
     pi = np.empty((len(sx), len(sy)))
-    mass = 0.0
     for rows, P in _pdf_blocks(p, G, sx, sy):
-        mass += float(P.sum()) * cell
-        pi[rows] = np.where(P > DENSITY_FLOOR, P * cell, 0.0)
-    if not _mass_ok(mass):
-        raise InsufficientCoverage(f"grid captures mass {mass:.6f} at step "
-                                   f"{step:g}; refine the step or enlarge "
-                                   "the box")
-    pi /= pi.sum()
+        np.multiply(P, cell, out=pi[rows])
+    mass = float(pi.sum())
+    _check_mass(step, mass)
+    pi /= mass
     cross = sx @ (pi @ sy)
     m2 = G @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
                        [cross, pi.sum(axis=0) @ (sy * sy)]]) @ G.T
@@ -411,7 +402,7 @@ def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
 def _divergences(pi: np.ndarray, G: np.ndarray, sx: np.ndarray,
                  sy: np.ndarray, log_cell: float, m2: np.ndarray,
                  *products) -> list[float]:
-    """sum pi (log pi - log q), point by point over a grid measure on the
+    """sum pi (log pi - log q), block by block over a grid measure on the
     points y = G u, for q the zero-mean Gaussian with second moments m2
     times the cell size, then for each product a (x) b given as the logs
     (a, b) of its factors."""
@@ -426,16 +417,12 @@ def _divergences(pi: np.ndarray, G: np.ndarray, sx: np.ndarray,
                - 0.5 * math.log(det) + log_cell)
     fit_row = -0.5 * Q[1, 1] * sy * sy
     cross = -Q[0, 1] * sy
-    sums = [0.0] * (1 + len(products))
+    sums = np.zeros(1 + len(products))
     for rows, u1, _ in _base_blocks(np.eye(2), sx, sy):
-        mask = pi[rows] > 0
-        cells = pi[rows][mask]
-        log_cells = np.log(cells)
-        log_fit = fit_col[rows, None] + fit_row + u1 * cross
-        for k, log_q in enumerate([log_fit] + [a[rows, None] + b
-                                               for a, b in products]):
-            sums[k] += float(np.sum(cells * (log_cells - log_q[mask])))
-    return sums
+        sums += _relative_entropy(
+            pi[rows], fit_col[rows, None] + fit_row + u1 * cross,
+            *(a[rows, None] + b for a, b in products))
+    return sums.tolist()
 
 
 def verify_four_point_identity(p: AnalyticDensity2D,
@@ -454,8 +441,7 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     ys, hy = _axis_cells(p.y_axis_support(1), grid.axis_range(1), grid.step)
     eye = np.eye(2)
     pi, mass, m2 = _grid_measure(p, eye, xs, ys, hx * hy, grid.step)
-    px = pi.sum(axis=1)
-    py = pi.sum(axis=0)
+    px, py = pi.sum(axis=1), pi.sum(axis=0)
     # a zero marginal cell carries no grid mass, so its log is never used
     log_px = np.log(px, out=np.zeros_like(px), where=px > 0)
     log_py = np.log(py, out=np.zeros_like(py), where=py > 0)
@@ -464,10 +450,9 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     g_joint, mutual_info, hyp = _divergences(
         pi, eye, xs, ys, math.log(hx * hy), m2,
         (log_px, log_py), (log_phi1, log_phi2))
-    g1 = float(px @ (log_px - log_phi1))
-    g2 = float(py @ (log_py - log_phi2))
-    corr = 0.5 * (math.log(m2[0, 0] * m2[1, 1])
-                  - math.log(m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2))
+    g1 = _relative_entropy(px, log_phi1)[0]
+    g2 = _relative_entropy(py, log_phi2)[0]
+    corr = correlation_C(Covariance(m2))
 
     lhs = mutual_info + g1 + g2
     rhs = corr + g_joint

@@ -6,6 +6,7 @@ pure function of its key, so equal seeds give bit-identical streams
 across runs and platforms.  Independent child streams are derived
 by spawning, never by sharing one generator between consumers.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,10 @@ class Rng:
     seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) <= MAX_SEED):
+        # a bool is an Integral; a float or a string would fail in generator()
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise InvalidConfig("seed must be an integer")
+        if not 0 <= self.seed <= MAX_SEED:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:

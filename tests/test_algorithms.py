@@ -67,7 +67,9 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("bad", [{"score": "sigmoid"}, {"score": "Tanh"},
                                  {"score": ["tanh", "cube"]},
                                  {"max_iter": 2.5}, {"max_iter": "10"},
-                                 {"step": "0.5"}, {"tol": "1e-4"}])
+                                 {"step": "0.5"}, {"tol": "1e-4"},
+                                 {"max_iter": True}, {"step": True},
+                                 {"tol": True}])
 def test_solver_config_refuses_bad_values_when_built(bad):
     # refused before either solver runs, not at solve time or never
     with pytest.raises(InvalidConfig):

@@ -11,11 +11,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from icageo import (Dataset, EmptyChannels, IcageoError, InvalidDistribution,
-                    IoError, MixingModel, NonFinite, Rng, SingularTransform,
-                    SourceSpec, TooFewSamples, exit_code_for, parse_source,
-                    random_mixing, read_csv, simulate, validate_dataset,
-                    write_csv)
+from icageo import (Dataset, EmptyChannels, IcageoError, InvalidConfig,
+                    InvalidDistribution, IoError, MixingModel, NonFinite, Rng,
+                    SingularTransform, SourceSpec, TooFewSamples,
+                    exit_code_for, parse_source, random_mixing, read_csv,
+                    simulate, validate_dataset, write_csv)
 from icageo.data import CSV_BLOCK_ROWS
 from icageo.sources import FAMILIES, GAUSSIAN_ENTROPY
 
@@ -76,6 +76,20 @@ def test_rng_rejects_out_of_range_seed():
         Rng(-1)
     with pytest.raises(IcageoError):
         Rng(2 ** 64)
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, "5", True, False, None])
+def test_rng_refuses_a_seed_that_is_not_an_integer(seed):
+    # refused when built: a float or a string fails only later, in
+    # generator(), and a bool is an int
+    with pytest.raises(InvalidConfig):
+        Rng(seed)
+
+
+def test_rng_accepts_numpy_integers():
+    want = Rng(5).generator().standard_normal(4)
+    for seed in (np.uint64(5), np.int32(5)):
+        assert_array_equal(Rng(seed).generator().standard_normal(4), want)
 
 
 # -- sources ------------------------------------------------------------------

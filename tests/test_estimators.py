@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.special import digamma
+from scipy.special import digamma, rel_entr
 
 from icageo import (Dataset, DegenerateSample, DimensionMismatch,
                     DimensionTooHigh, EstimatorFailure, InvalidConfig,
                     SourceSpec, TooFewSamples, entropy_scalar,
                     mutual_information, negentropy_scalar, score_table)
-from icageo.estimators import _negentropy_raw
+from icageo.estimators import _negentropy_raw, _relative_entropy
 from icageo.sources import GAUSSIAN_ENTROPY
 
 GAUSS_H = 1.4189385332046727
@@ -124,6 +127,16 @@ def test_library_digamma_is_within_2_ulp_of_scipy():
         assert library_digamma(k) == library_digamma(np.array([k]))[0]
 
 
+@pytest.mark.parametrize("n", [
+    0, -1, np.array([0, 5]), np.array([3, -2, 7]), np.array([5, 0] * 20),
+    np.array([0, 10 ** 9]),  # too wide for a table indexed by value
+])
+def test_library_digamma_refuses_values_below_1(n):
+    from icageo.estimators import digamma as library_digamma
+    with pytest.raises(ValueError, match="integers >= 1"):
+        library_digamma(n)
+
+
 def test_library_digamma_array_equals_scalar_path():
     from icageo.estimators import digamma as library_digamma
     # the largest value rules out a table indexed by value: one that size
@@ -155,6 +168,29 @@ def test_negentropy_raw_bitwise_equals_reference(n):
         for m_test in (1, 2, m, (n - 1) // 2):
             got = entropy_scalar(x, m=m_test).value
             assert got == reference_vasicek(x, m_test)
+
+
+# -- relative entropy ---------------------------------------------------------
+
+@settings(max_examples=40)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+       data=st.data())
+def test_relative_entropy_matches_scipy_rel_entr(shape, data):
+    cells = hnp.arrays(float, shape, elements=st.floats(0.01, 1.0))
+    zeros = hnp.arrays(bool, shape)
+    p = data.draw(cells) * data.draw(zeros)  # zero cells
+    p.flat[0] = 0.5  # and at least one positive one
+    p /= p.sum()
+    # targets positive wherever p is, some with zeros of their own
+    qs = [data.draw(cells) * ((p > 0) | data.draw(zeros))
+          for _ in range(data.draw(st.integers(1, 3)))]
+    qs = [q / q.sum() for q in qs]
+    with np.errstate(divide="ignore"):
+        log_qs = [np.log(q) for q in qs]  # -inf where q = 0
+        got = _relative_entropy(p, *log_qs, 0.0)
+        assert _relative_entropy(p, np.log(p)) == [0.0]
+    want = [rel_entr(p, q).sum() for q in qs] + [rel_entr(p, 1.0).sum()]
+    assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 # -- mutual information -------------------------------------------------------

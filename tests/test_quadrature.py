@@ -1,12 +1,14 @@
 """The blocked base-coordinate quadrature against whole-grid references.
 
 The references below evaluate each grid at once, in observation
-coordinates, with the Gaussian pdfs' quadratic forms taken by einsum.  The
-blocked code evaluates each density's base at the grid's base coordinates
-and sums the same terms in another order, so every value must agree to
-1e-12, and the coverage check must fail on the same inputs.  The built-in
-suite must also keep the values recorded in builtin_suite_values.json from
-the quadrature that evaluated every density at observation points.
+coordinates, with the Gaussian pdfs' quadratic forms taken by einsum, and
+sum each relative entropy over the cells where its first density is
+positive.  The blocked code evaluates each density's base at the grid's
+base coordinates and sums the same terms in another order, so every value
+must agree to 1e-12, and the coverage check must fail on the same inputs.
+The built-in suite must also keep the values recorded in
+builtin_suite_values.json from the quadrature that evaluated every density
+at observation points.
 """
 import json
 import math
@@ -22,15 +24,19 @@ from icageo import (GridSpec, IcageoError, InsufficientCoverage,
                     builtin_suite, gaussian_density, gaussian_mixture_density,
                     linear_image, product_density, quad_kld_2d,
                     rotated_product_density, verify_four_point_identity)
-from icageo.oracle import (DENSITY_FLOOR, QUAD_BLOCK_POINTS, AnalyticDensity2D,
-                           _axis_cells, _base_blocks, _mass_ok,
-                           _negentropy_quad)
+from icageo.oracle import (MASS_TOL, QUAD_BLOCK_POINTS, AnalyticDensity2D,
+                           _axis_cells, _base_blocks, _negentropy_quad)
 from icageo.sources import parse_source
 
 TOL = 1e-12
 
 
 # -- the whole-grid references -------------------------------------------------
+
+def check_mass(*masses):
+    if any(abs(m - 1.0) > MASS_TOL for m in masses):
+        raise InsufficientCoverage("reference grid misses mass")
+
 
 def as_base_density(pdf, frame):
     """The density with observation-space pdf under `frame`, as a base
@@ -101,12 +107,11 @@ def reference_quad_kld_2d(p, q, grid):
     cell = hx * hy * abs(np.linalg.det(p.frame))
     P = p.pdf(Y)
     Q = q.pdf(Y)
-    mass_p = float(P.sum() * cell)
-    mass_q = float(Q.sum() * cell)
-    if not (_mass_ok(mass_p) and _mass_ok(mass_q)):
-        raise InsufficientCoverage("reference grid misses mass")
-    mask = P > DENSITY_FLOOR
-    vals = P[mask] * np.log(P[mask] / np.maximum(Q[mask], DENSITY_FLOOR))
+    check_mass(float(P.sum() * cell), float(Q.sum() * cell))
+    mask = P > 0
+    if (Q[mask] == 0).any():
+        raise InsufficientCoverage("q vanishes where p does not")
+    vals = P[mask] * (np.log(P[mask]) - np.log(Q[mask]))
     return float(vals.sum() * cell)
 
 
@@ -131,9 +136,8 @@ def reference_four_point(p, grid):
     P = p.pdf(np.stack([xx, yy], axis=-1))
     w = hx * hy
     mass = float(P.sum() * w)
-    if not _mass_ok(mass):
-        raise InsufficientCoverage("reference grid misses mass")
-    pi = np.where(P > DENSITY_FLOOR, P * w, 0.0)
+    check_mass(mass)
+    pi = P * w
     pi /= pi.sum()
     px = pi.sum(axis=1)
     py = pi.sum(axis=0)
@@ -149,7 +153,9 @@ def reference_four_point(p, grid):
     log_pi = np.log(pi[mask])
     mx = px > 0
     my = py > 0
-    log_pxpy = np.log((px[:, None] * py[None, :])[mask])
+    log_px = np.log(px, out=np.zeros_like(px), where=mx)
+    log_py = np.log(py, out=np.zeros_like(py), where=my)
+    log_pxpy = (log_px[:, None] + log_py[None, :])[mask]
     mutual_info = float(np.sum(pi[mask] * (log_pi - log_pxpy)))
     g1 = float(np.sum(px[mx] * (np.log(px[mx]) - log_phi1[mx])))
     g2 = float(np.sum(py[my] * (np.log(py[my]) - log_phi2[my])))
@@ -171,10 +177,8 @@ def reference_negentropy_quad(p, grid):
     sx, sy, hx, hy, Y = reference_base_grid(p, grid)
     cell = hx * hy * abs(np.linalg.det(p.frame))
     P = p.pdf(Y)
-    mass = float(P.sum() * cell)
-    if not _mass_ok(mass):
-        raise InsufficientCoverage("reference grid misses mass")
-    pi = np.where(P > DENSITY_FLOOR, P * cell, 0.0)
+    check_mass(float(P.sum() * cell))
+    pi = P * cell
     pi /= pi.sum()
     y1 = Y[..., 0]
     y2 = Y[..., 1]
@@ -274,6 +278,22 @@ def test_quad_kld_2d_matches_whole_grid(case, target, box, step):
     grid = grid_of(box, step)
     assert_same(outcome(quad_kld_2d, p, q, grid),
                 outcome(reference_quad_kld_2d, p_ref, q_ref, grid))
+
+
+@pytest.mark.parametrize("p, q, grid", [
+    # q underflows beyond |y1| of about 38.6, inside p's grid of +-80;
+    # flooring ln q there gave 47.178 against the closed form 47.197
+    (gaussian_density([[100.0, 0.0], [0.0, 1.0]]), gaussian_density(np.eye(2)),
+     GridSpec()),
+    # q is 0 off a rotated square that p's Gaussian mass overhangs, so the
+    # KLD is +inf; flooring ln q gave 140.10
+    (build(("mixture", None, None))[0],
+     rotated_product_density(parse_source("uniform"), parse_source("uniform"),
+                             math.radians(30.0)), GridSpec(step=0.02)),
+], ids=["underflow", "infinite"])
+def test_quad_kld_2d_refuses_where_q_vanishes_and_p_does_not(p, q, grid):
+    with pytest.raises(InsufficientCoverage, match="q's density is 0"):
+        quad_kld_2d(p, q, grid)
 
 
 def four_point(p, grid):
