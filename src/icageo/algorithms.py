@@ -164,6 +164,11 @@ def _newton_terms(Y: np.ndarray, scores):
     return F, a, np.mean(Y * Y, axis=0)
 
 
+def _off_diagonal_norm(F: np.ndarray) -> float:
+    # the solver's stopping measure: the Frobenius norm of offdiag F
+    return float(np.linalg.norm(F - np.diag(np.diag(F))))
+
+
 def _newton_direction(F: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Regularized pairwise Newton direction D (zero diagonal).
 
@@ -205,12 +210,19 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     Starts from the whitener of the data and iterates B <- (I - mu D) B
     with Y recomputed each step, where D is the relative gradient
     offdiag F(Y) preconditioned by the regularized 2 x 2 Hessian blocks
-    built from a_i = E psi_i'(Y_i) and v_i = E Y_i^2 (_newton_direction).
+    at independence, [[a_i v_j, F_ii], [F_jj, a_j v_i]] with
+    a_i = E psi_i'(Y_i) and v_i = E Y_i^2.  Row i of each block and of F
+    is divided by f_i = F_ii = E psi_i(Y_i) Y_i where that lies in
+    (0, a_i v_i), i.e. where the margin kappa_i is positive, and by 1
+    elsewhere; _newton_direction then solves the unit off-diagonal form.
     mu starts at config.step (1 is the full Newton step).  Every
     OUTER_CADENCE iterations the objective proxy is monitored (halving mu
     if it rose beyond estimator noise) and adaptive score tables are
     refreshed.  Stops when the off-diagonal stationarity norm falls below
-    tol.  The report carries the stability margins of the final outputs.
+    tol; the first time adaptive tables fitted at an earlier iterate meet
+    that rule, they are refit on the current outputs and the rule is
+    checked again.  The report carries the stability margins of the final
+    outputs.
     """
     X = data.samples
     n = data.N
@@ -226,6 +238,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     trajectory = []
     converged = False
     prev_obj = None
+    refit_at_stop = adaptive
     iterations = 0
     for it in range(config.max_iter):
         Y = X @ B.T
@@ -237,19 +250,28 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
                 mu *= 0.5
             prev_obj = obj
         F, a, v = _newton_terms(Y, scores)
-        norm = float(np.linalg.norm(F - np.diag(np.diag(F))))
+        norm = _off_diagonal_norm(F)
+        if norm < config.tol and refit_at_stop and it % OUTER_CADENCE:
+            # the tables describe an earlier iterate: refit them once on
+            # these outputs before trusting the stopping rule
+            refit_at_stop = False
+            scores = [score_table(Y[:, i]) for i in range(n)]
+            F, a, v = _newton_terms(Y, scores)
+            norm = _off_diagonal_norm(F)
         trajectory.append(norm)
         iterations = it + 1
         if norm < config.tol:
             converged = True
             break
-        B = (np.eye(n) - mu * _newton_direction(F, a, v)) @ B
+        f = np.diag(F)
+        f = np.where((f > 0.0) & (f < a * v), f, 1.0)
+        B = (np.eye(n) - mu * _newton_direction(F / f[:, None], a / f, v)) @ B
         if not np.isfinite(B).all() or np.abs(B).max() > DIVERGENCE_BOUND:
             raise Diverged("demixing matrix left the trust region")
     if not converged:
         Y = X @ B.T
         F, a, v = _newton_terms(Y, scores)
-        trajectory.append(float(np.linalg.norm(F - np.diag(np.diag(F)))))
+        trajectory.append(_off_diagonal_norm(F))
     margins = a * v - np.diag(F)
     return SeparationResult(B, Dataset(Y), iterations, converged,
                             np.asarray(trajectory), "stationarity_norm",

@@ -11,7 +11,8 @@ from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
                     SolverConfig, SourceSpec, TooFewSamples,
                     amari_index, correlation_C, diagnose, make_score,
                     orthogonal_ica, parse_source, random_mixing, relative_gradient_ica,
-                    sample_covariance, simulate, stationarity_matrix)
+                    sample_covariance, score_table, simulate,
+                    stationarity_matrix)
 from icageo import algorithms
 from icageo.algorithms import (ANGLE_TOL, COARSE_ANGLES, COARSE_ROWS,
                                COARSE_SPAN, NO_IMPROVEMENT_FLOOR, SCORE_NAMES)
@@ -174,19 +175,59 @@ def test_newton_direction_is_the_plain_inverse_when_nothing_is_clipped():
                     [[0.0, d[0]], [d[1], 0.0]], rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("score,families,unit_rows", [
+    ("tanh", ("laplace", "laplace", "laplace"), []),
+    ("cube", ("uniform", "laplace", "uniform"), [2]),
+])
+def test_relative_gradient_step_solves_the_exact_blocks(score, families,
+                                                        unit_rows):
+    # one iteration from the whitener W gives B1 = (I - D) W; each pair's
+    # (D_ij, D_ji) solves [[a_i v_j, f_i], [f_j, a_j v_i]], where
+    # f_i = F_ii = E psi_i(Y_i) Y_i, or 1 where the margin kappa_i <= 0
+    A = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.1], [0.1, 0.0, 1.0]])
+    specs = tuple(SourceSpec(f) for f in families)
+    X, _ = simulate(MixingModel(A, specs), 20000, Rng(3))
+    W = whitener(sample_covariance(X)).matrix
+    B1 = relative_gradient_ica(X, SolverConfig(score=score, max_iter=1)).demixing
+    D = np.eye(3) - B1 @ np.linalg.inv(W)
+    model = make_score(score)
+    Y = X.samples @ W.T
+    F = stationarity_matrix(Dataset(Y), [model] * 3)
+    a = model(Y, slope=True)[1].mean(axis=0)
+    v = (Y * Y).mean(axis=0)
+    kappa = a * v - np.diag(F)
+    assert list(np.flatnonzero(kappa <= 0.0)) == unit_rows
+    f = np.where(kappa > 0.0, np.diag(F), 1.0)
+    floor = algorithms.HESSIAN_EIGENVALUE_FLOOR
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        # nothing is clipped: the block with rows divided by f is definite
+        scaled = [[a[i] * v[j] / f[i], 1.0], [1.0, a[j] * v[i] / f[j]]]
+        assert np.linalg.eigvalsh(scaled).min() > 2 * floor
+        step = [D[i, j], D[j, i]]
+        exact = np.linalg.solve([[a[i] * v[j], f[i]], [f[j], a[j] * v[i]]],
+                                [F[i, j], F[j, i]])
+        assert_allclose(step, exact, rtol=1e-10, atol=1e-12)
+        if {i, j} & set(unit_rows):
+            raw = np.linalg.solve([[a[i] * v[j], F[i, i]],
+                                   [F[j, j], a[j] * v[i]]],
+                                  [F[i, j], F[j, i]])
+            assert not np.allclose(step, raw, rtol=1e-3)
+
+
 @pytest.mark.parametrize("score,families", [
     ("tanh", ("laplace", "laplace")),
     ("adaptive", ("laplace", "uniform")),
     ("cube", ("uniform", "uniform")),
 ])
 def test_relative_gradient_newton_iteration_budget(score, families):
-    # the Newton step converges in tens of iterations where the plain
-    # relative gradient at step 0.1 took hundreds
+    # the exact 2 x 2 blocks converge in a handful of Newton steps where
+    # unit off-diagonal blocks took 14-20 and the plain relative gradient
+    # at step 0.1 hundreds
     for seed in (21, 22, 23):
         X, A = mixed_pair(seed, families=families)
         result = relative_gradient_ica(X, SolverConfig(score=score))
         assert result.converged
-        assert result.iterations < 60
+        assert result.iterations <= 10
         assert amari_index(result.demixing @ A).value < 0.05
 
 
@@ -205,6 +246,35 @@ def test_stability_margins_are_computed_on_the_outputs():
                         * (Y * Y).mean(axis=0) - np.diag(F))
             assert_allclose(result.report["stability_margins"], expected,
                             rtol=1e-12, atol=1e-14)
+
+
+def test_adaptive_tables_are_refit_once_where_the_rule_is_first_met(
+        monkeypatch):
+    # tables fitted at the whitened start meet the stopping rule a few
+    # iterations later; the solver refits them once on those outputs and
+    # checks the rule again before it stops
+    fits = []
+
+    def recording_table(y):
+        fits.append(y.copy())
+        return score_table(y)
+
+    monkeypatch.setattr(algorithms, "score_table", recording_table)
+    for seed in (20, 21, 24):
+        fits.clear()
+        X, _ = mixed_pair(seed)
+        result = relative_gradient_ica(X, SolverConfig(score="adaptive"))
+        assert result.converged
+        assert result.iterations < algorithms.OUTER_CADENCE
+        assert len(fits) == 4  # two channels, fitted at the start and once more
+        Y = Dataset(np.column_stack(fits[2:]))
+
+        def off_norm(tables):
+            F = stationarity_matrix(Y, tables)
+            return np.linalg.norm(F - np.diag(np.diag(F)))
+
+        assert off_norm([score_table(y) for y in fits[:2]]) < 1e-4
+        assert off_norm([score_table(y) for y in fits[2:]]) in result.trajectory
 
 
 def acceptance_mixture(trial, families):

@@ -139,17 +139,24 @@ def test_library_digamma_refuses_values_below_1(n):
 
 def test_library_digamma_array_equals_scalar_path():
     from icageo.estimators import digamma as library_digamma
-    # the largest value rules out a table indexed by value: one that size
-    # would take petabytes, so this array goes through np.unique
     n = np.concatenate([np.arange(1, 200_001),
                         np.geomspace(2e5, 1e15, 2000).astype(np.int64)])
-    np.random.default_rng(0).shuffle(n)
-    # repeated values below a few times the length fill the table
+    gen = np.random.default_rng(0)
+    gen.shuffle(n)
+    # repeated values below a few times the length fill a table indexed by
+    # value; one more value of 10**15 would make that table take petabytes,
+    # so the same values with it appended go through np.unique instead
     small = np.concatenate([n[n <= 200_000], n[:5000] % 1000 + 1])
-    for values in (n, small):
-        got = library_digamma(values)
-        want = np.array([library_digamma(int(v)) for v in values])
-        assert got.tobytes() == want.tobytes()
+    by_table = library_digamma(small)
+    by_unique = library_digamma(np.append(small, 10 ** 15))
+    assert by_table.tobytes() == by_unique[:-1].tobytes()
+    # a seeded sample of scalar calls against both array routes
+    got = library_digamma(n)
+    for k in gen.choice(n.size, 3000, replace=False):
+        assert np.float64(library_digamma(int(n[k]))).tobytes() == got[k].tobytes()
+    for k in gen.choice(small.size, 1000, replace=False):
+        assert (np.float64(library_digamma(int(small[k]))).tobytes()
+                == by_table[k].tobytes())
 
 
 @pytest.mark.parametrize("n", [10, 1000, 20001])
