@@ -208,8 +208,9 @@ def cmd_separate(args: argparse.Namespace) -> int:
     if model is not None:
         report["amari_index"] = amari_index(result.demixing @ model.mixing).value
     _json_dump(out / "report.json", report)
-    print(f"converged={result.converged} iterations={result.iterations} "
-          f"{result.measure}={final:.3e}"
+    print(f"converged={result.converged} "
+          + (f"stable={report['stable']} " if "stable" in report else "")
+          + f"iterations={result.iterations} {result.measure}={final:.3e}"
           + (f" amari_index={report['amari_index']:.4f}"
              if "amari_index" in report else ""))
     return 0

@@ -321,6 +321,19 @@ def test_relative_gradient_divergence_guard():
         relative_gradient_ica(Dataset(x), SolverConfig(score="cube", step=1.0))
 
 
+def test_step_halving_keeps_a_mismatched_cube_score_bounded():
+    # cube on laplace sources overshoots at the full Newton step; halving mu
+    # when the objective proxy rises lets the run stop, at a point that
+    # reads unstable, where a constant step oscillates until it diverges
+    rng = Rng(1)
+    A = random_mixing(3, rng.child(0), 5.0)
+    X, _ = simulate(MixingModel(A, (SourceSpec("laplace"),) * 3), 20000,
+                    rng.child(1))
+    result = relative_gradient_ica(X, SolverConfig(score="cube"))
+    assert result.converged
+    assert result.report["stable"] is False
+
+
 def test_relative_gradient_needs_enough_rows():
     with pytest.raises(TooFewSamples):
         relative_gradient_ica(Dataset(np.random.default_rng(0)

@@ -291,6 +291,20 @@ def test_separate_reports_stability_margins(tmp_path):
             assert report["stable"] == (min(report["stability_margins"]) > 0)
 
 
+def test_separate_summary_line_shows_the_verdict(tmp_path, capsys):
+    # tanh on uniform sources meets the stopping rule at a point with a
+    # negative margin; the orthogonal search has no margins to judge by
+    sim = simulate_into(tmp_path / "sim", "uniform,uniform", 5000)
+    capsys.readouterr()
+    assert run(["separate", sim / "X.csv", "--score", "tanh",
+                "--output-dir", tmp_path / "rg"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "converged=True stable=False iterations=")
+    assert run(["separate", sim / "X.csv", "--algorithm", "orthogonal",
+                "--output-dir", tmp_path / "orth"]) == 0
+    assert "stable=" not in capsys.readouterr().out
+
+
 def test_separate_default_step_is_the_full_newton_step(tmp_path):
     sim = simulate_into(tmp_path / "sim", samples=5000)
     for name, extra in (("default", []), ("one", ["--step", "1"])):

@@ -118,15 +118,16 @@ def test_correlation_matches_kld_to_matched_diagonal():
                         rtol=1e-11, atol=1e-12)
 
 
-def test_correlation_invariant_under_diagonal_scaling():
-    gen = np.random.default_rng(17)
-    for _ in range(20):
-        S = spd(gen.integers(1 << 30), 3)
-        d = np.exp(gen.uniform(-2, 2, size=3))
-        scaled = (d[:, None] * S) * d[None, :]
-        assert_allclose(correlation_C(Covariance(scaled)),
-                        correlation_C(Covariance(S)),
-                        rtol=0, atol=1e-10)
+@settings(max_examples=60)
+@given(seed=st.integers(0, (1 << 30) - 1),
+       logs=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_correlation_invariant_under_diagonal_scaling(seed, logs):
+    S = spd(seed, 3)
+    d = np.exp(np.array(logs))
+    scaled = (d[:, None] * S) * d[None, :]
+    assert_allclose(correlation_C(Covariance(scaled)),
+                    correlation_C(Covariance(S)),
+                    rtol=0, atol=1e-10)
 
 
 # -- whitening ---------------------------------------------------------------------

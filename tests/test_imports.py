@@ -1,8 +1,8 @@
 """Static checks over the icageo sources: every module-level import is used,
-only `data.py`, whose opener maps every file failure onto IoError, calls
-the builtin `open`, every public name has a user, every option the CLI
-reads is one its parser defines, and every option a command defines is
-read."""
+every module-level constant is read, only `data.py`, whose opener maps
+every file failure onto IoError, calls the builtin `open`, every public
+name has a user, every option the CLI reads is one its parser defines, and
+every option a command defines is read."""
 import argparse
 import ast
 import re
@@ -40,6 +40,42 @@ def test_unused_import_check_flags_an_unused_name(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path) == []
+
+
+def dead_constants(paths) -> list[str]:
+    """Upper-case names a module binds at top level that no module of
+    paths reads, as a bare name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            dead += [f"{path.name}:{node.lineno}: {name.id}"
+                     for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name) and name.id.isupper()
+                     and name.id not in read]
+    return dead
+
+
+def test_dead_constant_check_flags_an_unread_name(tmp_path):
+    (tmp_path / "a.py").write_text("USED = 1\nDEAD = 2\nLOCAL, VIA = 3, 4\n"
+                                   "TYPED: int = 5\nx = LOCAL + TYPED\n")
+    (tmp_path / "b.py").write_text("import a\nfrom a import USED\n"
+                                   "UNREAD: int = USED + a.VIA\n")
+    assert dead_constants(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:2: DEAD", "b.py:3: UNREAD"]
+
+
+def test_every_module_constant_is_read():
+    modules = sorted(Path(icageo.__file__).parent.glob("*.py"))
+    assert dead_constants(modules) == []
 
 
 def open_calls(path: Path) -> list[str]:
