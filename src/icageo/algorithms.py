@@ -36,6 +36,9 @@ NO_IMPROVEMENT_FLOOR = 0.02
 MAX_SWEEPS = 50
 # angle resolution of the refined pair search, radians
 ANGLE_TOL = 1e-4
+# an applied rotation smaller than this (radians) does not reopen the
+# rejected pairs that share its columns
+REOPEN_ANGLE = 20 * ANGLE_TOL
 # coarse Givens angles of the pair search: 16 steps of pi/32 over
 # (-pi/4, pi/4]; the eighth is exactly 0
 COARSE_ANGLES = (-0.25 * math.pi
@@ -233,6 +236,9 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
         raise TooFewSamples(f"the adaptive score needs T >= "
                             f"{SCORE_TABLE_MIN_SAMPLES} samples, got {data.T}")
     B = whitener(sample_covariance(data)).matrix.copy()
+    # iteration 0's demixing: its proxy is first needed at iteration
+    # OUTER_CADENCE, which most runs stop before
+    start = B
     mu = config.step
     scores = None if adaptive else [make_score(config.score)] * n
     trajectory = []
@@ -245,10 +251,13 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
         if it % OUTER_CADENCE == 0:
             if adaptive:
                 scores = [score_table(Y[:, i]) for i in range(n)]
-            obj = _objective_value(Y)
-            if prev_obj is not None and obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
-                mu *= 0.5
-            prev_obj = obj
+            if it:
+                if prev_obj is None:
+                    prev_obj = _objective_value(X @ start.T)
+                obj = _objective_value(Y)
+                if obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
+                    mu *= 0.5
+                prev_obj = obj
         F, a, v = _newton_terms(Y, scores)
         norm = _off_diagonal_norm(F)
         if norm < config.tol and refit_at_stop and it % OUTER_CADENCE:
@@ -341,19 +350,29 @@ def _pair_gain(yi: np.ndarray, yj: np.ndarray):
     """The gain of rotating (yi, yj) by theta: the rise of the pair's summed
     negentropy.  Every variance is taken from the pair's centred 2 x 2
     second moments: var(c yi - s yj) = c^2 S_ii + s^2 S_jj - 2 c s S_ij.
+    The centred pair is rotated in float64 into two reused buffers, and
+    every term, the base included, is estimated on float32 sort keys.
     """
-    pair = np.column_stack((yi, yj))
-    pair -= pair.mean(axis=0)
-    (sii, sij), (_, sjj) = (pair.T @ pair / pair.shape[0]).tolist()
-    base = _negentropy_raw(yi, var=sii) + _negentropy_raw(yj, var=sjj)
+    xi = yi - yi.mean()
+    xj = yj - yj.mean()
+    sii, sij, sjj = (float(a @ b) / xi.size
+                     for a, b in ((xi, xi), (xi, xj), (xj, xj)))
+    base = (_negentropy_raw(xi, var=sii, float32=True)
+            + _negentropy_raw(xj, var=sjj, float32=True))
+    u, w = np.empty((2, xi.size))
 
     def gain(theta):
         c, s = math.cos(theta), math.sin(theta)
         cross = 2.0 * c * s * sij
-        return (_negentropy_raw(c * yi - s * yj,
-                                var=c * c * sii + s * s * sjj - cross)
-                + _negentropy_raw(s * yi + c * yj,
-                                  var=s * s * sii + c * c * sjj + cross)
+        np.subtract(np.multiply(xi, c, out=u), np.multiply(xj, s, out=w),
+                    out=u)
+        first = _negentropy_raw(u, var=c * c * sii + s * s * sjj - cross,
+                                float32=True)
+        # u is free again: it holds s xi while w turns into s xi + c xj
+        np.add(np.multiply(xi, s, out=u), np.multiply(xj, c, out=w), out=w)
+        return (first
+                + _negentropy_raw(w, var=s * s * sii + c * c * sjj + cross,
+                                  float32=True)
                 - base)
 
     return gain
@@ -399,13 +418,18 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     Jacobi sweeps over channel pairs in lexicographic order; each pair's
     Givens angle is located by _search_pair: a scan of 15 coarse angles
     over (-pi/4, pi/4] on every ceil(T / COARSE_ROWS)-th row, then Brent's
-    method on the full pair to ANGLE_TOL around the best one.  A rotation
-    is kept when it improves the pair's negentropy sum by more than
-    config.tol; sweeping stops when no pair improves by that much, or
+    method on the full pair to ANGLE_TOL around the best one.  The pair
+    gain is the m-spacing negentropy of float32 sort keys of the centred,
+    float64-rotated pair (within about 1e-8 nats of the float64 estimate).
+    A rotation is kept when it improves the pair's negentropy sum by more
+    than config.tol; sweeping stops when no pair improves by that much, or
     after config.max_iter sweeps (never more than MAX_SWEEPS).  A rejected
-    pair is not searched again until one of its columns has been rotated.
-    The returned demixing is the rotation times the whitener, so the
-    recovered channels are exactly decorrelated.
+    pair is not searched again until one of its columns has been rotated
+    by at least REOPEN_ANGLE: the stopping rule does not promise that a
+    pair was searched after its columns' last rotation, only after the
+    last one of at least REOPEN_ANGLE.  The returned demixing is the
+    rotation times the whitener, so the recovered channels are exactly
+    decorrelated.
     """
     X = data.samples
     n = data.N
@@ -440,8 +464,9 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
                     Y[:, i] = c * yi - s * yj
                     Y[:, j] = s * yi + c * yj
                     U[[i, j]] = np.array([[c, -s], [s, c]]) @ U[[i, j]]
-                    rotated[i] += 1
-                    rotated[j] += 1
+                    if abs(theta) >= REOPEN_ANGLE:
+                        rotated[i] += 1
+                        rotated[j] += 1
                 else:
                     rejected[i, j] = (rotated[i], rotated[j])
         sweep_gains.append(sweep_best)

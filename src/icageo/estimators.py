@@ -133,16 +133,33 @@ def _spacing_bias(n: int, m: int) -> float:
             + digamma(n + 1) - (2.0 / n) * float(np.sum(digamma(i + m - 1))))
 
 
-def _vasicek(x: np.ndarray, m: int) -> float:
-    n = x.size
-    xs = np.sort(x)
-    # m-spacings xs[min(k + m, n - 1)] - xs[max(k - m, 0)], built in one
-    # buffer, which then holds the floored, scaled logs
-    gaps = np.empty(n)
+def _m_spacings(xs: np.ndarray, m: int) -> np.ndarray:
+    # xs[min(k + m, n - 1)] - xs[max(k - m, 0)] of a sorted xs, in one new
+    # buffer of xs's dtype
+    n = xs.size
+    gaps = np.empty_like(xs)
     gaps[:n - m] = xs[m:]
     gaps[n - m:] = xs[-1]
     gaps[m:] -= xs[:n - m]
     gaps[:m] -= xs[0]
+    return gaps
+
+
+def _vasicek(x: np.ndarray, m: int, float32: bool = False) -> float:
+    n = x.size
+    if float32:
+        # float32 keys of x, which should be centred: float32 resolution at
+        # a large offset is coarser than an m-spacing.  The logs are
+        # averaged in float64; a zero m-spacing falls through to float64
+        keys = x.astype(np.float32)
+        keys.sort()
+        gaps = _m_spacings(keys, m)
+        if gaps.all():
+            np.log(gaps, out=gaps)
+            return (float(np.mean(gaps, dtype=np.float64))
+                    + math.log(n / (2.0 * m)) + _spacing_bias(n, m))
+    # the buffer of m-spacings then holds the floored, scaled logs
+    gaps = _m_spacings(np.sort(x), m)
     np.maximum(gaps, 1e-300, out=gaps)
     np.multiply(n / (2.0 * m), gaps, out=gaps)
     np.log(gaps, out=gaps)
@@ -200,21 +217,23 @@ def entropy_scalar(x, method: str = "vasicek_spacing",
 
 
 def _negentropy_raw(v: np.ndarray, var: float | None = None,
-                    m: int | None = None) -> float:
+                    m: int | None = None, float32: bool = False) -> float:
     """Vasicek-based negentropy as a bare float, no plausibility gate.
 
     Used inside solver loops where transient estimates on partly separated
     data are monitoring signals, not reported results.  var, when given,
     is the variance of v as the caller already knows it (the orthogonal
     search takes it from a pair's 2 x 2 second moments); np.var otherwise.
-    m is the spacing, floor(sqrt(n)) by default.
+    m is the spacing, floor(sqrt(n)) by default.  float32 sorts, spaces
+    and logs float32 keys of a centred v, about twice as fast; a zero
+    float32 m-spacing falls back to the float64 estimate.
     """
     if var is None:
         var = float(np.var(v))
     if var <= 0.0:
         raise DegenerateSample("zero variance")
     m = _spacing_order(v.size, m)
-    return GAUSSIAN_ENTROPY + 0.5 * math.log(var) - _vasicek(v, m)
+    return GAUSSIAN_ENTROPY + 0.5 * math.log(var) - _vasicek(v, m, float32)
 
 
 def negentropy_scalar(x, m: int | None = None) -> NegentropyEstimate:

@@ -1,4 +1,5 @@
 """Tests for the relative-gradient and orthogonal separation solvers."""
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
                     stationarity_matrix)
 from icageo import algorithms
 from icageo.algorithms import (ANGLE_TOL, COARSE_ANGLES, COARSE_ROWS,
-                               COARSE_SPAN, NO_IMPROVEMENT_FLOOR, SCORE_NAMES)
+                               COARSE_SPAN, NO_IMPROVEMENT_FLOOR,
+                               OUTER_CADENCE, REOPEN_ANGLE, SCORE_NAMES)
 from icageo.gaussian import whitener
 
 
@@ -334,6 +336,31 @@ def test_step_halving_keeps_a_mismatched_cube_score_bounded():
     assert result.report["stable"] is False
 
 
+def test_objective_proxy_is_evaluated_only_where_it_is_compared(monkeypatch):
+    # iteration 0's proxy is taken at the first comparison, at iteration
+    # OUTER_CADENCE, from the outputs of the demixing it started from
+    proxy = algorithms._objective_value
+    evaluated = []
+
+    def counted(Y):
+        evaluated.append(Y.copy())
+        return proxy(Y)
+
+    monkeypatch.setattr(algorithms, "_objective_value", counted)
+    X, _ = mixed_pair(1)
+    assert relative_gradient_ica(X, SolverConfig()).iterations <= OUTER_CADENCE
+    assert evaluated == []
+    rng = Rng(1)
+    A = random_mixing(3, rng.child(0), 5.0)
+    X, _ = simulate(MixingModel(A, (SourceSpec("laplace"),) * 3), 20000,
+                    rng.child(1))
+    result = relative_gradient_ica(X, SolverConfig(score="cube"))
+    comparisons = (result.iterations - 1) // OUTER_CADENCE
+    assert comparisons >= 2 and len(evaluated) == comparisons + 1
+    start = whitener(sample_covariance(X)).matrix
+    assert_array_equal(evaluated[0], X.samples @ start.T)
+
+
 def test_relative_gradient_needs_enough_rows():
     with pytest.raises(TooFewSamples):
         relative_gradient_ica(Dataset(np.random.default_rng(0)
@@ -440,12 +467,14 @@ def test_orthogonal_equals_reference_with_fewer_searches(monkeypatch,
     X = mixed(families, 5000, len(families))
     calls = []
 
-    def counted(v, var=None):
+    def counted(v, var=None, float32=False):
         calls.append(v.size)
-        return negentropy(v, var=var)
+        return negentropy(v, var=var, float32=float32)
 
     negentropy = algorithms._negentropy_raw
     monkeypatch.setattr(algorithms, "_negentropy_raw", counted)
+    # the reference reopens every pair after any rotation, however small
+    monkeypatch.setattr(algorithms, "REOPEN_ANGLE", 0.0)
     config = SolverConfig()
     result = orthogonal_ica(X, config)
     fast_calls = len(calls)
@@ -504,15 +533,17 @@ def golden_pair_search(yi, yj):
                           COARSE_ANGLES[k] + COARSE_SPAN, ANGLE_TOL)
 
 
-def full_pair_search(yi, yj):
-    """The pair search before the subsampled coarse scan, which every pair
-    of at most COARSE_ROWS rows still takes: moment variances, the 15
-    nonzero coarse angles on the full pair, then Brent's method; returns
-    (angle, gain)."""
-    negentropy = algorithms._negentropy_raw
-    pair = np.column_stack((yi, yj))
-    pair -= pair.mean(axis=0)
-    (sii, sij), (_, sjj) = (pair.T @ pair / pair.shape[0]).tolist()
+def reference_pair_gain(yi, yj, float32):
+    """The pair gain written out, with the variances from the centred
+    pair's 2 x 2 moments: with float32, every negentropy on float32 keys of
+    the centred columns, as _pair_gain takes them; without, on the float64
+    columns as given."""
+    negentropy = functools.partial(algorithms._negentropy_raw, float32=float32)
+    T = yi.size
+    xi, xj = yi - yi.mean(), yj - yj.mean()
+    sii, sij, sjj = xi @ xi / T, xi @ xj / T, xj @ xj / T
+    if float32:
+        yi, yj = xi, xj
     base = negentropy(yi, var=sii) + negentropy(yj, var=sjj)
 
     def gain(theta):
@@ -524,6 +555,15 @@ def full_pair_search(yi, yj):
                              var=s * s * sii + c * c * sjj + cross)
                 - base)
 
+    return gain
+
+
+def full_pair_search(yi, yj):
+    """The pair search before the subsampled coarse scan, which every pair
+    of at most COARSE_ROWS rows still takes: the 15 nonzero coarse angles
+    of the gain on the full pair, then Brent's method; returns (angle,
+    gain)."""
+    gain = reference_pair_gain(yi, yj, float32=True)
     values = [gain(t) if t else 0.0 for t in COARSE_ANGLES]
     k = int(np.argmax(values))
     peak = COARSE_ANGLES[k]
@@ -542,9 +582,9 @@ def recorded_pair_searches(X, monkeypatch):
         searches.append((yi.copy(), yj.copy(), *out))
         return out
 
-    def counted(v, var=None):
+    def counted(v, var=None, float32=False):
         calls.append(v.size)
-        return negentropy(v, var=var)
+        return negentropy(v, var=var, float32=float32)
 
     monkeypatch.setattr(algorithms, "_search_pair", recorded)
     monkeypatch.setattr(algorithms, "_negentropy_raw", counted)
@@ -610,10 +650,10 @@ def test_pair_search_variances_are_the_columns_variances(monkeypatch):
         negentropy = algorithms._negentropy_raw
         sizes = []
 
-        def checked(v, var=None):
+        def checked(v, var=None, float32=False):
             sizes.append(v.size)
             assert var == pytest.approx(np.var(v), rel=1e-12)
-            return negentropy(v, var=var)
+            return negentropy(v, var=var, float32=float32)
 
         monkeypatch.setattr(algorithms, "_negentropy_raw", checked)
         theta, gain = algorithms._search_pair(yi, yj)
@@ -689,6 +729,56 @@ def test_orthogonal_separates_when_the_subsample_is_constant():
     result = orthogonal_ica(Dataset(samples), SolverConfig())
     assert result.converged
     assert amari_index(result.demixing @ A).value < 0.05
+
+
+@settings(max_examples=20)
+@given(families=st.sampled_from([("laplace", "uniform"),
+                                 ("uniform", "uniform"),
+                                 ("laplace", "generalized-gaussian(4)"),
+                                 ("cosh-reciprocal", "gaussian")]),
+       T=st.integers(1000, 3 * COARSE_ROWS), seed=st.integers(0, 2 ** 16),
+       theta=st.floats(-0.25 * math.pi - COARSE_SPAN,
+                       0.25 * math.pi + COARSE_SPAN))
+def test_float32_keys_give_the_float64_pair_gain(families, T, seed, theta):
+    X = mixed(families, T, seed).samples
+    yi, yj = X[:, 0], X[:, 1]
+    gain = algorithms._pair_gain(yi, yj)(theta)
+    exact = reference_pair_gain(yi, yj, float32=False)(theta)
+    assert gain == pytest.approx(exact, abs=1e-7)
+
+
+def test_float32_keys_of_an_offset_pair_give_the_float64_gain():
+    # float32 resolution at 1e4 is about 1e-3, coarser than the m-spacings
+    # of a unit pair; the gain centres the pair before taking its keys
+    X = mixed(("laplace", "uniform"), 20000, 3).samples
+    X = X / X.std(axis=0) + 1e4
+    yi, yj = X[:, 0], X[:, 1]
+    gain = algorithms._pair_gain(yi, yj)
+    exact = reference_pair_gain(yi, yj, float32=False)
+    for theta in (-0.7, -0.01, 5e-4, 0.3):
+        assert gain(theta) == pytest.approx(exact(theta), abs=1e-7)
+
+
+@pytest.mark.parametrize("theta,reopens", [
+    (REOPEN_ANGLE, True), (-REOPEN_ANGLE, True), (0.5, True),
+    (math.nextafter(REOPEN_ANGLE, 0.0), False), (-0.5 * REOPEN_ANGLE, False),
+])
+def test_only_a_rotation_of_at_least_reopen_angle_reopens_pairs(
+        monkeypatch, theta, reopens):
+    # sweep 1 rejects (0, 1) and (0, 2), then rotates (1, 2) by theta;
+    # sweep 2 searches (1, 2) again, and (0, 1) and (0, 2) only if the
+    # rotation reopened them; it finds nothing, so the run stops
+    searches = []
+
+    def search(yi, yj):
+        searches.append(len(searches))
+        return (theta, 1.0) if len(searches) == 3 else (0.0, 0.0)
+
+    monkeypatch.setattr(algorithms, "_search_pair", search)
+    X = mixed(("laplace", "uniform", "laplace"), 2000, 1)
+    result = orthogonal_ica(X, SolverConfig())
+    assert result.converged and result.iterations == 2
+    assert len(searches) == (6 if reopens else 4)
 
 
 def test_objective_proxy_is_deterministic_and_ordered():

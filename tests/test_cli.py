@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from icageo import (Dataset, NonFinite, make_score, read_csv,
                     stationarity_matrix, write_csv)
-from icageo.algorithms import SCORE_NAMES
+from icageo.algorithms import COARSE_ROWS, SCORE_NAMES
 from icageo.cli import build_parser, main
 
 TABLE_MI = 0.19274475702175753  # exact MI of [[0.4,0.1],[0.1,0.4]]
@@ -262,6 +262,29 @@ def test_separate_is_byte_identical_across_runs(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert run(["separate", sim / "X.csv", "--seed", 3,
+                    "--output-dir", out]) == 0
+        outs.append(out)
+    for fname in ("B.json", "Y.csv", "trace.csv", "report.json"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@settings(max_examples=8,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sources=st.lists(st.sampled_from(["laplace", "uniform", "gaussian",
+                                         "generalized-gaussian(4)"]),
+                        min_size=2, max_size=3),
+       samples=st.sampled_from([2000, COARSE_ROWS + 1, 12000]),
+       seed=st.integers(0, 2 ** 32))
+def test_separate_orthogonal_reruns_are_byte_identical(tmp_path, sources,
+                                                       samples, seed):
+    # drawn inputs on both sides of COARSE_ROWS, where the coarse scan
+    # reads a subsample; every run of one example gets its own directory
+    base = tmp_path / f"{'-'.join(sources)}-{samples}-{seed}"
+    sim = simulate_into(base / "sim", ",".join(sources), samples, seed)
+    outs = []
+    for name in ("r1", "r2"):
+        out = base / name
+        assert run(["separate", sim / "X.csv", "--algorithm", "orthogonal",
                     "--output-dir", out]) == 0
         outs.append(out)
     for fname in ("B.json", "Y.csv", "trace.csv", "report.json"):

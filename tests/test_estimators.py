@@ -181,6 +181,22 @@ def test_negentropy_raw_bitwise_equals_reference(n):
             assert got == reference_vasicek(x, m_test)
 
 
+def test_float32_keys_tied_over_an_m_spacing_give_the_float64_estimate():
+    # 200 values that one float32 holds, distinct in float64, make zero
+    # float32 m-spacings (2m = 88 < 200): the estimate is the float64 one
+    x = draw("laplace", 2000, 4)
+    x[:200] = 0.5 + 1e-12 * np.arange(200)
+    assert np.unique(x[:200].astype(np.float32)).size == 1
+    assert np.unique(x).size == x.size
+    var = float(np.var(x))
+    assert (_negentropy_raw(x, var=var, float32=True)
+            == _negentropy_raw(x, var=var))
+    # without ties the float32 keys give their own value, close to it
+    y = draw("laplace", 2000, 4)
+    fast, exact = (_negentropy_raw(y, float32=True), _negentropy_raw(y))
+    assert fast != exact and fast == pytest.approx(exact, abs=1e-7)
+
+
 # -- relative entropy ---------------------------------------------------------
 
 @settings(max_examples=40)
