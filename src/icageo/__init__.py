@@ -17,7 +17,7 @@ from .errors import (DegenerateGain, DegenerateSample, DimensionMismatch,
 from .rng import Rng
 from .sources import FAMILIES, SourceSpec, parse_source
 from .data import (Dataset, MixingModel, random_mixing, read_csv, simulate,
-                   validate_dataset, write_csv)
+                   write_csv)
 from .gaussian import (Covariance, WhiteningTransform, correlation_C,
                        gaussian_kld, sample_covariance,
                        verify_gaussian_pythagoras, whitener)
@@ -44,7 +44,7 @@ __all__ = [
     "Rng",
     "FAMILIES", "SourceSpec", "parse_source",
     "Dataset", "MixingModel", "simulate", "random_mixing",
-    "read_csv", "write_csv", "validate_dataset",
+    "read_csv", "write_csv",
     "Covariance", "WhiteningTransform",
     "sample_covariance", "gaussian_kld", "correlation_C", "whitener",
     "verify_gaussian_pythagoras",

@@ -44,10 +44,10 @@ def _load_config_file(path) -> dict:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            if "=" not in text:
-                raise InvalidConfig(f"{path}: line {lineno}: expected key=value")
-            key, value = text.split("=", 1)
+            key, sep, value = text.partition("=")
             key = key.strip().replace("-", "_")
+            if not (sep and key):
+                raise InvalidConfig(f"{path}: line {lineno}: expected key=value")
             if key in first_line:
                 raise InvalidConfig(f"{path}: lines {first_line[key]} and "
                                     f"{lineno} both set "
@@ -159,8 +159,7 @@ def _load_model(path, specs=None) -> MixingModel:
     sources = obj.get("sources")
     try:
         if sources is not None or specs is None:
-            if not (isinstance(sources, list)
-                    and all(isinstance(s, str) for s in sources)):
+            if not isinstance(sources, list):
                 raise InvalidConfig("needs a 'sources' list of names")
             listed = [parse_source(s) for s in sources]
             specs = listed if specs is None else specs

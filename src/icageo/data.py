@@ -76,14 +76,6 @@ class Dataset:
         return self.samples[:, i]
 
 
-def validate_dataset(raw, channel_names=None) -> Dataset:
-    """A Dataset from a raw matrix; a 1-D array is one channel."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return Dataset(arr, channel_names)
-
-
 @dataclass(frozen=True)
 class MixingModel:
     """Ground truth (mixing matrix A, list of unit-variance sources)."""
@@ -355,7 +347,7 @@ def _load_numeric(fh: io.TextIOBase) -> Dataset | None:
             return None
     if body.shape[0] == 0 or body.shape[1] != len(names):
         return None
-    return validate_dataset(body, names)
+    return Dataset(body, names)
 
 
 def _parse_csv(fh: io.TextIOBase, label: str) -> Dataset:
@@ -380,4 +372,4 @@ def _parse_csv(fh: io.TextIOBase, label: str) -> Dataset:
             raise IoError(f"{label}: line {lineno}: non-numeric field") from None
     if not rows:
         raise IoError(f"{label}: no data rows")
-    return validate_dataset(np.array(rows, dtype=float), names)
+    return Dataset(np.array(rows, dtype=float), names)

@@ -1,16 +1,16 @@
 """Sample-based estimators: scalar entropy, negentropy, mutual information,
 and nonparametric score functions.
 
-Defaults favor tuning-light classical estimators: m-spacing entropy with
-digamma bias reduction, k-nearest-neighbor mutual information in the
-Chebyshev metric, and a binned kernel density score table with a
-smoothing-bias correction.  All are deterministic functions of their inputs.
+One tuning-light classical estimator each: m-spacing entropy with digamma
+bias reduction, k-nearest-neighbor mutual information in the Chebyshev
+metric, and a binned kernel density score table with a smoothing-bias
+correction.  All are deterministic functions of their inputs.
 """
 import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,7 @@ DIGAMMA_TABLE_FACTOR = 4
 @dataclass(frozen=True)
 class EntropyEstimate:
     value: float
-    method: str
     n: int
-    parameters: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,9 @@ class MIEstimate:
 
     value is clamped at zero; raw keeps the uncorrected number so noise
     around zero stays visible.  near_deterministic_dependence is set when
-    raw exceeds SATURATION_FRACTION of the method's saturation level
-    (psi(T) - psi(k) for knn_kl, ln(bins) for histogram), at which point
-    the number is a floor, not an estimate.
+    raw exceeds SATURATION_FRACTION of the estimator's saturation level
+    psi(T) - psi(k), at which point the number is a floor, not an
+    estimate.  method is always "knn_kl".
     """
 
     value: float
@@ -188,32 +186,13 @@ def _relative_entropy(p: np.ndarray, *log_qs) -> list[float]:
     return sums
 
 
-def _hist_entropy(x: np.ndarray, bins: int) -> float:
-    lo, hi = float(x.min()), float(x.max())
-    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
-    width = (hi - lo) / bins
-    return math.log(width) - _relative_entropy(counts / x.size, 0.0)[0]
-
-
-def entropy_scalar(x, method: str = "vasicek_spacing",
-                   m: int | None = None, bins: int | None = None) -> EntropyEstimate:
-    """Differential entropy of a scalar sample, in nats.
-
-    vasicek_spacing: m-spacing estimate (default m = floor(sqrt(n))) with
-    the standard digamma bias-reduction terms.  histogram: plug-in entropy
-    of the binned density plus the log bin width.
+def entropy_scalar(x, m: int | None = None) -> EntropyEstimate:
+    """Differential entropy of a scalar sample, in nats: the m-spacing
+    estimate (default m = floor(sqrt(n))) with the standard digamma
+    bias-reduction terms.
     """
     v = _check_vector(x, 10)
-    n = v.size
-    if method == "vasicek_spacing":
-        m = _spacing_order(n, m)
-        return EntropyEstimate(_vasicek(v, m), method, n, {"m": m})
-    if method == "histogram":
-        bins = max(2, math.isqrt(n)) if bins is None else int(bins)
-        if bins < 2:
-            raise TooFewSamples("histogram needs at least 2 bins")
-        return EntropyEstimate(_hist_entropy(v, bins), method, n, {"bins": bins})
-    raise InvalidConfig(f"unknown entropy method {method!r}")
+    return EntropyEstimate(_vasicek(v, _spacing_order(v.size, m)), v.size)
 
 
 def _negentropy_raw(v: np.ndarray, var: float | None = None,
@@ -291,30 +270,13 @@ def _knn_mi(Y: np.ndarray, k: int) -> tuple[float, float]:
     return raw, saturation
 
 
-def _hist_mi(Y: np.ndarray, bins: int) -> tuple[float, float]:
-    T, N = Y.shape
-    edges = [np.linspace(Y[:, j].min(), Y[:, j].max(), bins + 1)
-             for j in range(N)]
-    counts, _ = np.histogramdd(Y, bins=edges)
-    p = counts / T
-    # the binned law's divergence to the product of its marginals; a zero
-    # marginal cell empties its slice of p, so its log is never used
-    log_q = 0.0
-    for j in range(N):
-        pj = p.sum(axis=tuple(a for a in range(N) if a != j), keepdims=True)
-        log_q = log_q + np.log(pj, out=np.zeros_like(pj), where=pj > 0)
-    return _relative_entropy(p, log_q)[0], math.log(bins)
-
-
-def mutual_information(data: Dataset, method: str = "knn_kl",
-                       k: int = 5, bins: int | None = None,
+def mutual_information(data: Dataset, k: int = 5,
                        seed: int = 0) -> MIEstimate:
     """Mutual information between the channels of a 2- or 3-column dataset.
 
-    knn_kl: k-nearest-neighbor estimator in the Chebyshev metric (default
-    k=5); exact duplicate values are deterministically jittered to keep
-    neighbor counts well defined.  histogram: plug-in on a per-axis
-    equal-width grid with ceil(T^(1/3)) bins by default.
+    k-nearest-neighbor estimator in the Chebyshev metric (default k=5);
+    exact duplicate values are deterministically jittered to keep neighbor
+    counts well defined.
     """
     if data.N < 2:
         raise DimensionMismatch("mutual information needs at least 2 channels")
@@ -322,27 +284,19 @@ def mutual_information(data: Dataset, method: str = "knn_kl",
         raise DimensionTooHigh("mutual information supports at most 3 channels")
     if data.T < MI_MIN_SAMPLES:
         raise TooFewSamples(f"mutual information needs T >= {MI_MIN_SAMPLES}")
+    if not (1 <= k < data.T):
+        raise TooFewSamples("neighbor count k out of range")
     Y = np.array(data.samples, dtype=float)
-    if method == "knn_kl":
-        if not (1 <= k < data.T):
-            raise TooFewSamples("neighbor count k out of range")
-        for j in range(Y.shape[1]):
-            col = Y[:, j]
-            if np.unique(col).size < col.size:
-                gen = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(seed, spawn_key=(j,))))
-                scale = 1e-10 * max(float(col.std()), 1e-30)
-                Y[:, j] = col + scale * gen.standard_normal(col.size)
-        raw, saturation = _knn_mi(Y, k)
-    elif method == "histogram":
-        bins = int(math.ceil(data.T ** (1.0 / 3.0))) if bins is None else int(bins)
-        if bins < 2:
-            raise TooFewSamples("histogram needs at least 2 bins")
-        raw, saturation = _hist_mi(Y, bins)
-    else:
-        raise InvalidConfig(f"unknown MI method {method!r}")
+    for j in range(Y.shape[1]):
+        col = Y[:, j]
+        if np.unique(col).size < col.size:
+            gen = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(j,))))
+            scale = 1e-10 * max(float(col.std()), 1e-30)
+            Y[:, j] = col + scale * gen.standard_normal(col.size)
+    raw, saturation = _knn_mi(Y, k)
     flagged = raw > SATURATION_FRACTION * saturation
-    return MIEstimate(max(raw, 0.0), raw, method, data.N, data.T,
+    return MIEstimate(max(raw, 0.0), raw, "knn_kl", data.N, data.T,
                       saturation, flagged)
 
 

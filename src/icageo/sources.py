@@ -125,6 +125,8 @@ _SPEC_RE = re.compile(r"^([a-z\-]+)(?:\(([^)]*)\))?$")
 
 def parse_source(text: str) -> SourceSpec:
     """Parse a CLI token like 'laplace' or 'generalized-gaussian(4)'."""
+    if not isinstance(text, str):
+        raise InvalidDistribution(f"source spec must be a name, got {text!r}")
     m = _SPEC_RE.match(text.strip())
     if m is None:
         raise InvalidDistribution(f"cannot parse source spec {text!r}")

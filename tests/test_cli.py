@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -127,9 +129,12 @@ def test_config_file_supplies_defaults_flags_override(tmp_path):
 
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("seed 7\n")  # no equals sign
-    assert run(["simulate", "--sources", "laplace,uniform",
-                "--config", bad, "--output-dir", tmp_path]) == 2
+    for line in ("seed 7", "= 7", " ="):  # no "=", or no key
+        bad.write_text(f"# defaults\n{line}\n")
+        assert run(["simulate", "--sources", "laplace,uniform",
+                    "--config", bad, "--output-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == (f"icageo simulate: error: {bad}: "
+                                           "line 2: expected key=value\n")
     assert run(["simulate", "--sources", "laplace,uniform",
                 "--config", tmp_path / "missing.cfg",
                 "--output-dir", tmp_path]) == 2
@@ -626,6 +631,21 @@ def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("density,number", [
+    ({"form": "product_of_1d", "sources": [1, "laplace"]}, 1),
+    ({"form": "rotated_product", "sources": ["laplace", 2.5],
+      "angle_deg": 30}, 2.5),
+], ids=["product", "rotated"])
+def test_verify_spec_source_that_is_not_a_name_is_input_error(tmp_path, capsys,
+                                                              density, number):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"density": density}))
+    assert run(["verify", "--spec", bad, "--output-dir", tmp_path / "v"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"icageo verify: error: source spec must be a name, got {number}"]
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--spec", {"density": GAUSS_EYE, "step": 1e-5}],
     ["--spec", {"density": GAUSS_EYE, "step": math.inf}],
@@ -811,7 +831,8 @@ def test_bad_input_file_is_input_error_naming_it(tmp_path, capsys, command,
     ({**MODEL, "mixing": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "square"),
     ({**MODEL, "sources": ["laplace", "cauchy"]},
      "unknown source family 'cauchy'"),
-], ids=["singular", "non-square", "unknown-family"])
+    ({**MODEL, "sources": [1, "uniform"]}, "source spec must be a name"),
+], ids=["singular", "non-square", "unknown-family", "number-as-source"])
 def test_model_file_semantic_error_is_input_error_naming_it(
         tmp_path, capsys, command, content, message):
     csv = tmp_path / "x.csv"  # two channels, as many as the file's sources
@@ -898,6 +919,189 @@ def test_diagnose_seed_out_of_range_is_input_error(tmp_path, capsys,
     assert run(["diagnose", csv, *option, "--output-dir", out]) == 2
     assert "unsigned 64-bit" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- the input contract over drawn config and spec files ------------------------
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A two-channel input, a model and a joint-table spec for the drawn
+    config files to name, and a directory for everything the runs write."""
+    root = tmp_path_factory.mktemp("contract")
+    files = {"csv": root / "x.csv", "model": root / "model.json",
+             "joint": root / "joint.json", "missing": root / "missing.json",
+             "out": root / "out", "root": root}
+    write_csv(files["csv"],
+              Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    files["model"].write_bytes(as_json(MODEL))
+    files["joint"].write_bytes(as_json({"joint": [[0.4, 0.1], [0.1, 0.4]]}))
+    return files
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of main; argparse's SystemExit(2)
+    counts as exit code 2, and any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_input_contract(command, code, out, err):
+    """Exit 0, 1 or 2; a non-zero exit ends stderr with one error line of
+    the command, except a verify whose checks ran and failed, which says so
+    on stdout."""
+    assert code in (0, 1, 2)
+    if code == 0:
+        return
+    lines = err.splitlines()
+    if command == "verify" and code == 1 and not lines:
+        assert "FAIL " in out
+        return
+    assert lines and lines[-1].startswith(f"icageo {command}: error:"), err
+
+
+SEEDS = ["0", "7", "-1", "18446744073709551616", "abc"]
+JUNK = ["", "abc", "nan", "1e999", "true", "-1", "1,2", "{missing}"]
+# the options of each command a config line may name, with valid values and
+# values of the wrong kind or out of range; "{name}" is a contract file
+CONFIG_VALUES = {
+    "simulate": {
+        "sources": ["laplace,uniform", "laplace", "gaussian,gaussian",
+                    "cauchy", ",,", "generalized-gaussian(abc),uniform"],
+        "samples": ["2000", "1000", "1", "0", "-5", "1e3"],
+        "cond": ["2", "5", "1", "0.5", "0", "-1", "inf"],
+        "mixing": ["{model}", "{joint}"],
+        "seed": SEEDS, "output-dir": ["{out}"],
+    },
+    "separate": {
+        "algorithm": ["relative_gradient", "orthogonal", "pca"],
+        "score": ["tanh", "cube", "adaptive", "identity", "sigmoid"],
+        "step": ["1", "0.5", "0", "2", "inf"],
+        "tol": ["1e-4", "1e-3", "0", "inf"],
+        "max-iter": ["1", "5", "0", "2.5"],
+        "center": ["true", "false", "yes"],
+        "model": ["{model}", "{joint}"],
+        "seed": SEEDS, "output-dir": ["{out}"],
+    },
+    "diagnose": {"center": ["true", "false", "1"], "seed": SEEDS,
+                 "output-dir": ["{out}"]},
+    "verify": {"spec": ["{joint}"], "step": ["0.2", "0.1", "0", "inf"],
+               "output-dir": ["{out}"]},
+}
+# keys no command has, or that name a command's positional or --config
+UNKNOWN_KEYS = ["foo", "max", "max_iters", "command", "input", "config",
+                "seeds", ""]
+# the command line around the config: every command line option is valid
+CONTRACT_ARGV = {"simulate": [[]], "separate": [["{csv}"]],
+                 "diagnose": [["{csv}"]],
+                 "verify": [["--step", "0.2"], ["--spec", "{joint}"]]}
+
+
+@st.composite
+def config_lines(draw, values):
+    """One line of a config file: mostly an option of the command with a
+    valid value, so that runs get past the file; else an unknown key, a
+    junk value, or a line without '='."""
+    kind = draw(st.sampled_from(["valid"] * 4 + ["unknown", "junk", "bare"]))
+    if kind == "bare":
+        return draw(st.sampled_from(["seed 7", "junk", "# a comment", ""]))
+    if kind == "unknown":
+        key = draw(st.sampled_from(UNKNOWN_KEYS))
+    else:
+        key = draw(st.sampled_from(sorted(values)))
+    value = draw(st.sampled_from(values[key] if kind == "valid" else JUNK))
+    return draw(st.sampled_from([f"{key} = {value}", f"{key}={value}"]))
+
+
+@st.composite
+def config_runs(draw):
+    """(command, its command line, the lines of a --config file)."""
+    command = draw(st.sampled_from(sorted(CONFIG_VALUES)))
+    # a key repeats only where drawn so: hypothesis favours repeats
+    lines = draw(st.lists(config_lines(CONFIG_VALUES[command]), max_size=3,
+                          unique_by=lambda line: line.partition("=")[0].strip()))
+    if lines and draw(st.sampled_from([False] * 4 + [True])):
+        lines.append(lines[0])
+    argv = draw(st.sampled_from(CONTRACT_ARGV[command]))
+    return command, argv, lines
+
+
+@settings(max_examples=60)
+@given(case=config_runs())
+def test_drawn_config_files_keep_the_input_contract(contract_files, case):
+    command, argv, lines = case
+    files = {k: str(v) for k, v in contract_files.items()}
+    cfg = contract_files["root"] / "run.cfg"
+    cfg.write_text("".join(line.format(**files) + "\n" for line in lines))
+    code, out, err = run_captured(
+        [command, *(a.format(**files) for a in argv), "--config", cfg,
+         "--output-dir", contract_files["out"]])
+    assert_input_contract(command, code, out, err)
+
+
+GOOD_COVS = [[[1, 0.3], [0.3, 1]], [[2, 0], [0, 0.5]]]
+BAD_COVS = [[[1, 2], [2, 1]], [[1, 0], [0, 0]], [[1, 0], [0]],
+            [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, math.inf]],
+            [["a", 0], [0, 1]], [], "abc", 1, None]
+# each field of each density form: (valid values, invalid values), where
+# an invalid value is of the wrong type, shape or range
+DENSITY_FIELDS = {
+    "gaussian": {"cov": (GOOD_COVS, BAD_COVS)},
+    "gaussian_mixture": {
+        "weights": ([[0.5, 0.5]],  # any other weights move the mean off 0
+                    [[0.2, 0.8], [1.0], [-1.0, 2.0], [0, 0], "abc",
+                     [0.5, None]]),
+        "means": ([[[1, 0], [-1, 0]]], [[[0, 0]], [[1], [0]], "abc"]),
+        "covs": ([GOOD_COVS], [[GOOD_COVS[0], BAD_COVS[0]], GOOD_COVS[:1],
+                               "abc", None])},
+    "product_of_1d": {"sources": (
+        [["laplace", "uniform"], ["generalized-gaussian(4)", "laplace"]],
+        [[1, 2], ["laplace", 2.5], [None, "uniform"], [True, "laplace"],
+         [["laplace"], {}], ["cauchy", "laplace"],
+         ["generalized-gaussian(abc)", "uniform"], ["laplace"],
+         ["laplace", "uniform", "laplace"], "ab", 3, None])},
+}
+DENSITY_FIELDS["rotated_product"] = {
+    **DENSITY_FIELDS["product_of_1d"],
+    "angle_deg": ([30, 0, -45.5], [1e308, "abc", None, True])}
+
+
+@st.composite
+def verify_specs(draw):
+    """A --spec object: mostly a density form whose fields are each present
+    in seven draws of eight and valid in three of four, else an unknown
+    form, no form, or a density that is not an object."""
+    form = draw(st.sampled_from(sorted(DENSITY_FIELDS) * 2 + ["cauchy", None]))
+    density = {} if form is None else {"form": form}
+    for key, (valid, invalid) in DENSITY_FIELDS.get(form, {}).items():
+        if draw(st.sampled_from([True] * 7 + [False])):
+            density[key] = draw(st.sampled_from(
+                valid if draw(st.sampled_from([True, True, True, False]))
+                else invalid))
+    if draw(st.sampled_from([False] * 5 + [True])):
+        density = draw(st.sampled_from(["gaussian", 1, []]))
+    spec = {"density": density}
+    # an absent step is the default fine grid, the slowest run
+    step = draw(st.sampled_from([0.05, 0.1, 0.2] * 2 + [
+        "absent", None, -1, 0, math.inf, "abc", True]))
+    if step != "absent":
+        spec["step"] = step
+    return spec
+
+
+@settings(max_examples=60)
+@given(spec=verify_specs())
+def test_drawn_verify_specs_keep_the_input_contract(contract_files, spec):
+    path = contract_files["root"] / "spec.json"
+    path.write_bytes(as_json(spec))  # math.inf as JSON Infinity
+    code, out, err = run_captured(["verify", "--spec", path,
+                                   "--output-dir", contract_files["out"]])
+    assert_input_contract("verify", code, out, err)
 
 
 # -- process-level sanity --------------------------------------------------------------

@@ -15,7 +15,7 @@ from icageo import (Dataset, EmptyChannels, IcageoError, InvalidConfig,
                     InvalidDistribution, IoError, MixingModel, NonFinite, Rng,
                     SingularTransform, SourceSpec, TooFewSamples,
                     exit_code_for, parse_source, random_mixing, read_csv,
-                    simulate, validate_dataset, write_csv)
+                    simulate, write_csv)
 from icageo.data import CSV_BLOCK_ROWS
 from icageo.sources import FAMILIES, GAUSSIAN_ENTROPY
 
@@ -177,6 +177,9 @@ def test_parse_source_rejects_unknown_and_bad_beta():
         SourceSpec("uniform", beta=2.0)
     with pytest.raises(InvalidDistribution):
         SourceSpec("generalized-gaussian")  # beta required
+    for not_text in (1, None, ["laplace"]):
+        with pytest.raises(InvalidDistribution, match="must be a name"):
+            parse_source(not_text)
 
 
 # -- datasets -----------------------------------------------------------------
@@ -206,7 +209,7 @@ def test_validate_dataset_reports_offending_cell():
     raw = np.ones((5, 3))
     raw[4, 2] = np.inf
     with pytest.raises(NonFinite) as exc:
-        validate_dataset(raw)
+        Dataset(raw)
     assert exc.value.row == 4 and exc.value.col == 2
 
 
@@ -328,7 +331,7 @@ def reference_read_csv(path):
                 raise IoError(f"{label}: line {lineno}: non-numeric field") from None
         if not rows:
             raise IoError(f"{label}: no data rows")
-        return validate_dataset(np.array(rows, dtype=float), names)
+        return Dataset(np.array(rows, dtype=float), names)
 
 
 def outcome(read, path):

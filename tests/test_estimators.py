@@ -31,7 +31,6 @@ def draw(family, n, seed):
 def test_entropy_gaussian_matches_closed_form():
     for seed in range(5):
         est = entropy_scalar(draw("gaussian", 100000, seed))
-        assert est.method == "vasicek_spacing"
         assert abs(est.value - GAUSS_H) < 0.02
 
 
@@ -39,14 +38,6 @@ def test_entropy_unit_interval_uniform_is_zero():
     for seed in range(5):
         x = np.random.default_rng(seed).uniform(0.0, 1.0, 100000)
         assert abs(entropy_scalar(x).value) < 0.02
-
-
-def test_entropy_histogram_method():
-    x = np.random.default_rng(1).uniform(0.0, 1.0, 100000)
-    est = entropy_scalar(x, method="histogram")
-    assert est.method == "histogram"
-    assert "bins" in est.parameters
-    assert abs(est.value) < 0.02
 
 
 def test_entropy_scaling_shifts_by_log_factor():
@@ -64,8 +55,6 @@ def test_entropy_input_validation():
         entropy_scalar(np.full(100, 2.5))
     with pytest.raises(TooFewSamples):
         entropy_scalar(np.arange(100.0), m=60)  # m >= n/2
-    with pytest.raises(InvalidConfig):
-        entropy_scalar(np.arange(100.0), method="kde")
 
 
 # -- negentropy --------------------------------------------------------------
@@ -232,14 +221,13 @@ def test_mi_independent_pair_is_near_zero():
     assert not est.near_deterministic_dependence
 
 
-def test_mi_gaussian_rho_half_both_methods():
+def test_mi_gaussian_rho_half():
     gen = np.random.default_rng(2)
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     x = gen.multivariate_normal(np.zeros(2), cov, size=100000)
-    knn = mutual_information(Dataset(x), method="knn_kl")
-    hist = mutual_information(Dataset(x), method="histogram")
+    knn = mutual_information(Dataset(x))
     assert abs(knn.value - GAUSS_MI_RHO_HALF) < 0.02
-    assert abs(hist.value - GAUSS_MI_RHO_HALF) < 0.02
+    assert knn.method == "knn_kl"
     assert knn.dimension == 2 and knn.n == 100000
 
 
@@ -271,11 +259,6 @@ def test_mi_duplicated_channel_flags_near_deterministic():
     knn = mutual_information(Dataset(np.column_stack([s, s])))
     assert knn.near_deterministic_dependence
     assert knn.raw > 0.9 * knn.saturation
-    u = gen.uniform(-1.0, 1.0, 20000)
-    hist = mutual_information(Dataset(np.column_stack([u, u])),
-                              method="histogram")
-    assert hist.near_deterministic_dependence
-    assert hist.saturation == pytest.approx(math.log(math.ceil(20000 ** (1 / 3))))
 
 
 def test_mi_duplicate_jitter_is_deterministic():
@@ -357,9 +340,6 @@ def test_mi_dimension_and_size_limits():
         mutual_information(Dataset(gen.standard_normal((2000, 4))))
     with pytest.raises(TooFewSamples):
         mutual_information(Dataset(gen.standard_normal((999, 2))))
-    with pytest.raises(InvalidConfig):
-        mutual_information(Dataset(gen.standard_normal((2000, 2))),
-                           method="copula")
 
 
 def test_estimator_errors_decay_with_sample_size():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from icageo import (Dataset, DecompositionReport, DegenerateGain, Rng,
-                    SourceSpec, amari_index, diagnose)
+                    SourceSpec, amari_index, diagnose, parse_source)
 
 UNIFORM_NEGENT = 0.1764852083106725
 LAPLACE_NEGENT = 0.07236494292469997
@@ -179,6 +179,35 @@ def test_diagnose_permutation_equivariance():
         [g.value for g in fwd.marginal_negentropies][::-1]
     # continuous draws have no ties, so no jitter: MI is exactly symmetric
     assert rev.mi.raw == pytest.approx(fwd.mi.raw, abs=1e-12)
+
+
+@settings(max_examples=12)
+@given(families=st.lists(st.sampled_from(["gaussian", "uniform", "laplace",
+                                          "generalized-gaussian(4)",
+                                          "cosh-reciprocal"]),
+                         min_size=2, max_size=3),
+       T=st.integers(1000, 5000), seed=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_diagnose_terms_under_permutation_and_scaling(families, T, seed, data):
+    N = len(families)
+    order = data.draw(st.permutations(range(N)))
+    scales = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=N, max_size=N))
+    gen = Rng(seed).generator()
+    x = np.column_stack([parse_source(f).sample(gen, T) for f in families])
+    base = diagnose(Dataset(x))
+    negs = [g.value for g in base.marginal_negentropies]
+    # the tolerances of test_diagnose_permutation_equivariance
+    permuted = diagnose(Dataset(x[:, order]))
+    assert permuted.correlation == pytest.approx(base.correlation, abs=1e-12)
+    assert [g.value for g in permuted.marginal_negentropies] == \
+        [negs[i] for i in order]
+    assert permuted.mi.raw == pytest.approx(base.mi.raw, abs=1e-12)
+    # positive channel scales over four decades; the kNN mutual information
+    # of the max-norm is not scale-invariant, so it is not compared
+    scaled = diagnose(Dataset(x * 10.0 ** np.array(scales)))
+    assert scaled.correlation == pytest.approx(base.correlation, abs=1e-10)
+    assert_allclose([g.value for g in scaled.marginal_negentropies], negs,
+                    rtol=0.0, atol=1e-10)
 
 
 def test_diagnose_center_flag_removes_mean_effects():

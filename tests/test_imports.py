@@ -2,12 +2,16 @@
 every module-level constant is read, only `data.py`, whose opener maps
 every file failure onto IoError, calls the builtin `open`, every public
 name has a user, every option the CLI reads is one its parser defines, and
-every option a command defines is read."""
+every option a command defines is read.  The benchmark's tracer
+(`bench/tracing.py`, read here as text) wraps names that all exist."""
 import argparse
 import ast
+import functools
+import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import icageo
@@ -238,3 +242,63 @@ def test_every_option_a_command_defines_is_read():
     # separate's --seed changes no output, but the benchmark workloads
     # (bench/workloads.py) pass it, so it stays until they stop
     assert unread_options(cli, build_parser(), ("seed",)) == ["separate: seed"]
+
+
+# -- the benchmark's tracer ---------------------------------------------------
+
+TRACING = Path(__file__).parent.parent / "bench" / "tracing.py"
+
+
+def traced_targets(path: Path) -> list[tuple[str, str]]:
+    """The (module, attribute path) of every TRACED entry of the tracer,
+    read from its source without importing it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                == ["TRACED"]):
+            return [(entry.elts[1].value, entry.elts[2].value)
+                    for entry in node.value.elts]
+    raise AssertionError(f"{path.name} binds no TRACED")
+
+
+def unresolved_targets(targets) -> list[str]:
+    """The targets whose attribute the tracer would not find: a function
+    by name on its module, a method in its class's own namespace."""
+    missing = []
+    for module, path in targets:
+        owner_path, _, attr = path.rpartition(".")
+        try:
+            owner = functools.reduce(getattr, owner_path.split(".")
+                                     if owner_path else [],
+                                     importlib.import_module(module))
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+            continue
+        if not (attr in vars(owner) if owner_path else hasattr(owner, attr)):
+            missing.append(f"{module}.{path}")
+    return missing
+
+
+def test_unresolved_target_check_flags_a_missing_name():
+    assert unresolved_targets([
+        ("icageo.estimators", "entropy_scalar"),
+        ("icageo.estimators", "ScoreTable.__call__"),
+        ("icageo.estimators", "_hist_mi"),
+        ("icageo.estimators", "ScoreTable.__len__"),
+        ("icageo.nowhere", "f"),
+    ]) == ["icageo.estimators._hist_mi", "icageo.estimators.ScoreTable.__len__",
+           "icageo.nowhere.f"]
+
+
+def test_every_traced_name_resolves():
+    targets = traced_targets(TRACING)
+    assert ("icageo.estimators", "mutual_information") in targets
+    assert unresolved_targets(targets) == []
+
+
+def test_mutual_information_has_what_the_tracer_counts():
+    # the tracer counts out.n kNN queries when out.method == "knn_kl"
+    x = np.random.default_rng(0).laplace(size=(1000, 2))
+    out = icageo.mutual_information(icageo.Dataset(x))
+    assert out.method == "knn_kl" and out.n == 1000
