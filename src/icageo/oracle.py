@@ -15,7 +15,10 @@ The four projection targets of the joint identity (product of marginals,
 Gaussian fit, independent Gaussian fit) are all built from the same grid
 measure, so the identity residuals reflect the identity itself rather than
 discretization error; the discretization error shows up in the individual
-terms and shrinks at first order or better as the step is refined.
+terms and shrinks at first order or better as the step is refined.  A
+Gaussian fit matches the grid measure's second moments, so the
+cross-entropy to it is a closed form of those moments: only sum pi ln pi,
+and quad_kld_2d's divergence to a given density, walk the grid.
 """
 import math
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import read_json
-from .errors import (DimensionMismatch, InsufficientCoverage,
+from .errors import (DimensionMismatch, IcageoError, InsufficientCoverage,
                      InvalidDistribution, SingularTransform)
 from .estimators import _relative_entropy
 from .gaussian import (Covariance, correlation_C, gaussian_kld,
@@ -111,7 +114,7 @@ def verify_product_pythagoras(joint: DiscreteJoint,
 
 
 def random_discrete_joint(k1: int, k2: int,
-                          gen: np.random.Generator) -> DiscreteJoint:
+                          gen: "np.random.Generator") -> DiscreteJoint:
     """Random strictly positive joint table, for property sweeps."""
     p = gen.random((k1, k2)) + 1e-3
     total = p.sum()
@@ -370,10 +373,6 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
 
 # -- the joint-identity report -------------------------------------------
 
-def _log_gauss_1d(x: np.ndarray, var: float) -> np.ndarray:
-    return -0.5 * (x * x / var + math.log(2.0 * math.pi * var))
-
-
 def _check_mass(step: float, *masses: float):
     if not all(abs(m - 1.0) <= MASS_TOL for m in masses):
         raise InsufficientCoverage(
@@ -384,9 +383,10 @@ def _check_mass(step: float, *masses: float):
 def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
                   sy: np.ndarray, cell: float, step: float):
     """Normalized cell masses pi of p on the tensor grid sx x sy mapped
-    through y = G u, the mass the grid captures, and the uncentered second
-    moments of pi in y, which its zero-mean Gaussian fit matches.  step is
-    the grid's nominal step, named if the mass check fails."""
+    through y = G u, the mass the grid captures, the uncentered second
+    moments of pi in y, which its zero-mean Gaussian fit matches, and
+    sum pi ln pi, summed in row blocks.  step is the grid's nominal step,
+    named if the mass check fails."""
     pi = np.empty((len(sx), len(sy)))
     for rows, P in _pdf_blocks(p, G, sx, sy):
         np.multiply(P, cell, out=pi[rows])
@@ -396,33 +396,23 @@ def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
     cross = sx @ (pi @ sy)
     m2 = G @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
                        [cross, pi.sum(axis=0) @ (sy * sy)]]) @ G.T
-    return pi, mass, m2
+    rows = max(1, QUAD_BLOCK_POINTS // len(sy))
+    neg_entropy = sum(_relative_entropy(pi[k:k + rows], 0.0)[0]
+                      for k in range(0, len(sx), rows))
+    return pi, mass, m2, neg_entropy
 
 
-def _divergences(pi: np.ndarray, G: np.ndarray, sx: np.ndarray,
-                 sy: np.ndarray, log_cell: float, m2: np.ndarray,
-                 *products) -> list[float]:
-    """sum pi (log pi - log q), block by block over a grid measure on the
-    points y = G u, for q the zero-mean Gaussian with second moments m2
-    times the cell size, then for each product a (x) b given as the logs
-    (a, b) of its factors."""
-    det = m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2
+def _fit_cross_entropy(m2: np.ndarray, cell: float) -> float:
+    """sum pi ln(q cell) for a d-dimensional grid measure pi (d = 1 or 2)
+    with uncentered second moments m2 and cells of size cell, q its
+    zero-mean Gaussian fit: ln cell - (d + d ln 2 pi + ln det m2) / 2,
+    because q's quadratic form averages to d under pi."""
+    d = len(m2)
+    det = m2[0, 0] if d == 1 else m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2
     if det <= 0:
         raise InvalidDistribution("grid covariance is not positive definite")
-    # the fit's quadratic form in grid coordinates, Gᵀ m2⁻¹ G: a column
-    # term, a row term and the outer product of sx and its cross term
-    Q = G.T @ (np.array([[m2[1, 1], -m2[0, 1]], [-m2[0, 1], m2[0, 0]]])
-               / det) @ G
-    fit_col = (-0.5 * Q[0, 0] * sx * sx - math.log(2.0 * math.pi)
-               - 0.5 * math.log(det) + log_cell)
-    fit_row = -0.5 * Q[1, 1] * sy * sy
-    cross = -Q[0, 1] * sy
-    sums = np.zeros(1 + len(products))
-    for rows, u1, _ in _base_blocks(np.eye(2), sx, sy):
-        sums += _relative_entropy(
-            pi[rows], fit_col[rows, None] + fit_row + u1 * cross,
-            *(a[rows, None] + b for a, b in products))
-    return sums.tolist()
+    return math.log(cell) - 0.5 * (d + d * math.log(2.0 * math.pi)
+                                   + math.log(det))
 
 
 def verify_four_point_identity(p: AnalyticDensity2D,
@@ -431,7 +421,8 @@ def verify_four_point_identity(p: AnalyticDensity2D,
 
     All projection targets come from the same observation-aligned grid
     measure: marginals from row/column sums, Gaussian fits from the grid's
-    second moments.  lhs = mutual information plus marginal
+    second moments, so every divergence to a fit is sum pi ln pi minus a
+    closed form.  lhs = mutual information plus marginal
     non-Gaussianities; rhs = correlation plus joint non-Gaussianity; terms
     also carry the shared hypotenuse (divergence to the independent
     Gaussian fit) and the residual of each of its two decompositions.
@@ -439,19 +430,16 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     grid = GridSpec() if grid is None else grid
     xs, hx = _axis_cells(p.y_axis_support(0), grid.axis_range(0), grid.step)
     ys, hy = _axis_cells(p.y_axis_support(1), grid.axis_range(1), grid.step)
-    eye = np.eye(2)
-    pi, mass, m2 = _grid_measure(p, eye, xs, ys, hx * hy, grid.step)
-    px, py = pi.sum(axis=1), pi.sum(axis=0)
-    # a zero marginal cell carries no grid mass, so its log is never used
-    log_px = np.log(px, out=np.zeros_like(px), where=px > 0)
-    log_py = np.log(py, out=np.zeros_like(py), where=py > 0)
-    log_phi1 = _log_gauss_1d(xs, m2[0, 0]) + math.log(hx)
-    log_phi2 = _log_gauss_1d(ys, m2[1, 1]) + math.log(hy)
-    g_joint, mutual_info, hyp = _divergences(
-        pi, eye, xs, ys, math.log(hx * hy), m2,
-        (log_px, log_py), (log_phi1, log_phi2))
-    g1 = _relative_entropy(px, log_phi1)[0]
-    g2 = _relative_entropy(py, log_phi2)[0]
+    pi, mass, m2, neg_entropy = _grid_measure(p, np.eye(2), xs, ys, hx * hy,
+                                              grid.step)
+    h1 = _relative_entropy(pi.sum(axis=1), 0.0)[0]
+    h2 = _relative_entropy(pi.sum(axis=0), 0.0)[0]
+    f1 = _fit_cross_entropy(m2[:1, :1], hx)
+    f2 = _fit_cross_entropy(m2[1:, 1:], hy)
+    mutual_info = neg_entropy - h1 - h2
+    g1, g2 = h1 - f1, h2 - f2
+    g_joint = neg_entropy - _fit_cross_entropy(m2, hx * hy)
+    hyp = neg_entropy - f1 - f2
     corr = correlation_C(Covariance(m2))
 
     lhs = mutual_info + g1 + g2
@@ -475,8 +463,8 @@ def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
     sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step)
     sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step)
     cell = hx * hy * abs(np.linalg.det(p.frame))
-    pi, _, m2 = _grid_measure(p, p.frame, sx, sy, cell, grid.step)
-    return _divergences(pi, p.frame, sx, sy, math.log(cell), m2)[0]
+    _, _, m2, neg_entropy = _grid_measure(p, p.frame, sx, sy, cell, grid.step)
+    return neg_entropy - _fit_cross_entropy(m2, cell)
 
 
 def gaussianity_invariance_check(p: AnalyticDensity2D, transform,
@@ -601,40 +589,48 @@ def load_verify_spec(path) -> list[dict]:
 
     Accepted shapes: {"joint": [[...]], "targets": [[...], [...]]} for a
     discrete table, or {"density": {"form": ..., ...}, "step": 0.01} for an
-    analytic density fed to the joint-identity check.
+    analytic density fed to the joint-identity check.  Every input error
+    names the file; a check's own coverage failure does not.
     """
     spec = read_json(path, InvalidDistribution)
     checks = []
-    if "joint" in spec:
-        targets = spec.get("targets")
-        if "targets" in spec and not (isinstance(targets, list) and len(targets) == 2):
-            raise InvalidDistribution(
-                f"{path}: field 'targets' must hold two marginal vectors")
-        try:
-            joint = DiscreteJoint(spec["joint"])
-            report = verify_product_pythagoras(joint, targets or joint.marginals())
-        except (TypeError, ValueError) as exc:
-            raise InvalidDistribution(f"{path}: field 'joint' or 'targets' is not "
-                                      f"a numeric table: {exc}") from exc
-        checks.append(_report_check("user_product_pythagoras", report, 1e-12))
+    try:
+        if "joint" in spec:
+            targets = spec.get("targets")
+            if "targets" in spec and not (isinstance(targets, list)
+                                          and len(targets) == 2):
+                raise InvalidDistribution(
+                    "field 'targets' must hold two marginal vectors")
+            try:
+                joint = DiscreteJoint(spec["joint"])
+                report = verify_product_pythagoras(joint, targets
+                                                   or joint.marginals())
+            except (TypeError, ValueError) as exc:
+                raise InvalidDistribution("field 'joint' or 'targets' is not "
+                                          f"a numeric table: {exc}") from exc
+            checks.append(_report_check("user_product_pythagoras", report,
+                                        1e-12))
+        if "density" in spec:
+            dens = _density_from_json(spec["density"])
+            step = spec.get("step", GridSpec.step)
+            # a JSON boolean parses as a bool, which is an int
+            if isinstance(step, bool) or not isinstance(step, (int, float)):
+                raise InvalidDistribution("field 'step' must be a number")
+            grid = GridSpec(step=step)
+        elif not checks:
+            raise InvalidDistribution("spec needs a 'joint' or 'density' field")
+    except IcageoError as exc:
+        raise InvalidDistribution(f"{path}: {exc}") from exc
     if "density" in spec:
-        dens = _density_from_json(spec["density"], path)
-        step = spec.get("step", GridSpec.step)
-        # a JSON boolean parses as a bool, which is an int
-        if isinstance(step, bool) or not isinstance(step, (int, float)):
-            raise InvalidDistribution(f"{path}: field 'step' must be a number")
         checks.append(_report_check("user_four_point_identity",
-                                    verify_four_point_identity(
-                                        dens, GridSpec(step=step)), 1e-3))
-    if not checks:
-        raise InvalidDistribution(
-            f"{path}: spec needs a 'joint' or 'density' field")
+                                    verify_four_point_identity(dens, grid),
+                                    1e-3))
     return checks
 
 
-def _density_from_json(obj, path) -> AnalyticDensity2D:
+def _density_from_json(obj) -> AnalyticDensity2D:
     if not isinstance(obj, dict) or "form" not in obj:
-        raise InvalidDistribution(f"{path}: density needs a 'form' field")
+        raise InvalidDistribution("density needs a 'form' field")
     form = obj["form"]
     try:
         if form == "gaussian":
@@ -642,15 +638,18 @@ def _density_from_json(obj, path) -> AnalyticDensity2D:
         if form == "gaussian_mixture":
             return gaussian_mixture_density(obj["weights"], obj["means"],
                                             obj["covs"])
-        if form == "product_of_1d":
-            a, b = obj["sources"]
-            return product_density(parse_source(a), parse_source(b))
-        if form == "rotated_product":
-            a, b = obj["sources"]
-            return rotated_product_density(parse_source(a), parse_source(b),
+        if form in ("product_of_1d", "rotated_product"):
+            sources = obj["sources"]
+            if not (isinstance(sources, list) and len(sources) == 2):
+                raise InvalidDistribution(
+                    f"'sources' must be a list of two names, got {sources!r}")
+            a, b = map(parse_source, sources)
+            if form == "product_of_1d":
+                return product_density(a, b)
+            return rotated_product_density(a, b,
                                            math.radians(float(obj["angle_deg"])))
     except (KeyError, TypeError, ValueError) as exc:
-        # absent keys, wrong types, ragged matrices, a source list of one
-        raise InvalidDistribution(f"{path}: density form {form!r} has a "
-                                  f"missing or malformed field: {exc}") from exc
-    raise InvalidDistribution(f"{path}: unknown density form {form!r}")
+        # absent keys, wrong types, ragged matrices
+        raise InvalidDistribution(f"density form {form!r} has a missing or "
+                                  f"malformed field: {exc}") from exc
+    raise InvalidDistribution(f"unknown density form {form!r}")

@@ -29,7 +29,7 @@ class Rng:
         if not 0 <= self.seed <= MAX_SEED:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> "np.random.Generator":
         """Fresh generator for this seed; repeated calls restart the stream."""
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
 

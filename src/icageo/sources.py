@@ -53,7 +53,7 @@ class SourceSpec:
                 f"{self.family} takes no shape parameter")
 
     # -- sampling ---------------------------------------------------------
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, gen: "np.random.Generator", size: int) -> np.ndarray:
         if self.family == "gaussian":
             return gen.standard_normal(size)
         if self.family == "uniform":

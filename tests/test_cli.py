@@ -621,14 +621,21 @@ GAUSS_EYE = {"form": "gaussian", "cov": [[1, 0], [0, 1]]}
                  "means": [[1, 0], [-1, 0]],
                  "covs": [[[1, 0], [0, 1]], [[1, 1], [1, 1]]]}},  # singular
     {"density": {"form": "gaussian", "cov": [[1, 0], [0]]}},  # ragged
+    {"density": {"form": "gaussian", "cov": np.eye(3).tolist()}},
     {"density": {"form": "product_of_1d", "sources": ["laplace"]}},
+    {"density": {"form": "product_of_1d", "sources": "ab"}},
+    {"density": GAUSS_EYE, "step": 1e-5},  # too many cells
 ], ids=["step-text", "step-null", "step-true", "angle-text", "cov-not-pd",
-        "mixture-singular-cov", "cov-ragged", "one-source"])
+        "mixture-singular-cov", "cov-ragged", "cov-3x3", "one-source",
+        "sources-text", "step-too-fine"])
 def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
-    assert run(["verify", "--spec", bad, "--output-dir", tmp_path]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert run(["verify", "--spec", bad, "--output-dir", tmp_path / "v"]) == 2
+    # one error line, and it names the spec file
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"icageo verify: error: {bad}: ")
+    assert not (tmp_path / "v").exists()
 
 
 @pytest.mark.parametrize("density,number", [
@@ -642,7 +649,7 @@ def test_verify_spec_source_that_is_not_a_name_is_input_error(tmp_path, capsys,
     bad.write_text(json.dumps({"density": density}))
     assert run(["verify", "--spec", bad, "--output-dir", tmp_path / "v"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"icageo verify: error: source spec must be a name, got {number}"]
+        f"icageo verify: error: {bad}: source spec must be a name, got {number}"]
     assert not (tmp_path / "v").exists()
 
 
@@ -696,6 +703,47 @@ def test_verify_failing_check_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "builtin_suite", lambda step: fake)
     assert run(["verify", "--output-dir", tmp_path]) == 1
     assert "FAIL synthetic" in capsys.readouterr().out
+
+
+# -- the whole chain -------------------------------------------------------------
+
+# every solver `separate` has: the relative gradient under each score, and
+# the orthogonal rotation search
+CHAIN_SOLVERS = {"adaptive": ["--score", "adaptive"], "tanh": ["--score", "tanh"],
+                 "cube": ["--score", "cube"],
+                 "orthogonal": ["--algorithm", "orthogonal"]}
+
+
+def chain_files(root, sources, samples, seed):
+    """{path under root: bytes} of every file that simulate, then separate
+    with each solver, then diagnose of each separated output write."""
+    assert run(["simulate", "--sources", ",".join(sources), "--samples", samples,
+                "--seed", seed, "--output-dir", root / "sim"]) == 0
+    for name, flags in CHAIN_SOLVERS.items():
+        assert run(["separate", root / "sim" / "X.csv", *flags,
+                    "--model", root / "sim" / "model.json",
+                    "--output-dir", root / name]) == 0
+        assert run(["diagnose", root / name / "Y.csv", "--seed", seed,
+                    "--output-dir", root / name / "diagnose"]) == 0
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@settings(max_examples=5,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sources=st.lists(st.sampled_from(["laplace", "uniform",
+                                         "generalized-gaussian(4)",
+                                         "cosh-reciprocal"]),
+                        min_size=2, max_size=3),
+       samples=st.integers(2000, 5000), seed=st.integers(0, 2 ** 32))
+def test_chain_reruns_in_one_process_are_byte_identical(tmp_path, capsys,
+                                                        sources, samples,
+                                                        seed):
+    base = tmp_path / f"{'-'.join(sources)}-{samples}-{seed}"
+    first = chain_files(base / "r1", sources, samples, seed)
+    assert len(first) == 3 + 6 * len(CHAIN_SOLVERS)
+    assert chain_files(base / "r2", sources, samples, seed) == first
+    capsys.readouterr()
 
 
 # -- input files and options -------------------------------------------------------
@@ -1102,6 +1150,8 @@ def test_drawn_verify_specs_keep_the_input_contract(contract_files, spec):
     code, out, err = run_captured(["verify", "--spec", path,
                                    "--output-dir", contract_files["out"]])
     assert_input_contract("verify", code, out, err)
+    if code == 2:  # the file parsed as JSON, so its errors name it
+        assert str(path) in err.splitlines()[-1], err
 
 
 # -- process-level sanity --------------------------------------------------------------
@@ -1143,6 +1193,12 @@ def test_cli_import_leaves_scipy_special_unloaded():
     # CLI; the estimators and sources evaluate digamma and lgamma at
     # integers and scalars without it
     assert not loaded_by_cli_import("scipy.special")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only the commands that draw (simulate, and diagnose to break ties)
+    # need numpy.random; no annotation evaluated at import loads it
+    assert not loaded_by_cli_import("numpy.random")
 
 
 def test_cli_import_builds_no_csv_formatting_tables():
