@@ -205,7 +205,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
         **result.report,
     }
     if model is not None:
-        report["amari_index"] = amari_index(result.demixing @ model.mixing).value
+        report["amari_index"] = amari_index(result.demixing @ model.mixing)
     _json_dump(out / "report.json", report)
     print(f"converged={result.converged} "
           + (f"stable={report['stable']} " if "stable" in report else "")
@@ -230,8 +230,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 for g, d, p in zip(table.grid, table.density, table.psi):
                     fh.write(f"{name},{g:.17g},{d:.17g},{p:.17g}\n")
     parts = [f"correlation={report.correlation:.4f}",
-             "sum_negentropy={:.4f}".format(
-                 sum(g.value for g in report.marginal_negentropies))]
+             f"sum_negentropy={sum(report.marginal_negentropies):.4f}"]
     if report.mi is not None:
         parts.insert(0, f"mi={report.mi.value:.4f}")
     print(" ".join(parts))

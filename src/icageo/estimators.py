@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _frozen
 from .errors import (DegenerateSample, DimensionMismatch, DimensionTooHigh,
                      EstimatorFailure, InvalidConfig, NonFinite,
                      TooFewSamples)
@@ -35,18 +35,6 @@ DIGAMMA_TABLE_FACTOR = 4
 
 
 @dataclass(frozen=True)
-class EntropyEstimate:
-    value: float
-    n: int
-
-
-@dataclass(frozen=True)
-class NegentropyEstimate:
-    value: float
-    n: int
-
-
-@dataclass(frozen=True)
 class MIEstimate:
     """Mutual-information estimate in nats.
 
@@ -60,7 +48,6 @@ class MIEstimate:
     value: float
     raw: float
     method: str
-    dimension: int
     n: int
     saturation: float
     near_deterministic_dependence: bool
@@ -172,27 +159,24 @@ def _spacing_order(n: int, m: int | None) -> int:
     return m
 
 
-def _relative_entropy(p: np.ndarray, *log_qs) -> list[float]:
-    """sum p (ln p - ln q) over the cells of p, for each target q given by
+def _relative_entropy(p: np.ndarray, log_q) -> float:
+    """sum p (ln p - ln q) over the cells of p, for the target q given by
     ln q, an array that broadcasts to p's shape or a number.  A cell where
     p = 0 adds nothing, so ln q need only be finite where p > 0."""
     where = p > 0
     # ln p where p > 0; the other cells are left unset and never read
     log_p = np.log(p, out=None, where=where)
-    sums = []
-    for log_q in log_qs:
-        terms = np.subtract(log_p, log_q, out=np.zeros_like(p), where=where)
-        sums.append(float(np.multiply(terms, p, out=terms).sum()))
-    return sums
+    terms = np.subtract(log_p, log_q, out=np.zeros_like(p), where=where)
+    return float(np.multiply(terms, p, out=terms).sum())
 
 
-def entropy_scalar(x, m: int | None = None) -> EntropyEstimate:
+def entropy_scalar(x, m: int | None = None) -> float:
     """Differential entropy of a scalar sample, in nats: the m-spacing
     estimate (default m = floor(sqrt(n))) with the standard digamma
     bias-reduction terms.
     """
     v = _check_vector(x, 10)
-    return EntropyEstimate(_vasicek(v, _spacing_order(v.size, m)), v.size)
+    return _vasicek(v, _spacing_order(v.size, m))
 
 
 def _negentropy_raw(v: np.ndarray, var: float | None = None,
@@ -215,7 +199,7 @@ def _negentropy_raw(v: np.ndarray, var: float | None = None,
     return GAUSSIAN_ENTROPY + 0.5 * math.log(var) - _vasicek(v, m, float32)
 
 
-def negentropy_scalar(x, m: int | None = None) -> NegentropyEstimate:
+def negentropy_scalar(x, m: int | None = None) -> float:
     """Divergence of the sample law to the Gaussian of equal variance.
 
     Computed as (1/2)ln(2 pi e var(x)) minus the entropy estimate, which
@@ -229,7 +213,7 @@ def negentropy_scalar(x, m: int | None = None) -> NegentropyEstimate:
     if value <= -0.1:
         raise EstimatorFailure(f"negentropy estimate {value:.4f} below -0.1; "
                                "estimator assumptions violated")
-    return NegentropyEstimate(value, v.size)
+    return value
 
 
 def _marginal_digamma_counts(column: np.ndarray, eps: np.ndarray) -> float:
@@ -296,8 +280,8 @@ def mutual_information(data: Dataset, k: int = 5,
             Y[:, j] = col + scale * gen.standard_normal(col.size)
     raw, saturation = _knn_mi(Y, k)
     flagged = raw > SATURATION_FRACTION * saturation
-    return MIEstimate(max(raw, 0.0), raw, "knn_kl", data.N, data.T,
-                      saturation, flagged)
+    return MIEstimate(max(raw, 0.0), raw, "knn_kl", data.T, saturation,
+                      flagged)
 
 
 @dataclass(frozen=True)
@@ -319,9 +303,7 @@ class ScoreTable:
 
     def __post_init__(self):
         for name in ("grid", "density", "psi"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def _locate(self, s: np.ndarray):
         # the grid is uniform, so the node left of s is found by arithmetic:

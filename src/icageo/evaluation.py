@@ -12,37 +12,21 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateGain
-from .estimators import (MI_MIN_SAMPLES, MIEstimate, NegentropyEstimate,
-                         mutual_information, negentropy_scalar)
+from .estimators import (MI_MIN_SAMPLES, MIEstimate, mutual_information,
+                         negentropy_scalar)
 from .gaussian import correlation_C, sample_covariance
 
 
-@dataclass(frozen=True)
-class AmariIndex:
+def amari_index(gain) -> float:
     """Normalized separation error of a gain matrix, in [0, 1].
 
-    0 exactly when the gain is a permutation of a diagonal matrix; 1 for
+    Sums (row sum / row max - 1) over rows and the same over columns, then
+    divides by 2 N (N - 1), the value attained by an all-ones gain.  0
+    exactly when the gain is a permutation of a diagonal matrix; 1 for
     maximal mixing (all gain entries equal in magnitude).  Invariant under
     row and column permutations, sign flips and a common scale of the
     gain, but not under unequal row scales: [[1, .5], [.5, 1]] reads 0.5
     and [[10, 5], [.5, 1]] reads 0.3125.
-    """
-
-    value: float
-    gain: np.ndarray
-
-    def __post_init__(self):
-        g = np.array(self.gain, dtype=float)
-        g.flags.writeable = False
-        object.__setattr__(self, "gain", g)
-
-
-def amari_index(gain) -> AmariIndex:
-    """Row/column-max deviation index of a gain matrix, normalized to [0,1].
-
-    Sums (row sum / row max - 1) over rows and the same over columns, then
-    divides by 2 N (N - 1), the value attained by an all-ones gain.
-    Unequal row scales move it (see AmariIndex).
     """
     g = np.asarray(gain, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
@@ -55,7 +39,7 @@ def amari_index(gain) -> AmariIndex:
     n = p.shape[0]
     rows = (p.sum(axis=1) / p.max(axis=1) - 1.0).sum()
     cols = (p.sum(axis=0) / p.max(axis=0) - 1.0).sum()
-    return AmariIndex(float((rows + cols) / (2.0 * n * (n - 1))), g)
+    return float((rows + cols) / (2.0 * n * (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -70,14 +54,14 @@ class DecompositionReport:
     """
 
     correlation: float
-    marginal_negentropies: tuple[NegentropyEstimate, ...]
+    marginal_negentropies: tuple[float, ...]
     objective_proxy: float
     mi: MIEstimate | None = None
 
     def to_json(self) -> dict:
         out = {
             "correlation": self.correlation,
-            "marginal_negentropies": [g.value for g in self.marginal_negentropies],
+            "marginal_negentropies": list(self.marginal_negentropies),
             "objective_proxy": self.objective_proxy,
         }
         if self.mi is not None:
@@ -99,7 +83,7 @@ def diagnose(data: Dataset, seed: int = 0) -> DecompositionReport:
     """
     corr = correlation_C(sample_covariance(data))
     negs = tuple(negentropy_scalar(data.column(i)) for i in range(data.N))
-    proxy = corr - sum(g.value for g in negs)
+    proxy = corr - sum(negs)
     mi = (mutual_information(data, seed=seed)
           if 2 <= data.N <= 3 and data.T >= MI_MIN_SAMPLES else None)
     return DecompositionReport(corr, negs, proxy, mi)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EPS_DET, Dataset
+from .data import EPS_DET, Dataset, _frozen
 from .errors import DimensionMismatch, SingularCovariance
 
 
@@ -21,7 +21,7 @@ class Covariance:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("covariance must be square")
         scale = np.abs(m).max()
@@ -29,12 +29,10 @@ class Covariance:
             raise SingularCovariance("covariance is zero or non-finite")
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise SingularCovariance("covariance is not symmetric")
-        m = 0.5 * (m + m.T)
-        eig = np.linalg.eigvalsh(m)
+        object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.T)))
+        eig = np.linalg.eigvalsh(self.matrix)
         if eig[0] <= EPS_DET * eig[-1]:
             raise SingularCovariance("covariance is not positive definite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
     @property
     def N(self) -> int:
@@ -49,10 +47,8 @@ class WhiteningTransform:
     source_cov: Covariance
 
     def __post_init__(self):
-        W = np.array(self.matrix, dtype=float)
-        W.flags.writeable = False
-        object.__setattr__(self, "matrix", W)
-        n = self.source_cov.N
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        W, n = self.matrix, self.source_cov.N
         resid = W @ self.source_cov.matrix @ W.T - np.eye(n)
         if np.linalg.norm(resid) > 1e-10 * math.sqrt(n):
             raise SingularCovariance("whitening residual exceeds tolerance")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_json
+from .data import _frozen, read_json
 from .errors import (DimensionMismatch, IcageoError, InsufficientCoverage,
                      InvalidDistribution, SingularTransform)
 from .estimators import _relative_entropy
@@ -53,7 +53,8 @@ class DiscreteJoint:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float)
+        object.__setattr__(self, "probabilities", _frozen(self.probabilities))
+        p = self.probabilities
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise InvalidDistribution("joint table must be a 2-D matrix")
         if not np.isfinite(p).all() or (p < 0).any():
@@ -62,8 +63,6 @@ class DiscreteJoint:
             raise InvalidDistribution("joint entries must sum to 1")
         if (p.sum(axis=1) == 0).any() or (p.sum(axis=0) == 0).any():
             raise InvalidDistribution("joint table has an all-zero row or column")
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         p = self.probabilities
@@ -84,7 +83,7 @@ def discrete_mi(joint: DiscreteJoint) -> float:
     """Exact mutual information of a bivariate table, in nats."""
     px, py = joint.marginals()
     return _relative_entropy(joint.probabilities,
-                             np.log(px)[:, None] + np.log(py))[0]
+                             np.log(px)[:, None] + np.log(py))
 
 
 def verify_product_pythagoras(joint: DiscreteJoint,
@@ -102,9 +101,9 @@ def verify_product_pythagoras(joint: DiscreteJoint,
                 "target marginals must be strictly positive and sum to 1")
     px, py = joint.marginals()
     mi = discrete_mi(joint)
-    kx = _relative_entropy(px, np.log(tx))[0]
-    ky = _relative_entropy(py, np.log(ty))[0]
-    lhs = _relative_entropy(p, np.log(tx)[:, None] + np.log(ty))[0]
+    kx = _relative_entropy(px, np.log(tx))
+    ky = _relative_entropy(py, np.log(ty))
+    lhs = _relative_entropy(p, np.log(tx)[:, None] + np.log(ty))
     rhs = mi + kx + ky
     return IdentityReport(lhs, rhs, abs(lhs - rhs), {
         "mutual_information": mi,
@@ -146,13 +145,12 @@ class AnalyticDensity2D:
     base_support: tuple
 
     def __post_init__(self):
-        L = np.array(self.frame, dtype=float)
+        object.__setattr__(self, "frame", _frozen(self.frame))
+        L = self.frame
         if L.shape != (2, 2) or not np.isfinite(L).all():
             raise InvalidDistribution("frame must be a finite 2x2 matrix")
         if abs(np.linalg.det(L)) < 1e-12:
             raise SingularTransform("density frame is singular")
-        L.flags.writeable = False
-        object.__setattr__(self, "frame", L)
 
     def pdf(self, points) -> np.ndarray:
         """The density at observation points y, shape (..., 2): base at
@@ -337,7 +335,7 @@ def _pdf_blocks(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
 
 
 def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
-                grid: GridSpec | None = None) -> float:
+                grid: GridSpec = GridSpec()) -> float:
     """Midpoint-rule KLD(p || q) over a grid adapted to p's frame.
 
     The grid is laid out in p's base coordinates and extended so its image
@@ -345,7 +343,6 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     least 1 - 1e-4 of both masses is captured and q's density is positive,
     not underflowed, at every point where p's is.
     """
-    grid = GridSpec() if grid is None else grid
     # y-space box that q's mass lives in: exact support image if bounded,
     # else the grid box
     box = [q.base_support[k] or grid.axis_range(k) for k in (0, 1)]
@@ -361,7 +358,7 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     with np.errstate(divide="ignore"):
         for (_, P), (_, Q) in zip(_pdf_blocks(p, p.frame, sx, sy),
                                   _pdf_blocks(q, p.frame, sx, sy)):
-            sums += [P.sum(), Q.sum(), *_relative_entropy(P, np.log(Q))]
+            sums += [P.sum(), Q.sum(), _relative_entropy(P, np.log(Q))]
     mass_p, mass_q, kld = sums * cell
     _check_mass(grid.step, mass_p, mass_q)
     if kld == math.inf:
@@ -397,7 +394,7 @@ def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
     m2 = G @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
                        [cross, pi.sum(axis=0) @ (sy * sy)]]) @ G.T
     rows = max(1, QUAD_BLOCK_POINTS // len(sy))
-    neg_entropy = sum(_relative_entropy(pi[k:k + rows], 0.0)[0]
+    neg_entropy = sum(_relative_entropy(pi[k:k + rows], 0.0)
                       for k in range(0, len(sx), rows))
     return pi, mass, m2, neg_entropy
 
@@ -416,7 +413,7 @@ def _fit_cross_entropy(m2: np.ndarray, cell: float) -> float:
 
 
 def verify_four_point_identity(p: AnalyticDensity2D,
-                               grid: GridSpec | None = None) -> IdentityReport:
+                               grid: GridSpec = GridSpec()) -> IdentityReport:
     """Check the joint divergence identity on one density.
 
     All projection targets come from the same observation-aligned grid
@@ -427,13 +424,12 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     also carry the shared hypotenuse (divergence to the independent
     Gaussian fit) and the residual of each of its two decompositions.
     """
-    grid = GridSpec() if grid is None else grid
     xs, hx = _axis_cells(p.y_axis_support(0), grid.axis_range(0), grid.step)
     ys, hy = _axis_cells(p.y_axis_support(1), grid.axis_range(1), grid.step)
     pi, mass, m2, neg_entropy = _grid_measure(p, np.eye(2), xs, ys, hx * hy,
                                               grid.step)
-    h1 = _relative_entropy(pi.sum(axis=1), 0.0)[0]
-    h2 = _relative_entropy(pi.sum(axis=0), 0.0)[0]
+    h1 = _relative_entropy(pi.sum(axis=1), 0.0)
+    h2 = _relative_entropy(pi.sum(axis=0), 0.0)
     f1 = _fit_cross_entropy(m2[:1, :1], hx)
     f2 = _fit_cross_entropy(m2[1:, 1:], hy)
     mutual_info = neg_entropy - h1 - h2
@@ -468,10 +464,9 @@ def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
 
 
 def gaussianity_invariance_check(p: AnalyticDensity2D, transform,
-                                 grid: GridSpec | None = None) -> float:
+                                 grid: GridSpec = GridSpec()) -> float:
     """|G(p) - G(A p)| by quadrature; small for any invertible A because
     non-Gaussianity is a linear invariant."""
-    grid = GridSpec() if grid is None else grid
     g_before = _negentropy_quad(p, grid)
     g_after = _negentropy_quad(linear_image(p, transform), grid)
     return abs(g_before - g_after)

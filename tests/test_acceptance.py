@@ -168,8 +168,8 @@ def test_acceptance_3_invariance_suite():
 def test_acceptance_4_estimator_calibration():
     T = 100000
     gen = np.random.default_rng(404)
-    unif = negentropy_scalar(parse_source("uniform").sample(gen, T)).value
-    lap = negentropy_scalar(parse_source("laplace").sample(gen, T)).value
+    unif = negentropy_scalar(parse_source("uniform").sample(gen, T))
+    lap = negentropy_scalar(parse_source("laplace").sample(gen, T))
     L = np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
     mi = mutual_information(
         Dataset(gen.standard_normal((T, 2)) @ L.T)).value
@@ -183,7 +183,7 @@ def test_acceptance_4_estimator_calibration():
         for seed in range(5):
             g = np.random.default_rng(1000 * n + seed)
             x = parse_source("laplace").sample(g, n)
-            ne.append(abs(negentropy_scalar(x).value - NEGENT_LAPLACE))
+            ne.append(abs(negentropy_scalar(x) - NEGENT_LAPLACE))
             z = g.standard_normal((n, 2)) @ L.T
             me.append(abs(mutual_information(Dataset(z)).value
                           - MI_GAUSS_RHO_HALF))
@@ -214,7 +214,7 @@ def test_acceptance_5_objective_is_rotation_invariant_sum():
     for _ in range(16):
         Y = Z @ _rotation(gen.uniform(0.0, math.pi)).T
         mi = mutual_information(Dataset(Y)).value
-        gsum = sum(negentropy_scalar(Y[:, i]).value for i in range(2))
+        gsum = sum(negentropy_scalar(Y[:, i]) for i in range(2))
         totals.append(mi + gsum)
     spread = max(totals) - min(totals)
 
@@ -224,11 +224,11 @@ def test_acceptance_5_objective_is_rotation_invariant_sum():
     gsums = []
     for deg in angles:
         Y = Z @ _rotation(math.radians(deg)).T
-        gsums.append(sum(negentropy_scalar(Y[:, i]).value for i in range(2)))
+        gsums.append(sum(negentropy_scalar(Y[:, i]) for i in range(2)))
     theta_hat = float(angles[int(np.argmax(gsums))])
 
     fine = np.arange(0.0, 90.0, 0.02)
-    amaris = [amari_index(_rotation(math.radians(d)) @ W @ A).value
+    amaris = [amari_index(_rotation(math.radians(d)) @ W @ A)
               for d in fine]
     theta_star = float(fine[int(np.argmin(amaris))])
     # separation is defined modulo quarter turns (channel swap and signs)
@@ -249,14 +249,14 @@ def test_acceptance_6_relative_gradient_separation():
         t0 = time.perf_counter()
         result = relative_gradient_ica(X, SolverConfig(score="adaptive"))
         worst_trial_s = max(worst_trial_s, time.perf_counter() - t0)
-        if amari_index(result.demixing @ A).value < 0.05:
+        if amari_index(result.demixing @ A) < 0.05:
             hits += 1
 
     tanh_hits = 0
     for trial in range(20):
         X, A = _mixed_mixture(100 + trial, ("laplace",) * 4)
         result = relative_gradient_ica(X, SolverConfig(score="tanh"))
-        if amari_index(result.demixing @ A).value < 0.05:
+        if amari_index(result.demixing @ A) < 0.05:
             tanh_hits += 1
 
     # tanh assumes heavy tails; on uniform sources the fixed point flips
@@ -266,7 +266,7 @@ def test_acceptance_6_relative_gradient_separation():
         X, A = _mixed_mixture(200 + trial, ("uniform",) * 4)
         try:
             result = relative_gradient_ica(X, SolverConfig(score="tanh"))
-            if amari_index(result.demixing @ A).value > 0.2:
+            if amari_index(result.demixing @ A) > 0.2:
                 tanh_misses += 1
         except Diverged:
             tanh_misses += 1
@@ -286,7 +286,7 @@ def test_acceptance_7_orthogonal_separation():
     for trial in range(20):
         X, A = _mixed_mixture(trial, MIXED_FAMILIES)
         result = orthogonal_ica(X, SolverConfig())
-        if amari_index(result.demixing @ A).value < 0.05:
+        if amari_index(result.demixing @ A) < 0.05:
             hits += 1
         c = correlation_C(sample_covariance(result.recovered))
         if c < 1e-10:
@@ -326,7 +326,7 @@ def test_acceptance_9_gaussian_non_identifiability_control():
     # the Amari index is deliberately NOT checked: any rotation of a white
     # Gaussian vector is an equally valid answer
     report = diagnose(result.recovered, seed=0)
-    gsum = sum(g.value for g in report.marginal_negentropies)
+    gsum = sum(g for g in report.marginal_negentropies)
     ok = (result.report["no_improvement"] is True and result.converged is True
           and gsum < 0.02)
     _gate(9, "gaussian-only mixtures flag no improvement and show no "

@@ -625,9 +625,10 @@ GAUSS_EYE = {"form": "gaussian", "cov": [[1, 0], [0, 1]]}
     {"density": {"form": "product_of_1d", "sources": ["laplace"]}},
     {"density": {"form": "product_of_1d", "sources": "ab"}},
     {"density": GAUSS_EYE, "step": 1e-5},  # too many cells
+    {"joint": [[0.4, 0.1], [0.1, 0.4]], "targets": [[1.0]]},
 ], ids=["step-text", "step-null", "step-true", "angle-text", "cov-not-pd",
         "mixture-singular-cov", "cov-ragged", "cov-3x3", "one-source",
-        "sources-text", "step-too-fine"])
+        "sources-text", "step-too-fine", "one-target"])
 def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))

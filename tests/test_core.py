@@ -173,6 +173,9 @@ def test_parse_source_rejects_unknown_and_bad_beta():
         parse_source("cauchy")
     with pytest.raises(InvalidDistribution):
         parse_source("generalized-gaussian(0.1)")  # variance blows up
+    for malformed in ("laplace(", "generalized-gaussian(x)"):
+        with pytest.raises(InvalidDistribution):
+            parse_source(malformed)
     with pytest.raises(InvalidDistribution):
         SourceSpec("uniform", beta=2.0)
     with pytest.raises(InvalidDistribution):
@@ -199,6 +202,8 @@ def test_dataset_rejects_bad_shapes():
         Dataset(np.zeros((1, 3)))            # T < 2
     with pytest.raises(EmptyChannels):
         Dataset(np.zeros((5, 0)))
+    with pytest.raises(EmptyChannels):
+        Dataset(np.zeros((3, 2)), ("a",))  # one name for two channels
     with pytest.raises(NonFinite):
         bad = np.zeros((4, 2))
         bad[2, 1] = np.nan
@@ -225,6 +230,12 @@ def test_simulate_reproducible_and_consistent():
     assert X1.names() == ("x1", "x2") and S1.names() == ("s1", "s2")
 
 
+def test_simulate_needs_two_rows():
+    model = MixingModel(np.eye(2), (SourceSpec("laplace"),) * 2)
+    with pytest.raises(TooFewSamples):
+        simulate(model, 1, Rng(0))
+
+
 def test_simulate_channels_use_independent_streams():
     # adding a channel must not disturb the draws of existing ones
     a2 = np.eye(2)
@@ -239,6 +250,18 @@ def test_mixing_model_rejects_singular_matrix():
     with pytest.raises(SingularTransform):
         MixingModel(np.array([[1.0, 2.0], [2.0, 4.0]]),
                     (SourceSpec("laplace"), SourceSpec("laplace")))
+
+
+def test_mixing_model_rejects_non_finite_entries():
+    with pytest.raises(NonFinite):
+        MixingModel(np.array([[1.0, np.nan], [0.0, 1.0]]),
+                    (SourceSpec("laplace"), SourceSpec("laplace")))
+
+
+def test_random_mixing_refuses_cond_below_one_and_has_one_by_one():
+    with pytest.raises(InvalidConfig):
+        random_mixing(2, Rng(0), 0.5)
+    assert_array_equal(random_mixing(1, Rng(0)), [[1.0]])
 
 
 def test_random_mixing_hits_requested_condition_number():
