@@ -160,11 +160,12 @@ def _newton_terms(Y: np.ndarray, scores):
                 Psi[:, i], dpsi = score(Y[:, i], slope=True)
                 a[i] = np.mean(dpsi)
             F = Psi.T @ Y / T
+            v = np.mean(Y * Y, axis=0)
         except FloatingPointError as exc:
             raise Diverged("score or stationarity overflow") from exc
     if not np.isfinite(F).all():
         raise Diverged("score or stationarity overflow")
-    return F, a, np.mean(Y * Y, axis=0)
+    return F, a, v
 
 
 def _off_diagonal_norm(F: np.ndarray) -> float:

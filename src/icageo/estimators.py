@@ -16,8 +16,7 @@ import numpy as np
 
 from .data import Dataset, _frozen
 from .errors import (DegenerateSample, DimensionMismatch, DimensionTooHigh,
-                     EstimatorFailure, InvalidConfig, NonFinite,
-                     TooFewSamples)
+                     EstimatorFailure, NonFinite, TooFewSamples)
 from .sources import GAUSSIAN_ENTROPY
 
 # raw mutual information above this fraction of the estimator's saturation
@@ -32,6 +31,10 @@ FINE_BINS_PER_NODE = 16
 # digamma of an integer array looks its values up in a table indexed by
 # value when the largest is at most this multiple of the array's length
 DIGAMMA_TABLE_FACTOR = 4
+# neighbours of the kNN mutual information (Kraskov et al. 2004)
+MI_NEIGHBOURS = 5
+# nodes of a score table
+SCORE_TABLE_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ class MIEstimate:
     value is clamped at zero; raw keeps the uncorrected number so noise
     around zero stays visible.  near_deterministic_dependence is set when
     raw exceeds SATURATION_FRACTION of the estimator's saturation level
-    psi(T) - psi(k), at which point the number is a floor, not an
-    estimate.  method is always "knn_kl".
+    psi(T) - psi(MI_NEIGHBOURS), at which point the number is a floor, not
+    an estimate.  method is always "knn_kl".
     """
 
     value: float
@@ -110,9 +113,10 @@ def digamma(n):
 
 
 @functools.lru_cache(maxsize=32)
-def _spacing_bias(n: int, m: int) -> float:
-    # digamma bias-reduction terms for the m-spacing estimator; they depend
-    # on n and m only, and solver loops ask for the same pair every call
+def _spacing_bias(n: int) -> float:
+    # digamma bias-reduction terms for the m-spacing estimator of n samples,
+    # m = floor(sqrt(n)); solver loops ask for the same n every call
+    m = int(math.sqrt(n))
     i = np.arange(1, m + 1)
     return (math.log(2.0 * m / n) - (1.0 - 2.0 * m / n) * digamma(2 * m)
             + digamma(n + 1) - (2.0 / n) * float(np.sum(digamma(i + m - 1))))
@@ -130,8 +134,11 @@ def _m_spacings(xs: np.ndarray, m: int) -> np.ndarray:
     return gaps
 
 
-def _vasicek(x: np.ndarray, m: int, float32: bool = False) -> float:
+def _vasicek(x: np.ndarray, float32: bool = False) -> float:
+    # the m-spacing entropy at m = floor(sqrt(n)); every caller passes
+    # n >= 10, so 1 <= m < n/2
     n = x.size
+    m = int(math.sqrt(n))
     if float32:
         # float32 keys of x, which should be centred: float32 resolution at
         # a large offset is coarser than an m-spacing.  The logs are
@@ -142,21 +149,13 @@ def _vasicek(x: np.ndarray, m: int, float32: bool = False) -> float:
         if gaps.all():
             np.log(gaps, out=gaps)
             return (float(np.mean(gaps, dtype=np.float64))
-                    + math.log(n / (2.0 * m)) + _spacing_bias(n, m))
+                    + math.log(n / (2.0 * m)) + _spacing_bias(n))
     # the buffer of m-spacings then holds the floored, scaled logs
     gaps = _m_spacings(np.sort(x), m)
     np.maximum(gaps, 1e-300, out=gaps)
     np.multiply(n / (2.0 * m), gaps, out=gaps)
     np.log(gaps, out=gaps)
-    return float(np.mean(gaps)) + _spacing_bias(n, m)
-
-
-def _spacing_order(n: int, m: int | None) -> int:
-    # the m of an m-spacing estimate on n samples, floor(sqrt(n)) by default
-    m = int(math.sqrt(n)) if m is None else int(m)
-    if not (1 <= m < n / 2):
-        raise TooFewSamples(f"spacing m={m} must satisfy 1 <= m < n/2")
-    return m
+    return float(np.mean(gaps)) + _spacing_bias(n)
 
 
 def _relative_entropy(p: np.ndarray, log_q) -> float:
@@ -170,36 +169,33 @@ def _relative_entropy(p: np.ndarray, log_q) -> float:
     return float(np.multiply(terms, p, out=terms).sum())
 
 
-def entropy_scalar(x, m: int | None = None) -> float:
+def entropy_scalar(x) -> float:
     """Differential entropy of a scalar sample, in nats: the m-spacing
-    estimate (default m = floor(sqrt(n))) with the standard digamma
-    bias-reduction terms.
+    estimate, m = floor(sqrt(n)), with the standard digamma bias-reduction
+    terms.
     """
-    v = _check_vector(x, 10)
-    return _vasicek(v, _spacing_order(v.size, m))
+    return _vasicek(_check_vector(x, 10))
 
 
 def _negentropy_raw(v: np.ndarray, var: float | None = None,
-                    m: int | None = None, float32: bool = False) -> float:
+                    float32: bool = False) -> float:
     """Vasicek-based negentropy as a bare float, no plausibility gate.
 
     Used inside solver loops where transient estimates on partly separated
     data are monitoring signals, not reported results.  var, when given,
     is the variance of v as the caller already knows it (the orthogonal
     search takes it from a pair's 2 x 2 second moments); np.var otherwise.
-    m is the spacing, floor(sqrt(n)) by default.  float32 sorts, spaces
-    and logs float32 keys of a centred v, about twice as fast; a zero
-    float32 m-spacing falls back to the float64 estimate.
+    float32 sorts, spaces and logs float32 keys of a centred v, about twice
+    as fast; a zero float32 m-spacing falls back to the float64 estimate.
     """
     if var is None:
         var = float(np.var(v))
     if var <= 0.0:
         raise DegenerateSample("zero variance")
-    m = _spacing_order(v.size, m)
-    return GAUSSIAN_ENTROPY + 0.5 * math.log(var) - _vasicek(v, m, float32)
+    return GAUSSIAN_ENTROPY + 0.5 * math.log(var) - _vasicek(v, float32)
 
 
-def negentropy_scalar(x, m: int | None = None) -> float:
+def negentropy_scalar(x) -> float:
     """Divergence of the sample law to the Gaussian of equal variance.
 
     Computed as (1/2)ln(2 pi e var(x)) minus the entropy estimate, which
@@ -209,7 +205,7 @@ def negentropy_scalar(x, m: int | None = None) -> float:
     EstimatorFailure.
     """
     v = _check_vector(x, 10)
-    value = _negentropy_raw(v, m=m)
+    value = _negentropy_raw(v)
     if value <= -0.1:
         raise EstimatorFailure(f"negentropy estimate {value:.4f} below -0.1; "
                                "estimator assumptions violated")
@@ -237,12 +233,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _knn_mi(Y: np.ndarray, k: int) -> tuple[float, float]:
+def _knn_mi(Y: np.ndarray) -> tuple[float, float]:
     # imported here: scipy.spatial adds a fifth to the CLI's start-up time,
     # and only this estimator needs it
     from scipy.spatial import cKDTree
 
     T, N = Y.shape
+    k = MI_NEIGHBOURS
     # the distance to the k-th neighbour other than the point itself
     dist, _ = cKDTree(Y).query(Y, k=[k + 1], p=np.inf, workers=_usable_cpus())
     eps = dist[:, 0]
@@ -254,11 +251,10 @@ def _knn_mi(Y: np.ndarray, k: int) -> tuple[float, float]:
     return raw, saturation
 
 
-def mutual_information(data: Dataset, k: int = 5,
-                       seed: int = 0) -> MIEstimate:
+def mutual_information(data: Dataset, seed: int = 0) -> MIEstimate:
     """Mutual information between the channels of a 2- or 3-column dataset.
 
-    k-nearest-neighbor estimator in the Chebyshev metric (default k=5);
+    k-nearest-neighbor estimator in the Chebyshev metric, k = MI_NEIGHBOURS;
     exact duplicate values are deterministically jittered to keep neighbor
     counts well defined.
     """
@@ -268,8 +264,6 @@ def mutual_information(data: Dataset, k: int = 5,
         raise DimensionTooHigh("mutual information supports at most 3 channels")
     if data.T < MI_MIN_SAMPLES:
         raise TooFewSamples(f"mutual information needs T >= {MI_MIN_SAMPLES}")
-    if not (1 <= k < data.T):
-        raise TooFewSamples("neighbor count k out of range")
     Y = np.array(data.samples, dtype=float)
     for j in range(Y.shape[1]):
         col = Y[:, j]
@@ -278,7 +272,7 @@ def mutual_information(data: Dataset, k: int = 5,
                 np.random.SeedSequence(seed, spawn_key=(j,))))
             scale = 1e-10 * max(float(col.std()), 1e-30)
             Y[:, j] = col + scale * gen.standard_normal(col.size)
-    raw, saturation = _knn_mi(Y, k)
+    raw, saturation = _knn_mi(Y)
     flagged = raw > SATURATION_FRACTION * saturation
     return MIEstimate(max(raw, 0.0), raw, "knn_kl", data.T, saturation,
                       flagged)
@@ -325,8 +319,9 @@ class ScoreTable:
         return psi, d
 
 
-def score_table(x, bins: int = 256) -> ScoreTable:
-    """Kernel-density score estimate psi-hat = -q'/q on a regular grid.
+def score_table(x) -> ScoreTable:
+    """Kernel-density score estimate psi-hat = -q'/q on a regular grid of
+    SCORE_TABLE_BINS nodes.
 
     The Gaussian-kernel bandwidth h uses the robust sd/IQR scale at the
     n^(-1/7) rate appropriate for a density-derivative ratio, and the
@@ -334,13 +329,14 @@ def score_table(x, bins: int = 256) -> ScoreTable:
     inflation the kernel smoothing introduces.
 
     The estimate is binned (Silverman 1982; Wand 1994): the sample is
-    linearly binned onto a fine grid of M = 16 (bins - 1) + 1 points over
-    the same span [min - 3h, max + 3h], so every table node is a fine-grid
-    node, and the bin counts are convolved by FFT with the kernel and its
-    derivative, both truncated at 8h.  The cost is O(T + M log M) against
-    O(T bins) for the direct sum.  Against the direct sum, the density is
-    within 1e-4 of its peak and the score at the samples within 1e-3 of
-    its largest magnitude (tested).  Nodes whose density falls below
+    linearly binned onto a fine grid of M = 16 (SCORE_TABLE_BINS - 1) + 1
+    points over the same span [min - 3h, max + 3h], so every table node is
+    a fine-grid node, and the bin counts are convolved by FFT with the
+    kernel and its derivative, both truncated at 8h.  The cost is
+    O(T + M log M) against O(T SCORE_TABLE_BINS) for the direct sum.
+    Against the direct sum, the density is within 1e-4 of its peak and
+    the score at the samples within 1e-3 of its largest magnitude
+    (tested).  Nodes whose density falls below
     1e-10 of the peak, far from every sample, read as empty: density and
     score 0, as the direct sum gives where its kernels underflow.
     """
@@ -352,12 +348,9 @@ def score_table(x, bins: int = 256) -> ScoreTable:
     q75, q25 = np.percentile(v, [75.0, 25.0])
     scale = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
     h = 1.5 * scale * n ** (-1.0 / 7.0)
-    bins = int(bins)
-    if bins < 2:
-        raise InvalidConfig("a score table needs at least 2 bins")
     lo, hi = v.min() - 3.0 * h, v.max() + 3.0 * h
-    grid = np.linspace(lo, hi, bins)
-    m = FINE_BINS_PER_NODE * (bins - 1) + 1
+    grid = np.linspace(lo, hi, SCORE_TABLE_BINS)
+    m = FINE_BINS_PER_NODE * (SCORE_TABLE_BINS - 1) + 1
     delta = (hi - lo) / (m - 1)
     # linear binning: each sample splits its unit weight between the two
     # fine nodes around it

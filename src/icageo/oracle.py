@@ -39,8 +39,10 @@ MASS_TOL = 1e-4
 # grid points a quadrature evaluates at once, whatever the step: blocks of
 # 2**15 to 2**16 points stay in cache and ran the default grids fastest
 QUAD_BLOCK_POINTS = 1 << 15
-# most cells a grid box may hold at its step: at the bound the one cell-mass
-# array of a grid measure takes 256 MiB
+# every unbounded grid axis spans [-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH]
+QUAD_HALF_WIDTH = 8.0
+# most cells the box may hold at a grid's step: at the bound the one
+# cell-mass array of a grid measure takes 256 MiB
 MAX_GRID_CELLS = 1 << 25
 
 
@@ -250,37 +252,29 @@ def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Integration box (for unbounded directions) and midpoint step."""
+    """Midpoint step of a quadrature grid, whose unbounded axes span
+    +-QUAD_HALF_WIDTH."""
 
-    xlo: float = -8.0
-    xhi: float = 8.0
-    ylo: float = -8.0
-    yhi: float = 8.0
     step: float = 0.01
 
     def __post_init__(self):
-        if not (0 < self.step < math.inf and self.xhi > self.xlo
-                and self.yhi > self.ylo):
-            raise InvalidDistribution(
-                "grid box must be nonempty with a finite step > 0")
-        cells = (self.xhi - self.xlo) / self.step * (
-            (self.yhi - self.ylo) / self.step)
+        if not 0 < self.step < math.inf:
+            raise InvalidDistribution("grid step must be finite and > 0")
+        side = 2.0 * QUAD_HALF_WIDTH / self.step
+        cells = side * side
         if not cells <= MAX_GRID_CELLS:
             raise InvalidDistribution(
                 f"grid box at step {self.step:g} holds {cells:.3g} cells, "
                 f"more than {MAX_GRID_CELLS}; coarsen the step")
 
-    def axis_range(self, axis: int) -> tuple[float, float]:
-        return (self.xlo, self.xhi) if axis == 0 else (self.ylo, self.yhi)
 
-
-def _axis_cells(support, box: tuple[float, float], step: float,
+def _axis_cells(support, step: float,
                 extend: tuple[float, float] | None = None):
     """Midpoint cell centers and width for one axis.
 
     Bounded axes adjust the width so support edges land exactly on cell
     boundaries (padded by one cell of zero density each side); unbounded
-    axes tile the box, extended if a wider range must be covered.
+    axes tile +-QUAD_HALF_WIDTH, extended if a wider range must be covered.
     """
     if support is not None:
         lo_s, hi_s = support
@@ -293,7 +287,7 @@ def _axis_cells(support, box: tuple[float, float], step: float,
             if extend[1] > hi_edge:
                 hi_edge += h * math.ceil((extend[1] - hi_edge) / h)
     else:
-        lo_edge, hi_edge = box
+        lo_edge, hi_edge = -QUAD_HALF_WIDTH, QUAD_HALF_WIDTH
         if extend is not None:
             lo_edge = min(lo_edge, extend[0])
             hi_edge = max(hi_edge, extend[1])
@@ -345,12 +339,13 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     """
     # y-space box that q's mass lives in: exact support image if bounded,
     # else the grid box
-    box = [q.base_support[k] or grid.axis_range(k) for k in (0, 1)]
+    box = [q.base_support[k] or (-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH)
+           for k in (0, 1)]
     corners = np.array([q.frame @ [cx, cy] for cx in box[0] for cy in box[1]])
     pulled = np.linalg.solve(p.frame, corners.T)
-    sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step,
+    sx, hx = _axis_cells(p.base_support[0], grid.step,
                          (float(pulled[0].min()), float(pulled[0].max())))
-    sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step,
+    sy, hy = _axis_cells(p.base_support[1], grid.step,
                          (float(pulled[1].min()), float(pulled[1].max())))
     cell = hx * hy * abs(np.linalg.det(p.frame))
     sums = np.zeros(3)  # masses of p and q, KLD, each over the cell size
@@ -374,7 +369,8 @@ def _check_mass(step: float, *masses: float):
     if not all(abs(m - 1.0) <= MASS_TOL for m in masses):
         raise InsufficientCoverage(
             f"grid captures mass {', '.join(f'{m:.6f}' for m in masses)} at "
-            f"step {step:g}; refine the step or enlarge the box")
+            f"step {step:g} in the +-{QUAD_HALF_WIDTH:g} box: the step is too "
+            "coarse for the density, or the density reaches beyond the box")
 
 
 def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
@@ -424,8 +420,8 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     also carry the shared hypotenuse (divergence to the independent
     Gaussian fit) and the residual of each of its two decompositions.
     """
-    xs, hx = _axis_cells(p.y_axis_support(0), grid.axis_range(0), grid.step)
-    ys, hy = _axis_cells(p.y_axis_support(1), grid.axis_range(1), grid.step)
+    xs, hx = _axis_cells(p.y_axis_support(0), grid.step)
+    ys, hy = _axis_cells(p.y_axis_support(1), grid.step)
     pi, mass, m2, neg_entropy = _grid_measure(p, np.eye(2), xs, ys, hx * hy,
                                               grid.step)
     h1 = _relative_entropy(pi.sum(axis=1), 0.0)
@@ -456,8 +452,8 @@ def verify_four_point_identity(p: AnalyticDensity2D,
 
 def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
     """Joint non-Gaussianity by pullback quadrature in base coordinates."""
-    sx, hx = _axis_cells(p.base_support[0], grid.axis_range(0), grid.step)
-    sy, hy = _axis_cells(p.base_support[1], grid.axis_range(1), grid.step)
+    sx, hx = _axis_cells(p.base_support[0], grid.step)
+    sy, hy = _axis_cells(p.base_support[1], grid.step)
     cell = hx * hy * abs(np.linalg.det(p.frame))
     _, _, m2, neg_entropy = _grid_measure(p, p.frame, sx, sy, cell, grid.step)
     return neg_entropy - _fit_cross_entropy(m2, cell)
@@ -465,8 +461,13 @@ def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
 
 def gaussianity_invariance_check(p: AnalyticDensity2D, transform,
                                  grid: GridSpec = GridSpec()) -> float:
-    """|G(p) - G(A p)| by quadrature; small for any invertible A because
-    non-Gaussianity is a linear invariant."""
+    """|G(p) - G(A p)| by quadrature in base coordinates.
+
+    A p keeps p's base and support, so both are integrated on the same base
+    grid, and ln|det A| cancels between the cell size and the Gaussian fit:
+    the residual is round-off for any invertible A by construction.  It
+    checks the pullback quadrature's bookkeeping, not the invariance of G
+    on independently laid out grids."""
     g_before = _negentropy_quad(p, grid)
     g_after = _negentropy_quad(linear_image(p, transform), grid)
     return abs(g_before - g_after)

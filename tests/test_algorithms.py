@@ -101,6 +101,15 @@ def test_stationarity_overflow_is_diverged_without_a_warning(score, scale):
             stationarity_matrix(Y, [make_score(score)] * 2)
 
 
+def test_output_power_overflow_is_diverged_without_a_warning():
+    # tanh keeps F finite (sums of three terms of 1e307); E Y^2 overflows
+    Y = Dataset([[1e307, -1e307], [1e307, 1e307], [-1e307, 1e307]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged):
+            stationarity_matrix(Y, [make_score("tanh")] * 2)
+
+
 def test_stationarity_small_at_independence():
     # independent unit-variance channels: E{psi(Yi) Yj} = 0 off the diagonal
     gen = np.random.default_rng(3)

@@ -674,7 +674,8 @@ def test_verify_unusable_grid_step_is_input_error(tmp_path, capsys, args):
 def test_verify_coverage_error_names_the_step(tmp_path, capsys):
     # the midpoint rule misses the Laplace cusp's mass at a coarse step
     assert run(["verify", "--step", 0.05, "--output-dir", tmp_path]) == 1
-    assert ("at step 0.05; refine the step or enlarge the box"
+    assert ("at step 0.05 in the +-8 box: the step is too coarse for the "
+            "density, or the density reaches beyond the box"
             in capsys.readouterr().err)
 
 

@@ -1,13 +1,16 @@
 """Static checks over the icageo sources: every module-level import is used,
 every module-level constant is read, only `data.py`, whose opener maps
 every file failure onto IoError, calls the builtin `open`, every public
-name has a user, every option the CLI reads is one its parser defines, and
-every option a command defines is read.  The benchmark's tracer
+name has a user, every parameter with a default of a public function or
+dataclass is passed by the package itself, every option the CLI reads is
+one its parser defines, and every option a command defines is read.  The benchmark's tracer
 (`bench/tracing.py`, read here as text) wraps names that all exist."""
 import argparse
 import ast
+import dataclasses
 import functools
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -127,6 +130,72 @@ def test_unused_export_check_flags_an_unused_name():
 def test_every_public_name_has_a_user():
     texts = [p.read_text(encoding="utf-8") for p in API_USERS]
     assert unused_exports(icageo.__all__, texts) == []
+
+
+def unpassed_defaults(signatures: dict, paths) -> list[str]:
+    """`name: parameter` for each parameter with a default, of each
+    signature in signatures (name -> inspect.Signature), that no call in
+    paths passes by position or keyword.  A call is matched by the name
+    of its callee, bare or as an attribute; a `*` argument counts as
+    passing every position, a `**` argument every keyword."""
+    passed = {name: set() for name in signatures}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee not in signatures:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}  # None for `**`
+            for i, param in enumerate(
+                    signatures[callee].parameters.values()):
+                positional = param.kind in (param.POSITIONAL_ONLY,
+                                            param.POSITIONAL_OR_KEYWORD)
+                by_keyword = param.kind != param.POSITIONAL_ONLY and (
+                    param.name in keywords or None in keywords)
+                if (positional and (starred or i < len(node.args))
+                        or by_keyword):
+                    passed[callee].add(param.name)
+    return [f"{name}: {param.name}" for name, sig in signatures.items()
+            for param in sig.parameters.values()
+            if param.default is not param.empty
+            and param.name not in passed[name]]
+
+
+def test_unpassed_default_check_flags_a_parameter_nobody_passes(tmp_path):
+    def fit(x, order=1, bins=2, *, k=3):
+        pass
+
+    def spread(x, scale=1.0, shift=0.0):
+        pass
+
+    def named(x, *, a=1, b=2):
+        pass
+
+    @dataclasses.dataclass
+    class Box:
+        lo: float = 0.0
+        hi: float = 1.0
+
+    mod = tmp_path / "mod.py"
+    mod.write_text("fit(x, 4)\nmodel.fit(x, k=5)\nBox(hi=2.0)\n"
+                   "spread(x, *more)\nnamed(x, **opts)\n")
+    signatures = {f.__name__: inspect.signature(f)
+                  for f in (fit, spread, named, Box)}
+    assert unpassed_defaults(signatures, [mod]) == ["fit: bins", "Box: lo"]
+
+
+def test_every_public_default_is_passed_by_the_package():
+    # a default that only the tests override is a setting no run can
+    # change: it belongs in a module constant
+    signatures = {name: inspect.signature(obj)
+                  for name, obj in vars(icageo).items()
+                  if name in icageo.__all__ and (inspect.isfunction(obj)
+                                                 or dataclasses.is_dataclass(obj))}
+    assert {"mutual_information", "GridSpec", "SolverConfig"} <= set(signatures)
+    sources = sorted(Path(icageo.__file__).parent.glob("*.py"))
+    assert unpassed_defaults(signatures, sources) == []
 
 
 def parser_dests() -> set[str]:

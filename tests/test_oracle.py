@@ -229,25 +229,26 @@ def test_quad_kld_rotated_uniform_negentropy():
 
 
 def test_quad_kld_raises_when_box_too_small():
+    # a mixture's frame is the identity, so its base grid is the +-8 box,
+    # which keeps only 79% of a Gaussian of variance 25
+    wide = gaussian_mixture_density([1.0], [[0.0, 0.0]],
+                                    [[[25.0, 0.0], [0.0, 25.0]]])
     iso = gaussian_density([[1.0, 0.0], [0.0, 1.0]])
-    small = GridSpec(xlo=-2, xhi=2, ylo=-2, yhi=2, step=0.02)
-    with pytest.raises(InsufficientCoverage):
-        quad_kld_2d(iso, iso, small)  # +-2 box keeps only ~91% of the mass
+    with pytest.raises(InsufficientCoverage, match="mass 0.792815, 1.000000 "
+                       "at step 0.02 in the [+]-8 box"):
+        quad_kld_2d(wide, iso, COARSE)
 
 
 def test_grid_spec_validation_and_halving():
-    with pytest.raises(InvalidDistribution):
-        GridSpec(step=0.0)
-    with pytest.raises(InvalidDistribution):
-        GridSpec(xlo=1.0, xhi=-1.0)
+    for step in (0.0, -0.01):
+        with pytest.raises(InvalidDistribution, match="finite and > 0"):
+            GridSpec(step=step)
 
 
 def test_grid_spec_rejects_unbounded_work():
     for step in (math.inf, math.nan, 1e-5, 1e-320):
         with pytest.raises(InvalidDistribution):
             GridSpec(step=step)
-    with pytest.raises(InvalidDistribution):
-        GridSpec(xhi=math.inf)
     # the finest grid the tests build stays admitted
     assert GridSpec(step=0.005).step == 0.005
 
