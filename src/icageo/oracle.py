@@ -6,10 +6,14 @@ Analytic 2-D densities are base densities under a linear frame (a
 rotation, a shear, a Gaussian's Cholesky factor), handled by midpoint
 quadrature on grids that respect that frame: bounded supports get cell
 edges aligned to the support boundary, and a density is integrated in
-pulled-back base coordinates so the change of variables is exact.  Every
-grid is walked in row blocks, and a density is evaluated at the grid's
-base coordinates; when the map from grid to base coordinates is
-axis-aligned, a product density is the outer product of two 1-D pdfs.
+pulled-back base coordinates so the change of variables is exact.  A base
+density is given by its closed-form log.  Every grid is walked once, in
+row blocks whose log densities are written into buffers reused by every
+block: a base is evaluated at the grid's base coordinates, and when the
+map from grid to base coordinates is axis-aligned, the log of a product
+base is the outer sum of two 1-D vectors.  Only the sums a term needs
+(masses, row and column masses, a cross moment, sum P ln P) are kept, so
+no grid-sized array is built.
 
 The four projection targets of the joint identity (product of marginals,
 Gaussian fit, independent Gaussian fit) are all built from the same grid
@@ -18,7 +22,7 @@ discretization error; the discretization error shows up in the individual
 terms and shrinks at first order or better as the step is refined.  A
 Gaussian fit matches the grid measure's second moments, so the
 cross-entropy to it is a closed form of those moments: only sum pi ln pi,
-and quad_kld_2d's divergence to a given density, walk the grid.
+and quad_kld_2d's divergence to a given density, need the grid's cells.
 """
 import math
 from dataclasses import dataclass, field
@@ -37,13 +41,23 @@ from .sources import SourceSpec, parse_source
 # allowed deviation of quadrature mass from 1
 MASS_TOL = 1e-4
 # grid points a quadrature evaluates at once, whatever the step: blocks of
-# 2**15 to 2**16 points stay in cache and ran the default grids fastest
+# 2**15 to 2**16 points stay in cache and ran the default grids fastest.
+# Weighted sums over a block go row by row (np.vecdot): a threaded BLAS
+# splits one dot over a whole block, and those splits made the built-in
+# suite 3 times slower whenever another process held one of 2 CPUs
 QUAD_BLOCK_POINTS = 1 << 15
 # every unbounded grid axis spans [-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH]
 QUAD_HALF_WIDTH = 8.0
-# most cells the box may hold at a grid's step: at the bound the one
-# cell-mass array of a grid measure takes 256 MiB
+# most cells the box may hold at a grid's step.  A grid walk's memory does
+# not grow with the grid, so the bound limits run time: a grid at the bound
+# holds about 13 times the default step's 2.56e6 cells and takes about 13
+# times as long to walk
 MAX_GRID_CELLS = 1 << 25
+# stands in for ln 0 in a P-weighted sum of logs, once P = exp(ln P) is
+# taken: finite, so a cell where P = 0 adds 0 * LN_ZERO = 0.  exp is taken
+# of the logs as they are, since it takes -inf about 5 times faster than a
+# finite value that underflows
+LN_ZERO = -1000.0
 
 
 # -- discrete world -------------------------------------------------------
@@ -132,17 +146,20 @@ def random_discrete_joint(k1: int, k2: int,
 class AnalyticDensity2D:
     """Closed-form 2-D density: a base density under a linear frame.
 
-    base(s1, s2) is the density of the base coordinates s, evaluated
-    elementwise on broadcastable arrays.  frame is a 2x2 matrix F, and the
-    density is that of y = F s.  base_support gives the exact support
-    interval per base axis, or None if unbounded, so the support is an
-    axis-aligned box (possibly unbounded) in s.  Quadrature evaluates base
-    at each grid's base coordinates: when the map from grid to base
-    coordinates is axis-aligned, base receives a column and a row, and a
-    product base is the outer product of two 1-D pdf vectors.
+    log_base(s1, s2, out) writes ln of the density of the base coordinates
+    s into out, elementwise on broadcastable arrays s1 and s2 (-inf off the
+    support), and returns out; s1 and s2 are scratch that it may
+    overwrite.  frame is a 2x2 matrix F, and the density is that of
+    y = F s.  base_support gives the exact support interval per base axis,
+    or None if unbounded, so the support is an axis-aligned box (possibly
+    unbounded) in s.  Quadrature evaluates log_base at each grid's base
+    coordinates, one row block at a time into a reused buffer: when the
+    map from grid to base coordinates is axis-aligned, log_base receives a
+    column and a row, and a product base is the outer sum of two 1-D
+    log-density vectors.
     """
 
-    base: object
+    log_base: object
     frame: np.ndarray
     base_support: tuple
 
@@ -154,11 +171,18 @@ class AnalyticDensity2D:
         if abs(np.linalg.det(L)) < 1e-12:
             raise SingularTransform("density frame is singular")
 
-    def pdf(self, points) -> np.ndarray:
-        """The density at observation points y, shape (..., 2): base at
-        s = F⁻¹ y over |det F|."""
+    def logpdf(self, points) -> np.ndarray:
+        """ln of the density at observation points y, shape (..., 2): ln of
+        the base at s = F⁻¹ y minus ln |det F|."""
         s = np.asarray(points, dtype=float) @ np.linalg.inv(self.frame).T
-        return self.base(s[..., 0], s[..., 1]) / abs(np.linalg.det(self.frame))
+        # s is this call's own array, so log_base may overwrite it
+        out = self.log_base(s[..., 0], s[..., 1], np.empty(s.shape[:-1]))
+        out -= math.log(abs(np.linalg.det(self.frame)))
+        return out
+
+    def pdf(self, points) -> np.ndarray:
+        """The density at observation points y, shape (..., 2)."""
+        return np.exp(self.logpdf(points))
 
     def y_axis_support(self, axis: int):
         """Support interval along an observation axis, when it is exact.
@@ -178,13 +202,19 @@ class AnalyticDensity2D:
         return (min(lo, hi), max(lo, hi))
 
 
-def _standard_normal_pair(s1, s2):
-    return np.exp(-0.5 * (s1 * s1 + s2 * s2)) * (0.5 / math.pi)
+def _log_product(a: SourceSpec, b: SourceSpec):
+    """The log base of a product density: ln a(s1) + ln b(s2), each taken
+    in place, so a block of full coordinate arrays needs no temporary."""
+
+    def log_base(s1, s2, out):
+        return np.add(a.logpdf(s1, out=s1), b.logpdf(s2, out=s2), out=out)
+
+    return log_base
 
 
 def gaussian_density(cov) -> AnalyticDensity2D:
-    """Zero-mean bivariate Gaussian: the standard normal pair under the
-    Cholesky factor of cov."""
+    """Zero-mean bivariate Gaussian: the standard normal pair, whose log is
+    -(s1² + s2²)/2 - ln 2π, under the Cholesky factor of cov."""
     cov = np.array(cov, dtype=float)
     if cov.shape != (2, 2):
         raise DimensionMismatch("need a 2x2 covariance")
@@ -198,7 +228,8 @@ def gaussian_density(cov) -> AnalyticDensity2D:
     if not l11_sq > 0:
         raise InvalidDistribution("covariance is not positive definite")
     chol = [[l00, 0.0], [l10, math.sqrt(l11_sq)]]
-    return AnalyticDensity2D(_standard_normal_pair, chol, (None, None))
+    normal = SourceSpec("gaussian")
+    return AnalyticDensity2D(_log_product(normal, normal), chol, (None, None))
 
 
 def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
@@ -213,20 +244,25 @@ def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
     if np.abs(w @ mu).max() > 1e-12:
         raise InvalidDistribution("mixture must have overall mean zero")
 
-    def base(s1, s2):
+    def log_base(s1, s2, out):
+        # log-sum-exp of ln wi + ln gi(s - mi) around the largest term,
+        # which a Gaussian's log keeps finite wherever the grid reaches
         pts = np.stack(np.broadcast_arrays(s1, s2), axis=-1)
-        return sum(wi * g.pdf(pts - mi) for wi, mi, g in zip(w, mu, parts))
+        terms = [math.log(wi) + g.logpdf(pts - mi)
+                 for wi, mi, g in zip(w, mu, parts)]
+        top = np.maximum.reduce(terms)
+        np.log(sum(np.exp(t - top) for t in terms), out=out)
+        out += top
+        return out
 
-    return AnalyticDensity2D(base, np.eye(2), (None, None))
+    return AnalyticDensity2D(log_base, np.eye(2), (None, None))
 
 
 def product_density(s1: SourceSpec, s2: SourceSpec) -> AnalyticDensity2D:
     """Independent pair of unit-variance scalar sources."""
 
-    def base(x1, x2):
-        return s1.pdf(x1) * s2.pdf(x2)
-
-    return AnalyticDensity2D(base, np.eye(2), (s1.support(), s2.support()))
+    return AnalyticDensity2D(_log_product(s1, s2), np.eye(2),
+                             (s1.support(), s2.support()))
 
 
 def rotated_product_density(s1: SourceSpec, s2: SourceSpec,
@@ -245,7 +281,7 @@ def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
         raise SingularTransform("transform must be a finite 2x2 matrix")
     if abs(np.linalg.det(A)) < 1e-12:
         raise SingularTransform("transform is singular")
-    return AnalyticDensity2D(p.base, A @ p.frame, p.base_support)
+    return AnalyticDensity2D(p.log_base, A @ p.frame, p.base_support)
 
 
 # -- quadrature grids -----------------------------------------------------
@@ -298,34 +334,51 @@ def _axis_cells(support, step: float,
 
 
 def _base_blocks(M: np.ndarray, sx: np.ndarray, sy: np.ndarray):
-    """(rows, s1, s2) for each slice of QUAD_BLOCK_POINTS points (or one
-    row) of the tensor grid sx x sy: the coordinates s = M u of its points
-    u, broadcastable to (rows, len(sy)).  For a diagonal M, s1 is a column
-    and s2 one row shared by every block."""
+    """(rows, s1, s2) for each row block of the tensor grid sx x sy: the
+    coordinates s = M u of its points u, broadcastable to (rows, len(sy)).
+    Both are scratch for the block's consumer: for a diagonal M, s1 is a
+    column and s2 a row, made afresh for each block; otherwise both are
+    views of two buffers that each block overwrites."""
     step = max(1, QUAD_BLOCK_POINTS // len(sy))
     diagonal = M[0, 1] == 0 and M[1, 0] == 0
-    row = M[1, 1] * sy
+    if not diagonal:
+        row0 = M[0, 1] * sy
+        row1 = M[1, 1] * sy
+        b1, b2 = np.empty((2, min(step, len(sx)), len(sy)))
     for start in range(0, len(sx), step):
         rows = slice(start, start + step)
         u1 = sx[rows, None]
         if diagonal:
-            yield rows, M[0, 0] * u1, row
+            yield rows, M[0, 0] * u1, M[1, 1] * sy
         else:
-            yield rows, M[0, 0] * u1 + M[0, 1] * sy, M[1, 0] * u1 + row
+            n = len(u1)
+            yield (rows, np.add(M[0, 0] * u1, row0, out=b1[:n]),
+                   np.add(M[1, 0] * u1, row1, out=b2[:n]))
 
 
-def _pdf_blocks(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
+def _log_blocks(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
                 sy: np.ndarray):
-    """(rows, P) for each row block of the tensor grid sx x sy, P holding
-    p's density at the points y = G u: p's base at s = M u, M = F⁻¹ G for
-    p's frame F, over |det F|."""
+    """(rows, L, E) for each row block of the tensor grid sx x sy, L holding
+    ln of p's base at s = M u, M = F⁻¹ G for p's frame F, so that
+    L - ln |det F| is ln of p's density at the points y = G u, and E an
+    array of L's shape for the consumer's exp(L).  Both are views of
+    buffers that each block overwrites."""
     F = p.frame
     # on p's own base grid M is exactly the identity, which solve() can
     # miss by round-off in the off-diagonal entries
     M = np.eye(2) if np.array_equal(G, F) else np.linalg.solve(F, G)
-    scale = 1.0 / abs(np.linalg.det(F))
+    buffers = None
     for rows, s1, s2 in _base_blocks(M, sx, sy):
-        yield rows, p.base(s1, s2) * scale
+        if buffers is None:  # the first block is the largest
+            buffers = np.empty((2, len(s1), len(sy)))
+        L, E = buffers[:, :len(s1)]
+        yield rows, p.log_base(s1, s2, L), E
+
+
+def _weighable(L: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """L, made safe to weight by E = exp(L): if E holds a 0, every entry of
+    L below LN_ZERO, -inf among them, is raised to it in place."""
+    return np.maximum(L, LN_ZERO, out=L) if E.min() == 0 else L
 
 
 def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
@@ -347,20 +400,30 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
                          (float(pulled[0].min()), float(pulled[0].max())))
     sy, hy = _axis_cells(p.base_support[1], grid.step,
                          (float(pulled[1].min()), float(pulled[1].max())))
-    cell = hx * hy * abs(np.linalg.det(p.frame))
-    sums = np.zeros(3)  # masses of p and q, KLD, each over the cell size
-    # ln 0 = -inf makes the KLD +inf wherever Q vanishes and P does not
-    with np.errstate(divide="ignore"):
-        for (_, P), (_, Q) in zip(_pdf_blocks(p, p.frame, sx, sy),
-                                  _pdf_blocks(q, p.frame, sx, sy)):
-            sums += [P.sum(), Q.sum(), _relative_entropy(P, np.log(Q))]
-    mass_p, mass_q, kld = sums * cell
-    _check_mass(grid.step, mass_p, mass_q)
-    if kld == math.inf:
+    # P and Q are the bases' values: the densities times |det F| of p's
+    # and q's frames, so their log ratio is ln P - ln Q + ln(det_q / det_p)
+    det_p = abs(np.linalg.det(p.frame))
+    det_q = abs(np.linalg.det(q.frame))
+    sum_p = sum_q = sum_p_log_ratio = 0.0  # the last sums P (ln P - ln Q)
+    vanishes = False
+    for (_, log_p, P), (_, log_q, Q) in zip(_log_blocks(p, p.frame, sx, sy),
+                                            _log_blocks(q, p.frame, sx, sy)):
+        sum_q += np.exp(log_q, out=Q).sum()
+        if log_p.max() == -math.inf:
+            continue  # off p's support, a block adds to q's mass alone
+        np.exp(log_p, out=P)
+        # Q = 0, or underflowed, where P > 0 makes the divergence infinite
+        vanishes = vanishes or (Q.min() == 0 and P[Q == 0].any())
+        np.subtract(_weighable(log_p, P), _weighable(log_q, Q), out=log_q)
+        sum_p += P.sum()
+        sum_p_log_ratio += np.vecdot(P, log_q).sum()
+    cell = hx * hy  # the cell in p's base coordinates
+    _check_mass(grid.step, sum_p * cell, sum_q * cell * det_p / det_q)
+    if vanishes:
         raise InsufficientCoverage(
             f"q's density is 0 where p's is positive at step {grid.step:g}; "
             "the divergence is infinite or beyond the grid's range")
-    return float(kld)
+    return float((sum_p_log_ratio + math.log(det_q / det_p) * sum_p) * cell)
 
 
 # -- the joint-identity report -------------------------------------------
@@ -375,24 +438,33 @@ def _check_mass(step: float, *masses: float):
 
 def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
                   sy: np.ndarray, cell: float, step: float):
-    """Normalized cell masses pi of p on the tensor grid sx x sy mapped
-    through y = G u, the mass the grid captures, the uncentered second
-    moments of pi in y, which its zero-mean Gaussian fit matches, and
-    sum pi ln pi, summed in row blocks.  step is the grid's nominal step,
-    named if the mass check fails."""
-    pi = np.empty((len(sx), len(sy)))
-    for rows, P in _pdf_blocks(p, G, sx, sy):
-        np.multiply(P, cell, out=pi[rows])
-    mass = float(pi.sum())
+    """Sums of the normalized cell masses pi of p on the tensor grid
+    sx x sy mapped through y = G u, in one walk of its row blocks: the row
+    and column sums of pi, the mass the grid captures, the uncentered
+    second moments of pi in y, which its zero-mean Gaussian fit matches,
+    and sum pi ln pi.  step is the grid's nominal step, named if the mass
+    check fails."""
+    rows = np.empty(len(sx))
+    cols = np.zeros(len(sy))
+    cross = p_log_p = 0.0
+    for block, L, P in _log_blocks(p, G, sx, sy):
+        # P, p's base at the block's points, is its cell masses up to the
+        # one factor cell / |det F|
+        np.exp(L, out=P)
+        rows[block] = P.sum(axis=1)
+        cols += P.sum(axis=0)
+        cross += sx[block] @ np.vecdot(P, sy)
+        p_log_p += np.vecdot(P, _weighable(L, P)).sum()
+    total = rows.sum()
+    mass = total * cell / abs(np.linalg.det(p.frame))
     _check_mass(step, mass)
-    pi /= mass
-    cross = sx @ (pi @ sy)
-    m2 = G @ np.array([[pi.sum(axis=1) @ (sx * sx), cross],
-                       [cross, pi.sum(axis=0) @ (sy * sy)]]) @ G.T
-    rows = max(1, QUAD_BLOCK_POINTS // len(sy))
-    neg_entropy = sum(_relative_entropy(pi[k:k + rows], 0.0)
-                      for k in range(0, len(sx), rows))
-    return pi, mass, m2, neg_entropy
+    rows /= total
+    cols /= total
+    cross /= total
+    m2 = G @ np.array([[rows @ (sx * sx), cross],
+                       [cross, cols @ (sy * sy)]]) @ G.T
+    # pi = P / total, so sum pi ln pi = sum P ln P / total - ln total
+    return rows, cols, mass, m2, p_log_p / total - math.log(total)
 
 
 def _fit_cross_entropy(m2: np.ndarray, cell: float) -> float:
@@ -422,10 +494,10 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     """
     xs, hx = _axis_cells(p.y_axis_support(0), grid.step)
     ys, hy = _axis_cells(p.y_axis_support(1), grid.step)
-    pi, mass, m2, neg_entropy = _grid_measure(p, np.eye(2), xs, ys, hx * hy,
-                                              grid.step)
-    h1 = _relative_entropy(pi.sum(axis=1), 0.0)
-    h2 = _relative_entropy(pi.sum(axis=0), 0.0)
+    px, py, mass, m2, neg_entropy = _grid_measure(p, np.eye(2), xs, ys,
+                                                  hx * hy, grid.step)
+    h1 = _relative_entropy(px, 0.0)
+    h2 = _relative_entropy(py, 0.0)
     f1 = _fit_cross_entropy(m2[:1, :1], hx)
     f2 = _fit_cross_entropy(m2[1:, 1:], hy)
     mutual_info = neg_entropy - h1 - h2
@@ -455,7 +527,7 @@ def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
     sx, hx = _axis_cells(p.base_support[0], grid.step)
     sy, hy = _axis_cells(p.base_support[1], grid.step)
     cell = hx * hy * abs(np.linalg.det(p.frame))
-    _, _, m2, neg_entropy = _grid_measure(p, p.frame, sx, sy, cell, grid.step)
+    *_, m2, neg_entropy = _grid_measure(p, p.frame, sx, sy, cell, grid.step)
     return neg_entropy - _fit_cross_entropy(m2, cell)
 
 

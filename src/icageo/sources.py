@@ -70,23 +70,44 @@ class SourceSpec:
         return (2.0 / math.pi) * np.log(np.tan(0.5 * math.pi * u))
 
     # -- closed forms -----------------------------------------------------
-    def pdf(self, x: np.ndarray) -> np.ndarray:
+    def logpdf(self, x: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """ln of the density at x: -inf off a bounded support.  out, an
+        array of x's shape that may be x itself, receives the values."""
         x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty_like(x)
         if self.family == "gaussian":
-            return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if self.family == "uniform":
-            inside = np.abs(x) <= _UNIFORM_HALF_WIDTH
-            return np.where(inside, 1.0 / (2.0 * _UNIFORM_HALF_WIDTH), 0.0)
-        if self.family == "laplace":
+            np.multiply(x, x, out=out)
+            out *= -0.5
+            out -= 0.5 * math.log(2.0 * math.pi)
+        elif self.family == "uniform":
+            out[...] = np.where(np.abs(x) <= _UNIFORM_HALF_WIDTH,
+                                -math.log(2.0 * _UNIFORM_HALF_WIDTH), -math.inf)
+        elif self.family == "laplace":
             b = _LAPLACE_SCALE
-            return np.exp(-np.abs(x) / b) / (2.0 * b)
-        if self.family == "generalized-gaussian":
+            np.abs(x, out=out)
+            out *= -1.0 / b
+            out -= math.log(2.0 * b)
+        elif self.family == "generalized-gaussian":
             beta = float(self.beta)
             alpha = _gg_alpha(beta)
             lognorm = math.log(beta) - math.log(2.0 * alpha) - math.lgamma(1.0 / beta)
-            return np.exp(lognorm - np.abs(x / alpha) ** beta)
-        with np.errstate(over="ignore"):
-            return 0.5 / np.cosh(0.5 * math.pi * x)
+            np.abs(x, out=out)
+            out /= alpha
+            np.power(out, beta, out=out)
+            np.subtract(lognorm, out, out=out)
+        else:
+            # ln(1/2) - ln cosh z = -|z| - ln(1 + exp(-2|z|)), z = pi x / 2,
+            # which no |x| overflows
+            np.multiply(x, 0.5 * math.pi, out=out)
+            np.abs(out, out=out)
+            out += np.log1p(np.exp(-2.0 * out))
+            np.negative(out, out=out)
+        return out
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(self.logpdf(x))
 
     def entropy_nats(self) -> float:
         """Exact differential entropy of the standardized density."""

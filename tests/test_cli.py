@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -1185,9 +1186,45 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
-    # only the kNN mutual information needs scipy.spatial, which adds
-    # about a fifth to the start-up import time of the CLI
+    # only the kNN mutual information needs scipy.spatial, which loads
+    # scipy's base with it (numpy.f2py, numpy.testing, scipy.sparse,
+    # .linalg, .special): more import time than the whole CLI start-up,
+    # and about twice the process's resident memory
     assert not loaded_by_cli_import("scipy.spatial")
+
+
+def scipy_loaded_after(*argvs):
+    """The scipy modules loaded in a fresh interpreter once icageo.cli.main
+    has run each argument list in turn, each exiting 0."""
+    script = ("import sys, icageo.cli\n"
+              f"for argv in {[list(map(str, a)) for a in argvs]!r}:\n"
+              "    assert icageo.cli.main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+              "'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_only_the_mutual_information_loads_scipy(tmp_path):
+    sim, sep = tmp_path / "sim", tmp_path / "sep"
+    assert scipy_loaded_after(
+        ["verify", "--output-dir", tmp_path / "verify"],
+        ["simulate", "--sources", "laplace,uniform,laplace,uniform",
+         "--samples", 5000, "--output-dir", sim],
+        ["separate", sim / "X.csv", "--score", "adaptive", "--output-dir",
+         sep],
+        ["separate", sim / "X.csv", "--algorithm", "orthogonal",
+         "--output-dir", tmp_path / "orth"],
+        # four channels: the report has no mutual information
+        ["diagnose", sep / "Y.csv", "--output-dir", tmp_path / "diag4"],
+    ) == []
+    three = tmp_path / "three"
+    assert "scipy.spatial" in scipy_loaded_after(
+        ["simulate", "--sources", "laplace,uniform,laplace", "--samples",
+         2000, "--output-dir", three],
+        ["diagnose", three / "X.csv", "--output-dir", tmp_path / "diag3"])
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
