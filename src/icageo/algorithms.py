@@ -51,19 +51,18 @@ COARSE_ROWS = 1 << 13
 
 # Fixed scores psi = -q'/q of working densities q: tanh the 1/cosh
 # (log-cosh) model, cube exp(-s^4/4), identity the Gaussian negative control.
-# Each returns psi at s, or with slope=True (psi, psi') from one call.
-def _tanh(s: np.ndarray, slope: bool = False):
+# Each returns (psi, psi') at s from one call.
+def _tanh(s: np.ndarray):
     psi = np.tanh(s)
-    return (psi, 1.0 - psi ** 2) if slope else psi
+    return psi, 1.0 - psi ** 2
 
 
-def _cube(s: np.ndarray, slope: bool = False):
-    psi = s * s * s
-    return (psi, 3.0 * s * s) if slope else psi
+def _cube(s: np.ndarray):
+    return s * s * s, 3.0 * s * s
 
 
-def _identity(s: np.ndarray, slope: bool = False):
-    return (s, np.ones_like(s)) if slope else s
+def _identity(s: np.ndarray):
+    return s, np.ones_like(s)
 
 
 FIXED_SCORES = {"tanh": _tanh, "cube": _cube, "identity": _identity}
@@ -72,7 +71,7 @@ SCORE_NAMES = (*FIXED_SCORES, "adaptive")
 
 
 def make_score(name: str):
-    """The fixed score of that name, f(s, slope=False)."""
+    """The fixed score of that name, f(s) -> (psi, psi')."""
     if name not in FIXED_SCORES:
         raise InvalidConfig(f"{name!r} is not a fixed score; choose from "
                             f"{', '.join(FIXED_SCORES)}")
@@ -157,7 +156,7 @@ def _newton_terms(Y: np.ndarray, scores):
     with np.errstate(over="raise", invalid="raise"):
         try:
             for i, score in enumerate(scores):
-                Psi[:, i], dpsi = score(Y[:, i], slope=True)
+                Psi[:, i], dpsi = score(Y[:, i])
                 a[i] = np.mean(dpsi)
             F = Psi.T @ Y / T
             v = np.mean(Y * Y, axis=0)

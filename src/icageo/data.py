@@ -124,10 +124,13 @@ def random_mixing(n: int, rng: Rng, cond: float = 5.0) -> np.ndarray:
 
     Built as U diag(s) V^T with Haar-random orthogonal factors and singular
     values geometrically spaced so max(s)/min(s) = cond and the geometric
-    mean is 1.
+    mean is 1.  cond must be finite and below 1 / EPS_DET, where
+    MixingModel would call the matrix singular.
     """
-    if cond < 1.0:
-        raise InvalidConfig("condition number must be >= 1")
+    # written so that NaN, which fails every comparison, is refused
+    if not 1.0 <= cond < 1.0 / EPS_DET:
+        raise InvalidConfig(f"condition number (--cond) must lie in "
+                            f"[1, {1.0 / EPS_DET:g}), got {cond:g}")
     gen = rng.generator()
     U = np.linalg.qr(gen.standard_normal((n, n)))[0]
     V = np.linalg.qr(gen.standard_normal((n, n)))[0]

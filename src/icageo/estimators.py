@@ -301,10 +301,10 @@ def mutual_information(data: Dataset, seed: int = 0) -> MIEstimate:
 class ScoreTable:
     """Piecewise-linear score function estimate on a fixed grid.
 
-    Calling the table evaluates psi by linear interpolation between nodes;
-    outside the grid the end values are held constant (clamped linear
-    extrapolation).  With slope=True the call also returns the matching
-    slope: that of the node interval holding s, and 0 outside the grid.
+    Calling the table returns (psi, psi') at s from one lookup: psi by
+    linear interpolation between nodes, the end values held constant
+    outside the grid (clamped linear extrapolation), and psi' its
+    derivative: that of the node interval holding s, and 0 outside the grid.
     density carries the kernel density estimate on the same grid for
     plotting.
     """
@@ -326,13 +326,11 @@ class ScoreTable:
         pos = np.clip((s - self.grid[0]) / step, 0.0, last)
         return pos, np.minimum(pos.astype(np.intp), last - 1), step
 
-    def __call__(self, s: np.ndarray, slope: bool = False):
-        """psi at s; with slope=True, (psi, derivative) from one lookup."""
+    def __call__(self, s: np.ndarray):
+        """(psi, derivative) at s from one lookup."""
         pos, k, step = self._locate(s)
         w = pos - k
         psi = (1.0 - w) * self.psi[k] + w * self.psi[k + 1]
-        if not slope:
-            return psi
         d = (np.diff(self.psi) / step)[k]
         d[(s < self.grid[0]) | (s > self.grid[-1])] = 0.0
         return psi, d

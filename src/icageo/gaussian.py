@@ -64,7 +64,12 @@ def sample_covariance(data: Dataset) -> Covariance:
     X = data.samples
     if data.T <= data.N:
         raise SingularCovariance("need more observations than channels")
-    return Covariance(X.T @ X / data.T)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            m = X.T @ X / data.T
+        except FloatingPointError as exc:
+            raise SingularCovariance("covariance is zero or non-finite") from exc
+    return Covariance(m)
 
 
 def _logdet(m: np.ndarray) -> float:

@@ -112,9 +112,11 @@ def verify_product_pythagoras(joint: DiscreteJoint,
     if tx.shape != (p.shape[0],) or ty.shape != (p.shape[1],):
         raise DimensionMismatch("target marginals do not match the joint shape")
     for t in (tx, ty):
-        if (t <= 0).any() or abs(float(t.sum()) - 1.0) > 1e-12:
-            raise InvalidDistribution(
-                "target marginals must be strictly positive and sum to 1")
+        # a NaN fails no comparison, so finiteness is asked for first
+        if (not np.isfinite(t).all() or (t <= 0).any()
+                or abs(float(t.sum()) - 1.0) > 1e-12):
+            raise InvalidDistribution("target marginals must be finite, "
+                                      "strictly positive and sum to 1")
     px, py = joint.marginals()
     mi = discrete_mi(joint)
     kx = _relative_entropy(px, np.log(tx))
@@ -356,17 +358,12 @@ def _base_blocks(M: np.ndarray, sx: np.ndarray, sy: np.ndarray):
                    np.add(M[1, 0] * u1, row1, out=b2[:n]))
 
 
-def _log_blocks(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
+def _log_blocks(p: AnalyticDensity2D, M: np.ndarray, sx: np.ndarray,
                 sy: np.ndarray):
     """(rows, L, E) for each row block of the tensor grid sx x sy, L holding
-    ln of p's base at s = M u, M = F⁻¹ G for p's frame F, so that
-    L - ln |det F| is ln of p's density at the points y = G u, and E an
-    array of L's shape for the consumer's exp(L).  Both are views of
+    ln of p's base at the base coordinates s = M u of its points u, and E
+    an array of L's shape for the consumer's exp(L).  Both are views of
     buffers that each block overwrites."""
-    F = p.frame
-    # on p's own base grid M is exactly the identity, which solve() can
-    # miss by round-off in the off-diagonal entries
-    M = np.eye(2) if np.array_equal(G, F) else np.linalg.solve(F, G)
     buffers = None
     for rows, s1, s2 in _base_blocks(M, sx, sy):
         if buffers is None:  # the first block is the largest
@@ -406,8 +403,9 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     det_q = abs(np.linalg.det(q.frame))
     sum_p = sum_q = sum_p_log_ratio = 0.0  # the last sums P (ln P - ln Q)
     vanishes = False
-    for (_, log_p, P), (_, log_q, Q) in zip(_log_blocks(p, p.frame, sx, sy),
-                                            _log_blocks(q, p.frame, sx, sy)):
+    to_q = np.linalg.solve(q.frame, p.frame)  # p's base to q's
+    for (_, log_p, P), (_, log_q, Q) in zip(_log_blocks(p, np.eye(2), sx, sy),
+                                            _log_blocks(q, to_q, sx, sy)):
         sum_q += np.exp(log_q, out=Q).sum()
         if log_p.max() == -math.inf:
             continue  # off p's support, a block adds to q's mass alone
@@ -436,24 +434,24 @@ def _check_mass(step: float, *masses: float):
             "coarse for the density, or the density reaches beyond the box")
 
 
-def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
-                  sy: np.ndarray, cell: float, step: float):
+def _grid_measure(p: AnalyticDensity2D, xs: np.ndarray, ys: np.ndarray,
+                  cell: float, step: float):
     """Sums of the normalized cell masses pi of p on the tensor grid
-    sx x sy mapped through y = G u, in one walk of its row blocks: the row
-    and column sums of pi, the mass the grid captures, the uncentered
-    second moments of pi in y, which its zero-mean Gaussian fit matches,
-    and sum pi ln pi.  step is the grid's nominal step, named if the mass
+    xs x ys of observation coordinates, in one walk of its row blocks: the
+    row and column sums of pi, the mass the grid captures, the uncentered
+    second moments of pi, which its zero-mean Gaussian fit matches, and
+    sum pi ln pi.  step is the grid's nominal step, named if the mass
     check fails."""
-    rows = np.empty(len(sx))
-    cols = np.zeros(len(sy))
+    rows = np.empty(len(xs))
+    cols = np.zeros(len(ys))
     cross = p_log_p = 0.0
-    for block, L, P in _log_blocks(p, G, sx, sy):
+    for block, L, P in _log_blocks(p, np.linalg.inv(p.frame), xs, ys):
         # P, p's base at the block's points, is its cell masses up to the
         # one factor cell / |det F|
         np.exp(L, out=P)
         rows[block] = P.sum(axis=1)
         cols += P.sum(axis=0)
-        cross += sx[block] @ np.vecdot(P, sy)
+        cross += xs[block] @ np.vecdot(P, ys)
         p_log_p += np.vecdot(P, _weighable(L, P)).sum()
     total = rows.sum()
     mass = total * cell / abs(np.linalg.det(p.frame))
@@ -461,8 +459,7 @@ def _grid_measure(p: AnalyticDensity2D, G: np.ndarray, sx: np.ndarray,
     rows /= total
     cols /= total
     cross /= total
-    m2 = G @ np.array([[rows @ (sx * sx), cross],
-                       [cross, cols @ (sy * sy)]]) @ G.T
+    m2 = np.array([[rows @ (xs * xs), cross], [cross, cols @ (ys * ys)]])
     # pi = P / total, so sum pi ln pi = sum P ln P / total - ln total
     return rows, cols, mass, m2, p_log_p / total - math.log(total)
 
@@ -494,8 +491,8 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     """
     xs, hx = _axis_cells(p.y_axis_support(0), grid.step)
     ys, hy = _axis_cells(p.y_axis_support(1), grid.step)
-    px, py, mass, m2, neg_entropy = _grid_measure(p, np.eye(2), xs, ys,
-                                                  hx * hy, grid.step)
+    px, py, mass, m2, neg_entropy = _grid_measure(p, xs, ys, hx * hy,
+                                                  grid.step)
     h1 = _relative_entropy(px, 0.0)
     h2 = _relative_entropy(py, 0.0)
     f1 = _fit_cross_entropy(m2[:1, :1], hx)
@@ -523,23 +520,23 @@ def verify_four_point_identity(p: AnalyticDensity2D,
 
 
 def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
-    """Joint non-Gaussianity by pullback quadrature in base coordinates."""
+    """Joint non-Gaussianity of p, measured on its base density: G does not
+    change under p's frame, an invertible linear map."""
+    base = AnalyticDensity2D(p.log_base, np.eye(2), p.base_support)
     sx, hx = _axis_cells(p.base_support[0], grid.step)
     sy, hy = _axis_cells(p.base_support[1], grid.step)
-    cell = hx * hy * abs(np.linalg.det(p.frame))
-    *_, m2, neg_entropy = _grid_measure(p, p.frame, sx, sy, cell, grid.step)
-    return neg_entropy - _fit_cross_entropy(m2, cell)
+    *_, m2, neg_entropy = _grid_measure(base, sx, sy, hx * hy, grid.step)
+    return neg_entropy - _fit_cross_entropy(m2, hx * hy)
 
 
 def gaussianity_invariance_check(p: AnalyticDensity2D, transform,
                                  grid: GridSpec = GridSpec()) -> float:
-    """|G(p) - G(A p)| by quadrature in base coordinates.
+    """|G(p) - G(A p)| by quadrature of each one's base density.
 
-    A p keeps p's base and support, so both are integrated on the same base
-    grid, and ln|det A| cancels between the cell size and the Gaussian fit:
-    the residual is round-off for any invertible A by construction.  It
-    checks the pullback quadrature's bookkeeping, not the invariance of G
-    on independently laid out grids."""
+    A p keeps p's base and support, and G is computed from the base alone,
+    so the residual is exactly 0 for any invertible A by construction.  It
+    checks that the frame never enters G, not the invariance of G on
+    independently laid out grids."""
     g_before = _negentropy_quad(p, grid)
     g_after = _negentropy_quad(linear_image(p, transform), grid)
     return abs(g_before - g_after)
@@ -657,12 +654,21 @@ def load_verify_spec(path) -> list[dict]:
 
     Accepted shapes: {"joint": [[...]], "targets": [[...], [...]]} for a
     discrete table, or {"density": {"form": ..., ...}, "step": 0.01} for an
-    analytic density fed to the joint-identity check.  Every input error
-    names the file; a check's own coverage failure does not.
+    analytic density fed to the joint-identity check.  A field that no check
+    reads is an input error, as is one that the density's form does not
+    read.  Every input error names the file; a check's own coverage failure
+    does not.
     """
     spec = read_json(path, InvalidDistribution)
     checks = []
     try:
+        if "joint" not in spec and "density" not in spec:
+            raise InvalidDistribution("spec needs a 'joint' or 'density' field")
+        # a field no check reads would be ignored, a misspelt step silently
+        read = ({"joint", "targets"} if "joint" in spec else set()) | (
+            {"density", "step"} if "density" in spec else set())
+        _refuse_unread(spec, read, "a 'joint' spec reads 'joint' and "
+                       "'targets', a 'density' spec 'density' and 'step'")
         if "joint" in spec:
             targets = spec.get("targets")
             if "targets" in spec and not (isinstance(targets, list)
@@ -685,8 +691,6 @@ def load_verify_spec(path) -> list[dict]:
             if isinstance(step, bool) or not isinstance(step, (int, float)):
                 raise InvalidDistribution("field 'step' must be a number")
             grid = GridSpec(step=step)
-        elif not checks:
-            raise InvalidDistribution("spec needs a 'joint' or 'density' field")
     except IcageoError as exc:
         raise InvalidDistribution(f"{path}: {exc}") from exc
     if "density" in spec:
@@ -696,28 +700,45 @@ def load_verify_spec(path) -> list[dict]:
     return checks
 
 
+def _refuse_unread(obj: dict, read, what: str):
+    # InvalidDistribution naming every key of obj outside read
+    unread = sorted(obj.keys() - read)
+    if unread:
+        raise InvalidDistribution(
+            f"unread field {', '.join(map(repr, unread))}: {what}")
+
+
+# the fields each density form of a spec reads
+DENSITY_FIELDS = {"gaussian": ("form", "cov"),
+                  "gaussian_mixture": ("form", "weights", "means", "covs"),
+                  "product_of_1d": ("form", "sources"),
+                  "rotated_product": ("form", "sources", "angle_deg")}
+
+
 def _density_from_json(obj) -> AnalyticDensity2D:
     if not isinstance(obj, dict) or "form" not in obj:
         raise InvalidDistribution("density needs a 'form' field")
     form = obj["form"]
+    if not isinstance(form, str) or form not in DENSITY_FIELDS:
+        raise InvalidDistribution(f"unknown density form {form!r}")
+    _refuse_unread(obj, DENSITY_FIELDS[form], f"density form {form!r} reads "
+                   f"{', '.join(map(repr, DENSITY_FIELDS[form]))}")
     try:
         if form == "gaussian":
             return gaussian_density(obj["cov"])
         if form == "gaussian_mixture":
             return gaussian_mixture_density(obj["weights"], obj["means"],
                                             obj["covs"])
-        if form in ("product_of_1d", "rotated_product"):
-            sources = obj["sources"]
-            if not (isinstance(sources, list) and len(sources) == 2):
-                raise InvalidDistribution(
-                    f"'sources' must be a list of two names, got {sources!r}")
-            a, b = map(parse_source, sources)
-            if form == "product_of_1d":
-                return product_density(a, b)
-            return rotated_product_density(a, b,
-                                           math.radians(float(obj["angle_deg"])))
+        sources = obj["sources"]
+        if not (isinstance(sources, list) and len(sources) == 2):
+            raise InvalidDistribution(
+                f"'sources' must be a list of two names, got {sources!r}")
+        a, b = map(parse_source, sources)
+        if form == "product_of_1d":
+            return product_density(a, b)
+        return rotated_product_density(a, b,
+                                       math.radians(float(obj["angle_deg"])))
     except (KeyError, TypeError, ValueError) as exc:
         # absent keys, wrong types, ragged matrices
         raise InvalidDistribution(f"density form {form!r} has a missing or "
                                   f"malformed field: {exc}") from exc
-    raise InvalidDistribution(f"unknown density form {form!r}")

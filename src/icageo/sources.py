@@ -45,9 +45,9 @@ class SourceSpec:
             raise InvalidDistribution(f"unknown source family {self.family!r}; "
                                       f"choose from {', '.join(FAMILIES)}")
         if self.family == "generalized-gaussian":
-            if self.beta is None or not (self.beta > 0.25):
+            if self.beta is None or not 0.25 < self.beta < math.inf:
                 raise InvalidDistribution(
-                    "generalized-gaussian needs a shape beta > 0.25")
+                    "generalized-gaussian needs a finite shape beta > 0.25")
         elif self.beta is not None:
             raise InvalidDistribution(
                 f"{self.family} takes no shape parameter")

@@ -35,9 +35,9 @@ def mixed_pair(seed, T=20000, families=("laplace", "uniform")):
 def test_make_score_families():
     assert set(SCORE_NAMES) == {"tanh", "cube", "identity", "adaptive"}
     s = np.linspace(-2, 2, 9)
-    assert_allclose(make_score("tanh")(s), np.tanh(s))
-    assert_allclose(make_score("cube")(s), s ** 3)
-    assert_allclose(make_score("identity")(s), s)
+    assert_allclose(make_score("tanh")(s)[0], np.tanh(s))
+    assert_allclose(make_score("cube")(s)[0], s ** 3)
+    assert_allclose(make_score("identity")(s)[0], s)
     for name in ("adaptive", "sigmoid"):  # adaptive is no fixed score
         with pytest.raises(InvalidConfig):
             make_score(name)
@@ -49,10 +49,10 @@ def test_fixed_score_derivatives(name):
     s = np.linspace(-3.0, 3.0, 61)
     expected = {"tanh": 1.0 - np.tanh(s) ** 2, "cube": 3.0 * s * s,
                 "identity": np.ones_like(s)}[name]
-    assert_allclose(model(s, slope=True)[1], expected, rtol=1e-15, atol=0)
+    assert_allclose(model(s)[1], expected, rtol=1e-15, atol=0)
     h = 1e-6
-    fd = (model(s + h) - model(s - h)) / (2.0 * h)
-    assert_allclose(model(s, slope=True)[1], fd, rtol=0, atol=1e-7)
+    fd = (model(s + h)[0] - model(s - h)[0]) / (2.0 * h)
+    assert_allclose(model(s)[1], fd, rtol=0, atol=1e-7)
 
 
 def test_solver_config_validation():
@@ -217,7 +217,7 @@ def test_relative_gradient_step_solves_the_exact_blocks(score, families,
     model = make_score(score)
     Y = X.samples @ W.T
     F = stationarity_matrix(Dataset(Y), [model] * 3)
-    a = model(Y, slope=True)[1].mean(axis=0)
+    a = model(Y)[1].mean(axis=0)
     v = (Y * Y).mean(axis=0)
     kappa = a * v - np.diag(F)
     assert list(np.flatnonzero(kappa <= 0.0)) == unit_rows
@@ -266,7 +266,7 @@ def test_stability_margins_are_computed_on_the_outputs():
             Y = result.recovered.samples
             model = make_score(score)
             F = stationarity_matrix(result.recovered, [model] * 2)
-            expected = (model(Y, slope=True)[1].mean(axis=0)
+            expected = (model(Y)[1].mean(axis=0)
                         * (Y * Y).mean(axis=0) - np.diag(F))
             assert_allclose(result.report["stability_margins"], expected,
                             rtol=1e-12, atol=1e-14)

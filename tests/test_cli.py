@@ -175,6 +175,30 @@ def test_unknown_source_family_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_infinite_generalized_gaussian_shape_is_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["simulate", "--sources", "generalized-gaussian(inf),uniform",
+                "--output-dir", out]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("icageo simulate: error: generalized-gaussian needs a "
+                    "finite shape beta > 0.25")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cond", ["nan", "inf", "1e300"])
+def test_simulate_cond_the_matrix_cannot_honour_is_input_error(tmp_path,
+                                                               capsys, cond):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy sees it
+        assert run(["simulate", "--sources", "laplace,uniform", "--cond", cond,
+                    "--output-dir", out]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("icageo simulate: error: condition number (--cond) "
+                           "must lie in [1, 1e+12)")
+    assert not out.exists()
+
+
 # -- separate --------------------------------------------------------------------
 
 def test_separate_adaptive_end_to_end(tmp_path):
@@ -545,6 +569,20 @@ def test_diagnose_empty_file_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["diagnose", "separate"])
+def test_covariance_overflow_fails_without_a_numpy_warning(tmp_path, capsys,
+                                                           command):
+    # every value is finite, but their squares overflow
+    csv = tmp_path / "huge.csv"
+    gen = np.random.default_rng(5)
+    write_csv(csv, Dataset(1e200 * gen.laplace(size=(3000, 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, csv, "--output-dir", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"icageo {command}: error: covariance is zero or non-finite"]
+
+
 # -- verify ------------------------------------------------------------------------
 
 def test_verify_builtin_suite_passes(tmp_path, capsys):
@@ -627,9 +665,18 @@ GAUSS_EYE = {"form": "gaussian", "cov": [[1, 0], [0, 1]]}
     {"density": {"form": "product_of_1d", "sources": "ab"}},
     {"density": GAUSS_EYE, "step": 1e-5},  # too many cells
     {"joint": [[0.4, 0.1], [0.1, 0.4]], "targets": [[1.0]]},
+    {"density": {"form": "product_of_1d",
+                 "sources": ["generalized-gaussian(inf)", "laplace"]}},
+    {"density": GAUSS_EYE, "stpe": 0.5},  # misspelt: would run at 0.01
+    {"joint": [[0.4, 0.1], [0.1, 0.4]], "step": 0.5},  # no grid to step
+    {"density": {**GAUSS_EYE, "angle_deg": 30}},  # gaussian reads no angle
+    {"joint": [[0.4, 0.1], [0.1, 0.4]],
+     "targets": [[0.5, 0.5], [0.5, math.nan]]},
 ], ids=["step-text", "step-null", "step-true", "angle-text", "cov-not-pd",
         "mixture-singular-cov", "cov-ragged", "cov-3x3", "one-source",
-        "sources-text", "step-too-fine", "one-target"])
+        "sources-text", "step-too-fine", "one-target", "infinite-shape",
+        "misspelt-step", "step-beside-joint", "unread-density-field",
+        "nan-target"])
 def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
@@ -638,6 +685,23 @@ def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"icageo verify: error: {bad}: ")
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"density": {**GAUSS_EYE, "means": [0, 0]}, "stpe": 0.5, "seed": 1},
+     "unread field 'seed', 'stpe': a 'joint' spec reads 'joint' and "
+     "'targets', a 'density' spec 'density' and 'step'"),
+    ({"density": {**GAUSS_EYE, "means": [0, 0], "angle_deg": 30}},
+     "unread field 'angle_deg', 'means': density form 'gaussian' reads "
+     "'form', 'cov'"),
+], ids=["spec", "density"])
+def test_verify_spec_field_no_check_reads_is_named(tmp_path, capsys, spec,
+                                                   message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert run(["verify", "--spec", bad, "--output-dir", tmp_path / "v"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"icageo verify: error: {bad}: {message}"]
 
 
 @pytest.mark.parametrize("density,number", [
@@ -883,7 +947,10 @@ def test_bad_input_file_is_input_error_naming_it(tmp_path, capsys, command,
     ({**MODEL, "sources": ["laplace", "cauchy"]},
      "unknown source family 'cauchy'"),
     ({**MODEL, "sources": [1, "uniform"]}, "source spec must be a name"),
-], ids=["singular", "non-square", "unknown-family", "number-as-source"])
+    ({**MODEL, "sources": ["generalized-gaussian(inf)", "uniform"]},
+     "finite shape beta > 0.25"),
+], ids=["singular", "non-square", "unknown-family", "number-as-source",
+        "infinite-shape"])
 def test_model_file_semantic_error_is_input_error_naming_it(
         tmp_path, capsys, command, content, message):
     csv = tmp_path / "x.csv"  # two channels, as many as the file's sources
@@ -1114,7 +1181,8 @@ DENSITY_FIELDS = {
         [["laplace", "uniform"], ["generalized-gaussian(4)", "laplace"]],
         [[1, 2], ["laplace", 2.5], [None, "uniform"], [True, "laplace"],
          [["laplace"], {}], ["cauchy", "laplace"],
-         ["generalized-gaussian(abc)", "uniform"], ["laplace"],
+         ["generalized-gaussian(abc)", "uniform"],
+         ["generalized-gaussian(inf)", "uniform"], ["laplace"],
          ["laplace", "uniform", "laplace"], "ab", 3, None])},
 }
 DENSITY_FIELDS["rotated_product"] = {

@@ -173,6 +173,9 @@ def test_parse_source_rejects_unknown_and_bad_beta():
         parse_source("cauchy")
     with pytest.raises(InvalidDistribution):
         parse_source("generalized-gaussian(0.1)")  # variance blows up
+    for unbounded in ("generalized-gaussian(inf)", "generalized-gaussian(nan)"):
+        with pytest.raises(InvalidDistribution, match="finite shape"):
+            parse_source(unbounded)
     for malformed in ("laplace(", "generalized-gaussian(x)"):
         with pytest.raises(InvalidDistribution):
             parse_source(malformed)
@@ -259,8 +262,11 @@ def test_mixing_model_rejects_non_finite_entries():
 
 
 def test_random_mixing_refuses_cond_below_one_and_has_one_by_one():
-    with pytest.raises(InvalidConfig):
-        random_mixing(2, Rng(0), 0.5)
+    # below 1, not finite, or where MixingModel would call the draw
+    # singular (cond >= 1 / EPS_DET)
+    for cond in (0.5, math.nan, math.inf, 1e300, 1e12):
+        with pytest.raises(InvalidConfig, match="--cond"):
+            random_mixing(2, Rng(0), cond)
     assert_array_equal(random_mixing(1, Rng(0)), [[1.0]])
 
 

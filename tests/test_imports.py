@@ -2,7 +2,8 @@
 every module-level constant is read, only `data.py`, whose opener maps
 every file failure onto IoError, calls the builtin `open`, every public
 name has a user, every parameter with a default of a public function or
-dataclass is passed by the package itself, every option the CLI reads is
+dataclass, or of a module-level private function, is passed by the package
+itself, every option the CLI reads is
 one its parser defines, and every option a command defines is read.  The benchmark's tracer
 (`bench/tracing.py`, read here as text) wraps names that all exist."""
 import argparse
@@ -194,6 +195,23 @@ def test_every_public_default_is_passed_by_the_package():
                   if name in icageo.__all__ and (inspect.isfunction(obj)
                                                  or dataclasses.is_dataclass(obj))}
     assert {"mutual_information", "GridSpec", "SolverConfig"} <= set(signatures)
+    sources = sorted(Path(icageo.__file__).parent.glob("*.py"))
+    assert unpassed_defaults(signatures, sources) == []
+
+
+def test_every_private_default_is_passed_by_the_package():
+    # the same rule for the module-level private functions: a flag that
+    # every caller sets alike is a code path no run can leave
+    functions = [(name, obj) for path in MODULES
+                 for name, obj in vars(importlib.import_module(
+                     f"icageo.{path.stem}")).items()
+                 if name.startswith("_") and not name.startswith("__")
+                 and inspect.isfunction(obj)
+                 and obj.__module__ == f"icageo.{path.stem}"]
+    signatures = {name: inspect.signature(obj) for name, obj in functions}
+    # calls are matched by bare name, so each name must be one function
+    assert len(signatures) == len(functions)
+    assert {"_newton_terms", "_tanh", "_grid_measure"} <= set(signatures)
     sources = sorted(Path(icageo.__file__).parent.glob("*.py"))
     assert unpassed_defaults(signatures, sources) == []
 
