@@ -17,6 +17,7 @@ import numpy as np
 from .data import Dataset, _frozen
 from .errors import (DegenerateSample, DimensionMismatch, DimensionTooHigh,
                      EstimatorFailure, NonFinite, TooFewSamples)
+from .rng import Rng
 from .sources import GAUSSIAN_ENTROPY
 
 # raw mutual information above this fraction of the estimator's saturation
@@ -277,6 +278,7 @@ def mutual_information(data: Dataset, seed: int = 0) -> MIEstimate:
     exact duplicate values are deterministically jittered to keep neighbor
     counts well defined.
     """
+    Rng(seed)  # checked as every seed is; the jitter derives its own streams
     if data.N < 2:
         raise DimensionMismatch("mutual information needs at least 2 channels")
     if data.N > 3:

@@ -15,6 +15,7 @@ from .errors import DegenerateGain
 from .estimators import (MI_MIN_SAMPLES, MIEstimate, mutual_information,
                          negentropy_scalar)
 from .gaussian import correlation_C, sample_covariance
+from .rng import Rng
 
 
 def amari_index(gain) -> float:
@@ -81,6 +82,7 @@ def diagnose(data: Dataset, seed: int = 0) -> DecompositionReport:
     information estimator; every term is otherwise a pure function of the
     data.
     """
+    Rng(seed)  # checked whether or not mutual information is estimated
     corr = correlation_C(sample_covariance(data))
     negs = tuple(negentropy_scalar(data.column(i)) for i in range(data.N))
     proxy = corr - sum(negs)

@@ -6,14 +6,16 @@ Analytic 2-D densities are base densities under a linear frame (a
 rotation, a shear, a Gaussian's Cholesky factor), handled by midpoint
 quadrature on grids that respect that frame: bounded supports get cell
 edges aligned to the support boundary, and a density is integrated in
-pulled-back base coordinates so the change of variables is exact.  A base
-density is given by its closed-form log.  Every grid is walked once, in
-row blocks whose log densities are written into buffers reused by every
-block: a base is evaluated at the grid's base coordinates, and when the
-map from grid to base coordinates is axis-aligned, the log of a product
-base is the outer sum of two 1-D vectors.  Only the sums a term needs
-(masses, row and column masses, a cross moment, sum P ln P) are kept, so
-no grid-sized array is built.
+pulled-back base coordinates so the change of variables is exact.  Each
+grid belongs to one density (quad_kld_2d takes q's mass on q's own base
+grid), so MAX_GRID_CELLS bounds them all.  A base density is given by its
+closed-form log.  Every grid is walked once, in row blocks whose log
+densities are written into buffers reused by every block: a base is
+evaluated at the grid's base coordinates, and when the map from grid to
+base coordinates is axis-aligned, the log of a product base is the outer
+sum of two 1-D vectors.  Only the sums a term needs (masses, row and
+column masses, a cross moment, sum P ln P) are kept, so no grid-sized
+array is built.
 
 The four projection targets of the joint identity (product of marginals,
 Gaussian fit, independent Gaussian fit) are all built from the same grid
@@ -25,6 +27,7 @@ cross-entropy to it is a closed form of those moments: only sum pi ln pi,
 and quad_kld_2d's divergence to a given density, need the grid's cells.
 """
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,8 +299,12 @@ class GridSpec:
     step: float = 0.01
 
     def __post_init__(self):
-        if not 0 < self.step < math.inf:
-            raise InvalidDistribution("grid step must be finite and > 0")
+        # a bool is a Real (True would grid at step 1); a string or None
+        # would fail the comparison with a TypeError
+        if (isinstance(self.step, bool) or not isinstance(self.step, numbers.Real)
+                or not 0 < self.step < math.inf):
+            raise InvalidDistribution("grid step must be a number, finite "
+                                      "and > 0")
         side = 2.0 * QUAD_HALF_WIDTH / self.step
         cells = side * side
         if not cells <= MAX_GRID_CELLS:
@@ -306,29 +313,20 @@ class GridSpec:
                 f"more than {MAX_GRID_CELLS}; coarsen the step")
 
 
-def _axis_cells(support, step: float,
-                extend: tuple[float, float] | None = None):
+def _axis_cells(support, step: float):
     """Midpoint cell centers and width for one axis.
 
     Bounded axes adjust the width so support edges land exactly on cell
     boundaries (padded by one cell of zero density each side); unbounded
-    axes tile +-QUAD_HALF_WIDTH, extended if a wider range must be covered.
+    axes tile +-QUAD_HALF_WIDTH.
     """
     if support is not None:
         lo_s, hi_s = support
         n = max(1, math.ceil((hi_s - lo_s) / step - 1e-9))
         h = (hi_s - lo_s) / n
         lo_edge, hi_edge = lo_s - h, hi_s + h
-        if extend is not None:
-            if extend[0] < lo_edge:
-                lo_edge -= h * math.ceil((lo_edge - extend[0]) / h)
-            if extend[1] > hi_edge:
-                hi_edge += h * math.ceil((extend[1] - hi_edge) / h)
     else:
         lo_edge, hi_edge = -QUAD_HALF_WIDTH, QUAD_HALF_WIDTH
-        if extend is not None:
-            lo_edge = min(lo_edge, extend[0])
-            hi_edge = max(hi_edge, extend[1])
         h = step
     count = max(1, math.ceil((hi_edge - lo_edge) / h - 1e-9))
     centers = lo_edge + h * (np.arange(count) + 0.5)
@@ -380,43 +378,37 @@ def _weighable(L: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
                 grid: GridSpec = GridSpec()) -> float:
-    """Midpoint-rule KLD(p || q) over a grid adapted to p's frame.
+    """Midpoint-rule KLD(p || q) over p's own base grid.
 
-    The grid is laid out in p's base coordinates and extended so its image
-    also covers q's mass region.  InsufficientCoverage is raised unless at
+    The divergence is summed over p's base grid, and q's mass is taken on
+    q's own base grid, so each grid belongs to one density and holds at
+    most MAX_GRID_CELLS cells.  InsufficientCoverage is raised unless at
     least 1 - 1e-4 of both masses is captured and q's density is positive,
     not underflowed, at every point where p's is.
     """
-    # y-space box that q's mass lives in: exact support image if bounded,
-    # else the grid box
-    box = [q.base_support[k] or (-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH)
-           for k in (0, 1)]
-    corners = np.array([q.frame @ [cx, cy] for cx in box[0] for cy in box[1]])
-    pulled = np.linalg.solve(p.frame, corners.T)
-    sx, hx = _axis_cells(p.base_support[0], grid.step,
-                         (float(pulled[0].min()), float(pulled[0].max())))
-    sy, hy = _axis_cells(p.base_support[1], grid.step,
-                         (float(pulled[1].min()), float(pulled[1].max())))
+    sx, hx = _axis_cells(p.base_support[0], grid.step)
+    sy, hy = _axis_cells(p.base_support[1], grid.step)
     # P and Q are the bases' values: the densities times |det F| of p's
     # and q's frames, so their log ratio is ln P - ln Q + ln(det_q / det_p)
     det_p = abs(np.linalg.det(p.frame))
     det_q = abs(np.linalg.det(q.frame))
-    sum_p = sum_q = sum_p_log_ratio = 0.0  # the last sums P (ln P - ln Q)
+    sum_p = sum_p_log_ratio = 0.0  # the last sums P (ln P - ln Q)
     vanishes = False
-    to_q = np.linalg.solve(q.frame, p.frame)  # p's base to q's
+    # p's base to q's: a solve may miss the identity of two equal frames by
+    # round-off, and KLD(p || p) is exactly 0 only on equal coordinates
+    to_q = (np.eye(2) if np.array_equal(p.frame, q.frame)
+            else np.linalg.solve(q.frame, p.frame))
     for (_, log_p, P), (_, log_q, Q) in zip(_log_blocks(p, np.eye(2), sx, sy),
                                             _log_blocks(q, to_q, sx, sy)):
-        sum_q += np.exp(log_q, out=Q).sum()
-        if log_p.max() == -math.inf:
-            continue  # off p's support, a block adds to q's mass alone
         np.exp(log_p, out=P)
+        np.exp(log_q, out=Q)
         # Q = 0, or underflowed, where P > 0 makes the divergence infinite
         vanishes = vanishes or (Q.min() == 0 and P[Q == 0].any())
         np.subtract(_weighable(log_p, P), _weighable(log_q, Q), out=log_q)
         sum_p += P.sum()
         sum_p_log_ratio += np.vecdot(P, log_q).sum()
     cell = hx * hy  # the cell in p's base coordinates
-    _check_mass(grid.step, sum_p * cell, sum_q * cell * det_p / det_q)
+    _check_mass(grid.step, sum_p * cell, _base_measure(q, grid)[0])
     if vanishes:
         raise InsufficientCoverage(
             f"q's density is 0 where p's is positive at step {grid.step:g}; "
@@ -435,13 +427,12 @@ def _check_mass(step: float, *masses: float):
 
 
 def _grid_measure(p: AnalyticDensity2D, xs: np.ndarray, ys: np.ndarray,
-                  cell: float, step: float):
+                  cell: float):
     """Sums of the normalized cell masses pi of p on the tensor grid
     xs x ys of observation coordinates, in one walk of its row blocks: the
-    row and column sums of pi, the mass the grid captures, the uncentered
-    second moments of pi, which its zero-mean Gaussian fit matches, and
-    sum pi ln pi.  step is the grid's nominal step, named if the mass
-    check fails."""
+    row and column sums of pi, the mass the grid captures (unchecked), the
+    uncentered second moments of pi, which its zero-mean Gaussian fit
+    matches, and sum pi ln pi."""
     rows = np.empty(len(xs))
     cols = np.zeros(len(ys))
     cross = p_log_p = 0.0
@@ -455,7 +446,7 @@ def _grid_measure(p: AnalyticDensity2D, xs: np.ndarray, ys: np.ndarray,
         p_log_p += np.vecdot(P, _weighable(L, P)).sum()
     total = rows.sum()
     mass = total * cell / abs(np.linalg.det(p.frame))
-    _check_mass(step, mass)
+    total = total or math.nan  # no mass: pi is NaN, and the check fails
     rows /= total
     cols /= total
     cross /= total
@@ -491,8 +482,8 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     """
     xs, hx = _axis_cells(p.y_axis_support(0), grid.step)
     ys, hy = _axis_cells(p.y_axis_support(1), grid.step)
-    px, py, mass, m2, neg_entropy = _grid_measure(p, xs, ys, hx * hy,
-                                                  grid.step)
+    px, py, mass, m2, neg_entropy = _grid_measure(p, xs, ys, hx * hy)
+    _check_mass(grid.step, mass)
     h1 = _relative_entropy(px, 0.0)
     h2 = _relative_entropy(py, 0.0)
     f1 = _fit_cross_entropy(m2[:1, :1], hx)
@@ -519,14 +510,22 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     })
 
 
+def _base_measure(p: AnalyticDensity2D, grid: GridSpec):
+    """(mass, m2, sum pi ln pi, cell) of p's base density on its own base
+    grid, the mass unchecked: p's frame enters none of them."""
+    sx, hx = _axis_cells(p.base_support[0], grid.step)
+    sy, hy = _axis_cells(p.base_support[1], grid.step)
+    base = AnalyticDensity2D(p.log_base, np.eye(2), p.base_support)
+    _, _, mass, m2, neg_entropy = _grid_measure(base, sx, sy, hx * hy)
+    return mass, m2, neg_entropy, hx * hy
+
+
 def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
     """Joint non-Gaussianity of p, measured on its base density: G does not
     change under p's frame, an invertible linear map."""
-    base = AnalyticDensity2D(p.log_base, np.eye(2), p.base_support)
-    sx, hx = _axis_cells(p.base_support[0], grid.step)
-    sy, hy = _axis_cells(p.base_support[1], grid.step)
-    *_, m2, neg_entropy = _grid_measure(base, sx, sy, hx * hy, grid.step)
-    return neg_entropy - _fit_cross_entropy(m2, hx * hy)
+    mass, m2, neg_entropy, cell = _base_measure(p, grid)
+    _check_mass(grid.step, mass)
+    return neg_entropy - _fit_cross_entropy(m2, cell)
 
 
 def gaussianity_invariance_check(p: AnalyticDensity2D, transform,
@@ -686,11 +685,7 @@ def load_verify_spec(path) -> list[dict]:
                                         1e-12))
         if "density" in spec:
             dens = _density_from_json(spec["density"])
-            step = spec.get("step", GridSpec.step)
-            # a JSON boolean parses as a bool, which is an int
-            if isinstance(step, bool) or not isinstance(step, (int, float)):
-                raise InvalidDistribution("field 'step' must be a number")
-            grid = GridSpec(step=step)
+            grid = GridSpec(step=spec.get("step", GridSpec.step))
     except IcageoError as exc:
         raise InvalidDistribution(f"{path}: {exc}") from exc
     if "density" in spec:

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import digamma, rel_entr
 
 from icageo import (Dataset, DegenerateSample, DimensionMismatch,
-                    DimensionTooHigh, EstimatorFailure, SourceSpec,
+                    DimensionTooHigh, EstimatorFailure, InvalidConfig,
+                    SourceSpec,
                     TooFewSamples, entropy_scalar, mutual_information,
                     negentropy_scalar, score_table)
 from icageo.estimators import (SCORE_TABLE_BINS, _negentropy_raw,
@@ -268,6 +269,20 @@ def test_mi_duplicate_jitter_is_deterministic():
     assert a.raw == b.raw
     c = mutual_information(data, seed=5)
     assert c.raw != a.raw  # different jitter stream moves the estimate
+
+
+SEED_DATA = {
+    "untied": np.random.default_rng(21).standard_normal((1200, 2)),
+    "tied": np.round(np.random.default_rng(22).standard_normal((1200, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("data", SEED_DATA)
+@pytest.mark.parametrize("seed", [True, -1, 1.5, 2 ** 64])
+def test_mi_refuses_a_seed_rng_refuses(seed, data):
+    # untied data never draws the jitter, tied data would fail in numpy
+    with pytest.raises(InvalidConfig, match="seed"):
+        mutual_information(Dataset(SEED_DATA[data]), seed=seed)
 
 
 def reference_digamma(n):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from icageo import (Dataset, DecompositionReport, DegenerateGain, Rng,
-                    SourceSpec, amari_index, diagnose, entropy_scalar,
-                    negentropy_scalar, parse_source)
+from icageo import (Dataset, DecompositionReport, DegenerateGain,
+                    InvalidConfig, Rng, SourceSpec, amari_index, diagnose,
+                    entropy_scalar, negentropy_scalar, parse_source)
 
 UNIFORM_NEGENT = 0.1764852083106725
 LAPLACE_NEGENT = 0.07236494292469997
@@ -134,6 +134,16 @@ def test_diagnose_skips_mi_beyond_three_channels():
     assert len(report.marginal_negentropies) == 4
     doc = report.to_json()
     assert "mi" not in doc and "identity_residual" not in doc
+
+
+@pytest.mark.parametrize("columns", [2, 4])
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("seed", [True, -1, 1.5, 2 ** 64])
+def test_diagnose_refuses_a_seed_rng_refuses(seed, tied, columns):
+    # the seed is checked whether or not the mutual information reads it
+    x = np.random.default_rng(23).standard_normal((1200, columns))
+    with pytest.raises(InvalidConfig, match="seed"):
+        diagnose(Dataset(np.round(x, 1) if tied else x), seed=seed)
 
 
 def test_diagnose_json_keys():

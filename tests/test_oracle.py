@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from icageo import (DimensionMismatch, DiscreteJoint, GridSpec, IdentityReport,
-                    InsufficientCoverage, InvalidDistribution, IoError,
-                    SingularTransform, SourceSpec, builtin_suite, discrete_mi,
-                    gaussian_density, gaussian_mixture_density,
+from icageo import (Covariance, DimensionMismatch, DiscreteJoint, GridSpec,
+                    IdentityReport, InsufficientCoverage, InvalidDistribution,
+                    IoError, SingularTransform, SourceSpec, builtin_suite,
+                    discrete_mi,
+                    gaussian_density, gaussian_kld, gaussian_mixture_density,
                     gaussianity_invariance_check, linear_image,
                     load_verify_spec, product_density, quad_kld_2d,
                     random_discrete_joint, rotated_product_density,
                     verify_four_point_identity, verify_product_pythagoras)
+from icageo import oracle
 from icageo.oracle import _report_check
 
 # hand-computed sum p ln(p/(px py)) for the 2x2 table below
@@ -218,6 +220,32 @@ def test_quad_kld_gaussian_closed_form():
     assert abs(quad_kld_2d(iso, iso, COARSE)) < 1e-9
 
 
+def test_quad_kld_of_a_density_with_itself_is_exactly_zero():
+    # a solve of the frame against itself misses the identity by round-off
+    p = linear_image(gaussian_density([[1.0, 0.5], [0.5, 1.0]]),
+                     [[1.1, 0.4], [-0.3, 0.9]])
+    assert quad_kld_2d(p, p, COARSE) == 0.0
+
+
+def test_quad_kld_walks_only_grids_of_one_density(monkeypatch):
+    # p's grid covers p's +-8 box alone; widened to cover q's, it would
+    # span +-40 in p's coordinates, 4000 cells an axis
+    lengths = []
+    axis_cells = oracle._axis_cells
+
+    def recorded(*args):
+        centers, h = axis_cells(*args)
+        lengths.append(len(centers))
+        return centers, h
+
+    monkeypatch.setattr(oracle, "_axis_cells", recorded)
+    iso = gaussian_density(np.eye(2))
+    kld = quad_kld_2d(iso, gaussian_density(25 * np.eye(2)), COARSE)
+    assert lengths and max(lengths) <= 16 / 0.02
+    assert abs(kld - gaussian_kld(Covariance(np.eye(2)),
+                                  Covariance(25 * np.eye(2)))) <= 1e-4
+
+
 def test_quad_kld_rotated_uniform_negentropy():
     # a rotated uniform square keeps identity covariance, so its KLD to the
     # standard Gaussian equals twice the uniform negentropy
@@ -240,7 +268,8 @@ def test_quad_kld_raises_when_box_too_small():
 
 
 def test_grid_spec_validation_and_halving():
-    for step in (0.0, -0.01):
+    # a bool would grid at step 1; text and None fail a comparison
+    for step in (0.0, -0.01, True, "0.1", None):
         with pytest.raises(InvalidDistribution, match="finite and > 0"):
             GridSpec(step=step)
 
