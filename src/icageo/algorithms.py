@@ -93,8 +93,9 @@ class SolverConfig:
             raise InvalidConfig("step, max_iter and tol must not be booleans")
         if not (isinstance(self.step, numbers.Real) and 0.0 < self.step <= 1.0):
             raise InvalidConfig("step must lie in (0, 1]")
-        if not (isinstance(self.tol, numbers.Real) and self.tol > 0.0):
-            raise InvalidConfig("tol must be positive")
+        if not (isinstance(self.tol, numbers.Real)
+                and 0.0 < self.tol < math.inf):
+            raise InvalidConfig("tol must be finite and positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise InvalidConfig("max_iter must be an integer of at least 1")
         if self.score not in SCORE_NAMES:
@@ -285,6 +286,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
         F, a, v = _newton_terms(Y, scores)
         trajectory.append(_off_diagonal_norm(F))
     margins = a * v - np.diag(F)
+    Y.flags.writeable = False
     return SeparationResult(B, Dataset(Y), iterations, converged,
                             np.asarray(trajectory), "stationarity_norm",
                             {"score": config.score, "no_improvement": False,
@@ -455,8 +457,7 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
                     # same columns give the same search and the same
                     # rejection; best_gain_ever already holds its gain
                     continue
-                yi = Y[:, i].copy()
-                yj = Y[:, j].copy()
+                yi, yj = Y[:, i], Y[:, j]
                 theta, improvement = _search_pair(yi, yj)
                 # a full-data gain, never less than the full pair's gain
                 # at the coarse peak (0 when that peak is theta = 0)
@@ -464,8 +465,9 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
                 if improvement > config.tol:
                     sweep_best = max(sweep_best, improvement)
                     c, s = math.cos(theta), math.sin(theta)
-                    Y[:, i] = c * yi - s * yj
-                    Y[:, j] = s * yi + c * yj
+                    # yi and yj are views of these columns: both new
+                    # columns are computed before either is written
+                    Y[:, i], Y[:, j] = c * yi - s * yj, s * yi + c * yj
                     U[[i, j]] = np.array([[c, -s], [s, c]]) @ U[[i, j]]
                     if abs(theta) >= REOPEN_ANGLE:
                         rotated[i] += 1
@@ -477,8 +479,12 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
             converged = True
             break
     B = U @ W
+    # release the rotated outputs before the recovered ones are built
+    Y = yi = yj = None
+    recovered = X @ B.T
+    recovered.flags.writeable = False
     return SeparationResult(
-        B, Dataset(X @ B.T), len(sweep_gains), converged,
+        B, Dataset(recovered), len(sweep_gains), converged,
         np.asarray(sweep_gains, dtype=float), "last_sweep_gain",
         {"score": None,
          "no_improvement": bool(best_gain_ever < NO_IMPROVEMENT_FLOOR)})

@@ -102,7 +102,9 @@ def _read_input(args: argparse.Namespace) -> Dataset:
                                "are equal")
     if not args.center:
         return data
-    return Dataset(X - X.mean(axis=0), data.channel_names)
+    centred = X - X.mean(axis=0)
+    centred.flags.writeable = False
+    return Dataset(centred, data.channel_names)
 
 
 # -- simulate --------------------------------------------------------------

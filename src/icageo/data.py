@@ -25,6 +25,12 @@ EPS_DET = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    # a sealed array (float64, C order, read-only, owning its memory) is
+    # adopted as it is; anything else is copied
+    if (type(a) is np.ndarray and a.dtype == np.float64
+            and a.flags.c_contiguous and not a.flags.writeable
+            and a.flags.owndata):
+        return a
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
@@ -35,9 +41,15 @@ class Dataset:
     """T x N sample matrix with optional channel names.
 
     Construction validates: EmptyChannels unless the samples form a 2-D
-    matrix with N >= 1, TooFewSamples for T < 2, and NonFinite(row, col)
-    naming the first non-finite entry.  The shape and entries never change
-    after construction.
+    matrix with N >= 1 and the channel names, if given, are N distinct
+    names; TooFewSamples for T < 2; and NonFinite(row, col) naming the
+    first non-finite entry.  The shape and entries never change after
+    construction.
+
+    The samples are copied into a read-only float64 array, except that a
+    float64, C-contiguous array that is already read-only and owns its
+    memory is adopted without a copy.  A caller that hands over such an
+    array must not make it writable again, nor keep a writable view of it.
     """
 
     samples: np.ndarray
@@ -57,6 +69,10 @@ class Dataset:
             names = tuple(str(n) for n in self.channel_names)
             if len(names) != self.samples.shape[1]:
                 raise EmptyChannels("channel_names length must equal N")
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise EmptyChannels("repeated channel name "
+                                    + ", ".join(map(repr, repeated)))
             object.__setattr__(self, "channel_names", names)
 
     @property
@@ -114,6 +130,7 @@ def simulate(model: MixingModel, T: int, rng: Rng) -> tuple[Dataset, Dataset]:
     for i, spec in enumerate(model.sources):
         S[:, i] = spec.sample(rng.child(i).generator(), T)
     X = S @ model.mixing.T
+    S.flags.writeable = X.flags.writeable = False
     src_names = tuple(f"s{i + 1}" for i in range(n))
     mix_names = tuple(f"x{i + 1}" for i in range(n))
     return Dataset(X, mix_names), Dataset(S, src_names)
@@ -350,6 +367,7 @@ def _load_numeric(fh: io.TextIOBase) -> Dataset | None:
             return None
     if body.shape[0] == 0 or body.shape[1] != len(names):
         return None
+    body.flags.writeable = False
     return Dataset(body, names)
 
 
@@ -375,4 +393,6 @@ def _parse_csv(fh: io.TextIOBase, label: str) -> Dataset:
             raise IoError(f"{label}: line {lineno}: non-numeric field") from None
     if not rows:
         raise IoError(f"{label}: no data rows")
-    return Dataset(np.array(rows, dtype=float), names)
+    body = np.array(rows, dtype=float)
+    body.flags.writeable = False
+    return Dataset(body, names)

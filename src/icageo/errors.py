@@ -28,7 +28,8 @@ class TooFewSamples(IcageoError):
 
 
 class EmptyChannels(IcageoError):
-    """A dataset must carry at least one channel."""
+    """A dataset must carry at least one channel, and its channel names,
+    when given, must name its channels one to one."""
 
 
 class DimensionMismatch(IcageoError):

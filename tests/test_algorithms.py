@@ -1,6 +1,7 @@
 """Tests for the relative-gradient and orthogonal separation solvers."""
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -73,7 +74,8 @@ def test_solver_config_validation():
                                  {"max_iter": 2.5}, {"max_iter": "10"},
                                  {"step": "0.5"}, {"tol": "1e-4"},
                                  {"max_iter": True}, {"step": True},
-                                 {"tol": True}])
+                                 {"tol": True}, {"tol": math.inf},
+                                 {"tol": math.nan}])
 def test_solver_config_refuses_bad_values_when_built(bad):
     # refused before either solver runs, not at solve time or never
     with pytest.raises(InvalidConfig):
@@ -514,6 +516,22 @@ def test_orthogonal_equals_reference_with_fewer_searches(monkeypatch,
     if len(families) == 4:
         # the final sweep re-searches no pair whose columns are unchanged
         assert fast_calls < len(calls) - fast_calls
+
+
+def test_orthogonal_search_holds_few_full_size_arrays():
+    # at once: the rotated outputs, the pair gain's four column buffers
+    # (one full-size array at N = 4) and its sort keys.  The pair's
+    # columns are searched as views, and the recovered matrix is built
+    # after the rotated outputs are released.
+    X = mixed(("laplace", "uniform", "laplace", "uniform"), 100_000, 3)
+    orthogonal_ica(X, SolverConfig(max_iter=1))
+    tracemalloc.start()
+    try:
+        orthogonal_ica(X, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * X.samples.nbytes
 
 
 FOUR_CHANNEL_FAMILIES = [

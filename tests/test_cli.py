@@ -286,6 +286,19 @@ def test_separate_orthogonal_score_or_step_is_input_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algorithm", ["relative_gradient", "orthogonal"])
+def test_separate_infinite_tol_is_input_error(tmp_path, capsys, algorithm):
+    # an infinite tol stopped either solver after one step and wrote
+    # "converged": true
+    sim = simulate_into(tmp_path / "sim", samples=3000, seed=1)
+    out = tmp_path / "out"
+    assert run(["separate", sim / "X.csv", "--algorithm", algorithm,
+                "--tol", "inf", "--output-dir", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "icageo separate: error: tol must be finite and positive"]
+    assert not out.exists()
+
+
 def test_separate_is_byte_identical_across_runs(tmp_path):
     sim = simulate_into(tmp_path / "sim")
     outs = []
@@ -560,6 +573,21 @@ def test_separate_non_utf8_csv_is_io_error(tmp_path, capsys):
     bad.write_bytes(b"a,b\n1,2\n3,\xff\n")
     assert run(["separate", bad, "--output-dir", tmp_path / "out"]) == 2
     assert "bad.csv: not a UTF-8 text file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "separate"])
+def test_repeated_channel_name_is_input_error(tmp_path, capsys, command):
+    # diagnose used to write plotdata.csv rows that all named channel x
+    csv = tmp_path / "twice.csv"
+    write_csv(csv, Dataset(np.random.default_rng(8).laplace(size=(2000, 2)),
+                           ("x", "y")))
+    text = csv.read_text()
+    csv.write_text("x, x" + text[text.index("\n"):])
+    out = tmp_path / "out"
+    assert run([command, csv, "--output-dir", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"icageo {command}: error: repeated channel name 'x'"]
+    assert not out.exists()
 
 
 def test_diagnose_empty_file_is_io_error(tmp_path, capsys):

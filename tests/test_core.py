@@ -1,4 +1,5 @@
 """Tests for errors, seeding, source families, and dataset handling."""
+import argparse
 import csv
 import json
 import math
@@ -16,6 +17,8 @@ from icageo import (Dataset, EmptyChannels, IcageoError, InvalidConfig,
                     SingularTransform, SourceSpec, TooFewSamples,
                     exit_code_for, parse_source, random_mixing, read_csv,
                     simulate, write_csv)
+from icageo import cli, data
+from icageo.algorithms import SolverConfig, orthogonal_ica, relative_gradient_ica
 from icageo.data import CSV_BLOCK_ROWS
 from icageo.sources import FAMILIES, GAUSSIAN_ENTROPY
 
@@ -207,10 +210,101 @@ def test_dataset_rejects_bad_shapes():
         Dataset(np.zeros((5, 0)))
     with pytest.raises(EmptyChannels):
         Dataset(np.zeros((3, 2)), ("a",))  # one name for two channels
+    with pytest.raises(EmptyChannels, match="repeated channel name 'a'$"):
+        Dataset(np.zeros((3, 3)), ("a", "b", "a"))
     with pytest.raises(NonFinite):
         bad = np.zeros((4, 2))
         bad[2, 1] = np.nan
         Dataset(bad)
+
+
+def owning(rows=6, dtype=float):
+    """A rows x 2 array that owns its memory."""
+    return np.arange(2 * rows, dtype=dtype).reshape(rows, 2).copy()
+
+
+def sealed(a):
+    a.flags.writeable = False
+    return a
+
+
+def test_dataset_adopts_a_sealed_owning_float64_array():
+    x = sealed(owning())
+    d = Dataset(x)
+    assert np.shares_memory(d.samples, x)
+    assert_array_equal(d.samples, owning())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: owning(),
+    lambda: sealed(owning()[:]),
+    lambda: sealed(owning(12)[::2]),
+    lambda: sealed(owning(dtype=np.float32)),
+    lambda: sealed(np.asfortranarray(owning())),
+], ids=["writable", "read-only-view", "strided-view", "float32", "fortran"])
+def test_dataset_copies_every_other_array(make):
+    x = make()
+    d = Dataset(x)
+    owner = x if x.base is None else x.base
+    assert not np.shares_memory(d.samples, owner)
+    assert not d.samples.flags.writeable
+    assert d.samples.dtype == np.float64
+    assert_array_equal(d.samples, x)
+    owner.flags.writeable = True
+    owner[...] = -1.0  # changing the caller's array leaves the dataset alone
+    assert_array_equal(d.samples, make())
+
+
+@pytest.fixture
+def adopted(monkeypatch):
+    """Every array a Dataset adopted without a copy, from now on."""
+    arrays = []
+
+    def recording(a):
+        out = frozen(a)
+        if out is a:
+            arrays.append(a)
+        return out
+
+    frozen = data._frozen
+    monkeypatch.setattr(data, "_frozen", recording)
+    return arrays
+
+
+def two_channel_csv(path, quoted=False):
+    rows = np.random.default_rng(4).laplace(size=(2000, 2)) \
+        @ np.array([[1.0, 0.4], [0.3, 1.0]])
+    cell = '"%.17g"' if quoted else "%.17g"
+    path.write_text("a,b\n" + "".join(f"{cell},{cell}\n" % tuple(r)
+                                      for r in rows))
+    return path
+
+
+@pytest.mark.parametrize("site", ["read_csv", "read_csv-row-by-row",
+                                  "simulate", "relative_gradient",
+                                  "orthogonal", "center"])
+def test_package_sites_hand_their_arrays_over(tmp_path, adopted, site):
+    # each site seals the array it built, so the Dataset adopts it, and no
+    # writable array aliases the samples it returns
+    path = two_channel_csv(tmp_path / "x.csv",
+                           quoted=site == "read_csv-row-by-row")
+    config = SolverConfig(score="tanh")
+    if site == "simulate":
+        model = MixingModel(np.array([[1.0, 0.5], [0.2, 1.0]]),
+                            (SourceSpec("laplace"), SourceSpec("uniform")))
+        built = simulate(model, 500, Rng(11))
+    elif site == "relative_gradient":
+        built = [relative_gradient_ica(read_csv(path), config).recovered]
+    elif site == "orthogonal":
+        built = [orthogonal_ica(read_csv(path), config).recovered]
+    elif site == "center":
+        built = [cli._read_input(argparse.Namespace(input=path,
+                                                     center=True))]
+    else:
+        built = [read_csv(path)]
+    for d in built:
+        assert any(d.samples is a for a in adopted)
+        assert not d.samples.flags.writeable and d.samples.flags.owndata
 
 
 def test_validate_dataset_reports_offending_cell():
@@ -535,7 +629,7 @@ FORMATS = EXACT_FORMATS + ["%.3e", "%.6f"]
 
 @CSV_SETTINGS
 @given(values=st.lists(FINITE, min_size=1, max_size=40),
-       names=st.lists(NAME, min_size=1, max_size=4),
+       names=st.lists(NAME, min_size=1, max_size=4, unique_by=str.strip),
        fmt=st.sampled_from(FORMATS), eol=st.sampled_from(["\r\n", "\n"]),
        final_eol=st.booleans())
 def test_read_csv_equals_row_by_row_reader(tmp_path, values, names, fmt, eol,
