@@ -146,7 +146,8 @@ def stationarity_matrix(Y: Dataset, scores) -> np.ndarray:
 
 
 def _newton_terms(Y: np.ndarray, scores):
-    """F, a_i = E psi_i'(Y_i) and v_i = E Y_i^2 of the outputs Y.
+    """F, a_i = E psi_i'(Y_i), v_i = E Y_i^2 of the outputs Y, and the
+    solver's stopping measure: the Frobenius norm of offdiag F.
 
     Each score is a fixed score or a ScoreTable; one call gives a channel's
     psi and psi', so a table locates every sample on its grid once.
@@ -165,12 +166,7 @@ def _newton_terms(Y: np.ndarray, scores):
             raise Diverged("score or stationarity overflow") from exc
     if not np.isfinite(F).all():
         raise Diverged("score or stationarity overflow")
-    return F, a, v
-
-
-def _off_diagonal_norm(F: np.ndarray) -> float:
-    # the solver's stopping measure: the Frobenius norm of offdiag F
-    return float(np.linalg.norm(F - np.diag(np.diag(F))))
+    return F, a, v, float(np.linalg.norm(F - np.diag(np.diag(F))))
 
 
 def _newton_direction(F: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -244,17 +240,21 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     # OUTER_CADENCE, which most runs stop before
     start = B
     mu = config.step
-    scores = None if adaptive else [make_score(config.score)] * n
+
+    def fit(Y):
+        # the product model the outputs are measured against: one kernel
+        # table per output for "adaptive", the fixed score otherwise
+        return ([score_table(y) for y in Y.T] if adaptive
+                else [make_score(config.score)] * n)
+
     trajectory = []
     converged = False
     prev_obj = None
     refit_at_stop = adaptive
-    iterations = 0
     for it in range(config.max_iter):
         Y = X @ B.T
         if it % OUTER_CADENCE == 0:
-            if adaptive:
-                scores = [score_table(Y[:, i]) for i in range(n)]
+            scores = fit(Y)
             if it:
                 if prev_obj is None:
                     prev_obj = _objective_value(X @ start.T)
@@ -262,17 +262,14 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
                 if obj > prev_obj + OBJECTIVE_NOISE_MARGIN:
                     mu *= 0.5
                 prev_obj = obj
-        F, a, v = _newton_terms(Y, scores)
-        norm = _off_diagonal_norm(F)
+        F, a, v, norm = _newton_terms(Y, scores)
         if norm < config.tol and refit_at_stop and it % OUTER_CADENCE:
             # the tables describe an earlier iterate: refit them once on
             # these outputs before trusting the stopping rule
             refit_at_stop = False
-            scores = [score_table(Y[:, i]) for i in range(n)]
-            F, a, v = _newton_terms(Y, scores)
-            norm = _off_diagonal_norm(F)
+            scores = fit(Y)
+            F, a, v, norm = _newton_terms(Y, scores)
         trajectory.append(norm)
-        iterations = it + 1
         if norm < config.tol:
             converged = True
             break
@@ -281,10 +278,11 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
         B = (np.eye(n) - mu * _newton_direction(F / f[:, None], a / f, v)) @ B
         if not np.isfinite(B).all() or np.abs(B).max() > DIVERGENCE_BOUND:
             raise Diverged("demixing matrix left the trust region")
+    iterations = len(trajectory)
     if not converged:
         Y = X @ B.T
-        F, a, v = _newton_terms(Y, scores)
-        trajectory.append(_off_diagonal_norm(F))
+        F, a, v, norm = _newton_terms(Y, scores)
+        trajectory.append(norm)
     margins = a * v - np.diag(F)
     Y.flags.writeable = False
     return SeparationResult(B, Dataset(Y), iterations, converged,

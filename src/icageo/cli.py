@@ -189,6 +189,9 @@ def cmd_separate(args: argparse.Namespace) -> int:
     if model is not None and model.N != data.N:
         raise DimensionMismatch(f"{args.model} has {model.N} sources but the "
                                 f"input has {data.N} channels")
+    if model is not None and data.N < 2:
+        raise InvalidConfig("--model: the Amari index needs at least 2 "
+                            "channels; the input has 1")
     result = solve(data, config)
     out = _outdir(args)
     _json_dump(out / "B.json", {"demixing": result.demixing})

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateGain
+from .errors import DegenerateGain, TooFewSamples
 from .estimators import (MI_MIN_SAMPLES, MIEstimate, mutual_information,
                          negentropy_scalar)
 from .gaussian import correlation_C, sample_covariance
@@ -80,9 +80,12 @@ def diagnose(data: Dataset, seed: int = 0) -> DecompositionReport:
 
     The seed only feeds deterministic tie-breaking inside the mutual
     information estimator; every term is otherwise a pure function of the
-    data.
+    data.  A dataset with no more rows than channels is TooFewSamples.
     """
     Rng(seed)  # checked whether or not mutual information is estimated
+    if data.T <= data.N:
+        raise TooFewSamples(f"need more observations than channels, got "
+                            f"{data.T} rows of {data.N} channels")
     corr = correlation_C(sample_covariance(data))
     negs = tuple(negentropy_scalar(data.column(i)) for i in range(data.N))
     proxy = corr - sum(negs)

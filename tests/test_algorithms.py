@@ -3,6 +3,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -329,6 +330,40 @@ def test_stability_margins_flag_mismatched_scores(score, families, base,
         assert result.converged
         assert margins.shape == (len(families),)
         assert bool((margins > 0.0).all()) is stable
+
+
+@pytest.mark.parametrize("score,fitted_at,iterations", [
+    ("adaptive", [0] * 4 + [10] * 4 + [12] * 4, 14),
+    ("tanh", [], 34),
+    ("cube", [], 213),
+])
+def test_score_schedule_across_cadences(monkeypatch, score, fitted_at,
+                                        iterations):
+    # gate 6's trial 0: adaptive tables are fitted on the outputs of every
+    # OUTER_CADENCE iteration and refit once where the stopping rule is
+    # first met; a fixed score never fits a table.  outputs holds weak
+    # references, so a long run keeps only the arrays that were fitted
+    outputs, fits = [], []
+
+    def recording_terms(Y, scores):
+        if not outputs or outputs[-1]() is not Y:
+            outputs.append(weakref.ref(Y))
+        return newton_terms(Y, scores)
+
+    def recording_table(y):
+        fits.append(y.base)
+        return score_table(y)
+
+    newton_terms = algorithms._newton_terms
+    monkeypatch.setattr(algorithms, "_newton_terms", recording_terms)
+    monkeypatch.setattr(algorithms, "score_table", recording_table)
+    X = acceptance_mixture(0, ("laplace", "laplace", "uniform", "uniform"))
+    result = relative_gradient_ica(X, SolverConfig(score=score))
+    assert result.converged
+    assert result.iterations == len(outputs) == iterations
+    # each fit reads a column of the outputs of one iteration
+    assert [next(k for k, ref in enumerate(outputs) if ref() is base)
+            for base in fits] == fitted_at
 
 
 def test_relative_gradient_objective_decreases_overall():

@@ -299,6 +299,21 @@ def test_separate_infinite_tol_is_input_error(tmp_path, capsys, algorithm):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algorithm", ["relative_gradient", "orthogonal"])
+def test_separate_model_on_one_channel_is_input_error(tmp_path, capsys,
+                                                      algorithm):
+    # the Amari index of a 1 x 1 gain is undefined: refused before the
+    # solve, not after B.json, Y.csv and trace.csv were written
+    sim = simulate_into(tmp_path / "sim", sources="laplace", samples=2000)
+    out = tmp_path / "out"
+    assert run(["separate", sim / "X.csv", "--algorithm", algorithm,
+                "--model", sim / "model.json", "--output-dir", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "icageo separate: error: --model: the Amari index needs at least 2 "
+        "channels; the input has 1"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_separate_is_byte_identical_across_runs(tmp_path):
     sim = simulate_into(tmp_path / "sim")
     outs = []
@@ -588,6 +603,18 @@ def test_repeated_channel_name_is_input_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.splitlines() == [
         f"icageo {command}: error: repeated channel name 'x'"]
     assert not out.exists()
+
+
+def test_diagnose_no_more_rows_than_channels_is_input_error(tmp_path, capsys):
+    # a singular sample covariance used to exit 1 (SingularCovariance)
+    src = tmp_path / "x.csv"
+    write_csv(src, Dataset(np.random.default_rng(9).laplace(size=(2, 2))))
+    out = tmp_path / "diag"
+    assert run(["diagnose", src, "--output-dir", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "icageo diagnose: error: need more observations than channels, got "
+        "2 rows of 2 channels"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_diagnose_empty_file_is_io_error(tmp_path, capsys):

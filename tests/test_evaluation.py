@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from icageo import (Dataset, DecompositionReport, DegenerateGain,
-                    InvalidConfig, Rng, SourceSpec, amari_index, diagnose,
-                    entropy_scalar, negentropy_scalar, parse_source)
+                    InvalidConfig, Rng, SourceSpec, TooFewSamples, amari_index,
+                    diagnose, entropy_scalar, negentropy_scalar, parse_source)
 
 UNIFORM_NEGENT = 0.1764852083106725
 LAPLACE_NEGENT = 0.07236494292469997
@@ -144,6 +144,15 @@ def test_diagnose_refuses_a_seed_rng_refuses(seed, tied, columns):
     x = np.random.default_rng(23).standard_normal((1200, columns))
     with pytest.raises(InvalidConfig, match="seed"):
         diagnose(Dataset(np.round(x, 1) if tied else x), seed=seed)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 5)])
+def test_diagnose_refuses_no_more_rows_than_channels(shape):
+    # refused before any estimate; sample_covariance's own SingularCovariance
+    # never reaches the caller
+    x = np.random.default_rng(4).standard_normal(shape)
+    with pytest.raises(TooFewSamples, match="more observations than channels"):
+        diagnose(Dataset(x))
 
 
 def test_diagnose_json_keys():

@@ -1,11 +1,12 @@
 """Static checks over the icageo sources: every module-level import is used,
-every module-level constant is read, only `data.py`, whose opener maps
-every file failure onto IoError, calls the builtin `open`, every public
-name has a user, every parameter with a default of a public function or
-dataclass, or of a module-level private function, is passed by the package
-itself, every option the CLI reads is
-one its parser defines, and every option a command defines is read.  The benchmark's tracer
-(`bench/tracing.py`, read here as text) wraps names that all exist."""
+every module-level constant, private function and private class is read,
+only `data.py`, whose opener maps every file failure onto IoError, calls
+the builtin `open`, every public name has a user, every parameter with a
+default of a public function or dataclass, or of a module-level private
+function, is passed by the package itself, every option the CLI reads is
+one its parser defines, and every option a command defines is read.  The
+benchmark's tracer (`bench/tracing.py`, read here as text) wraps names
+that all exist."""
 import argparse
 import ast
 import dataclasses
@@ -50,9 +51,10 @@ def test_module_imports_are_used(path):
     assert unused_imports(path) == []
 
 
-def dead_constants(paths) -> list[str]:
-    """Upper-case names a module binds at top level that no module of
-    paths reads, as a bare name or as an attribute."""
+def dead_names(paths) -> list[str]:
+    """Upper-case names a module binds at top level, and private functions
+    and classes (`def _name`, `class _Name`) it defines there, that no
+    module of paths reads, as a bare name or as an attribute."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in paths}
     read = {node.id if isinstance(node, ast.Name) else node.attr
@@ -62,6 +64,11 @@ def dead_constants(paths) -> list[str]:
     dead = []
     for path, tree in trees.items():
         for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and node.name not in read):
+                dead.append(f"{path.name}:{node.lineno}: {node.name}")
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign)
                        else [])
@@ -77,13 +84,24 @@ def test_dead_constant_check_flags_an_unread_name(tmp_path):
                                    "TYPED: int = 5\nx = LOCAL + TYPED\n")
     (tmp_path / "b.py").write_text("import a\nfrom a import USED\n"
                                    "UNREAD: int = USED + a.VIA\n")
-    assert dead_constants(sorted(tmp_path.glob("*.py"))) == [
-        "a.py:2: DEAD", "b.py:3: UNREAD"]
+    # private functions and classes: one called across modules, one kept
+    # in a table, one read as an attribute, one only defined, and two
+    # public ones, which the export check covers instead
+    (tmp_path / "c.py").write_text(
+        "from a import _called\n\n\ndef _called():\n    pass\n\n\n"
+        "def _tabled():\n    pass\n\n\nclass _Attr:\n    pass\n\n\n"
+        "def _dead():\n    return _called()\n\n\nclass _Unbuilt:\n"
+        "    pass\n\n\ndef public():\n    pass\n\n\nclass Public:\n"
+        "    pass\n\n\nTABLE = {'t': _tabled}\nx = TABLE, b._Attr\n")
+    assert dead_names(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:2: DEAD", "b.py:3: UNREAD", "c.py:16: _dead",
+        "c.py:20: _Unbuilt"]
 
 
 def test_every_module_constant_is_read():
+    # and every module-level private function and class is loaded
     modules = sorted(Path(icageo.__file__).parent.glob("*.py"))
-    assert dead_constants(modules) == []
+    assert dead_names(modules) == []
 
 
 def open_calls(path: Path) -> list[str]:
