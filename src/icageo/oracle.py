@@ -5,11 +5,14 @@ Pythagoras and mutual-information identities exactly, to round-off.
 Analytic 2-D densities are base densities under a linear frame (a
 rotation, a shear, a Gaussian's Cholesky factor), handled by midpoint
 quadrature on grids that respect that frame: bounded supports get cell
-edges aligned to the support boundary, and a density is integrated in
-pulled-back base coordinates so the change of variables is exact.  Each
-grid belongs to one density (quad_kld_2d takes q's mass on q's own base
-grid), so MAX_GRID_CELLS bounds them all.  A base density is given by its
-closed-form log.  Every grid is walked once, in row blocks whose log
+edges aligned to the support boundary, unbounded axes take cells that
+widen as s = c sinh(u) under equal steps in u, so tails are reached with
+few cells, and a density is integrated in pulled-back base coordinates so
+the change of variables is exact.  A grid's cells are the outer product of
+two per-axis width vectors, and every sum weights a cell by its own area.
+Each grid belongs to one density (quad_kld_2d takes q's mass on q's own
+base grid), so MAX_GRID_CELLS bounds them all.  A base density is given by
+its closed-form log.  Every grid is walked once, in row blocks whose log
 densities are written into buffers reused by every block: a base is
 evaluated at the grid's base coordinates, and when the map from grid to
 base coordinates is axis-aligned, the log of a product base is the outer
@@ -23,8 +26,9 @@ measure, so the identity residuals reflect the identity itself rather than
 discretization error; the discretization error shows up in the individual
 terms and shrinks at first order or better as the step is refined.  A
 Gaussian fit matches the grid measure's second moments, so the
-cross-entropy to it is a closed form of those moments: only sum pi ln pi,
-and quad_kld_2d's divergence to a given density, need the grid's cells.
+cross-entropy to it is a closed form of those moments: only
+sum pi ln(pi / w), w each cell's area, and quad_kld_2d's divergence to a
+given density, need the grid's cells.
 """
 import math
 import numbers
@@ -45,16 +49,38 @@ from .sources import SourceSpec, parse_source
 MASS_TOL = 1e-4
 # grid points a quadrature evaluates at once, whatever the step: blocks of
 # 2**15 to 2**16 points stay in cache and ran the default grids fastest.
-# Weighted sums over a block go row by row (np.vecdot): a threaded BLAS
-# splits one dot over a whole block, and those splits made the built-in
-# suite 3 times slower whenever another process held one of 2 CPUs
+# Weighted sums over a block go row by row (np.vecdot), and column sums
+# through einsum: a threaded BLAS splits one dot over a whole block, and
+# those splits made the built-in suite 3 times slower whenever another
+# process held one of 2 CPUs
 QUAD_BLOCK_POINTS = 1 << 15
-# every unbounded grid axis spans [-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH]
-QUAD_HALF_WIDTH = 8.0
-# most cells the box may hold at a grid's step.  A grid walk's memory does
-# not grow with the grid, so the bound limits run time: a grid at the bound
-# holds about 13 times the default step's 2.56e6 cells and takes about 13
-# times as long to walk
+# an unbounded grid axis takes ceil(2 * SINH_SCALE * SINH_U / step)
+# midpoint cells of equal width in u over [-SINH_U, SINH_U] under
+# s = SINH_SCALE * sinh(u) (Takahasi & Mori 1974): at most step / SINH_SCALE
+# wide in u, so a cell at u is at most step * cosh(u) wide in s, the
+# central cell about the step, and tails decay double-exponentially in u;
+# 800 cells at the default step
+SINH_SCALE = 1.25
+SINH_U = 3.2
+# how far an unbounded axis reaches in s, about 15.3: a Laplace tail beyond
+# it holds e**-21.6 of the mass.  It stays short of about 22.8: from there
+# the grid's corners hold points where the base of the built-in rho = 0.5
+# Gaussian is still positive and N(0, I) has underflowed, so quad_kld_2d
+# would refuse that divergence as infinite
+SINH_REACH = SINH_SCALE * math.sinh(SINH_U)
+# s = 0 lies this fraction of a cell from the nearest cell center on an
+# unbounded axis.  s = 0 is the one point where an unbounded source family
+# may have a kink (the Laplace cusp), and a midpoint rule's h**2 error from
+# a kink x
+# cells from a center is proportional to x**2 - x + 1/6 (the Bernoulli
+# polynomial B2), whose root this is: the 2-D Laplace pair's mass then
+# misses 1 by 1.5e-4 at step 0.03 with s = 0 on a cell edge, and by 4e-9
+# here
+KINK_OFFSET = 0.5 - 1.0 / math.sqrt(12.0)
+# most cells a grid may hold at its step.  A grid walk's memory does not
+# grow with the grid, so the bound limits run time: a grid at the bound
+# holds about 52 times the default step's 6.4e5 cells, and one
+# quad_kld_2d on it took about 40 times as long (0.44 s against 0.012 s)
 MAX_GRID_CELLS = 1 << 25
 # stands in for ln 0 in a P-weighted sum of logs, once P = exp(ln P) is
 # taken: finite, so a cell where P = 0 adds 0 * LN_ZERO = 0.  exp is taken
@@ -293,8 +319,10 @@ def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Midpoint step of a quadrature grid, whose unbounded axes span
-    +-QUAD_HALF_WIDTH."""
+    """Width of a quadrature grid's central cells.  A bounded axis takes
+    cells of about the step whose edges meet the support's ends; an
+    unbounded axis's cells widen as about step * cosh(u) towards its reach
+    of +-SINH_REACH."""
 
     step: float = 0.01
 
@@ -305,32 +333,42 @@ class GridSpec:
                 or not 0 < self.step < math.inf):
             raise InvalidDistribution("grid step must be a number, finite "
                                       "and > 0")
-        side = 2.0 * QUAD_HALF_WIDTH / self.step
-        cells = side * side
+        # a unit-variance source's bounded support holds fewer cells than
+        # an unbounded axis
+        cells = _unbounded_cells(self.step) ** 2
         if not cells <= MAX_GRID_CELLS:
             raise InvalidDistribution(
-                f"grid box at step {self.step:g} holds {cells:.3g} cells, "
+                f"grid at step {self.step:g} holds {cells:.3g} cells, "
                 f"more than {MAX_GRID_CELLS}; coarsen the step")
 
 
+def _unbounded_cells(step: float):
+    """Cells of an unbounded axis at the step; inf for a step too fine to
+    count them."""
+    n = 2.0 * SINH_SCALE * SINH_U / step
+    return max(1, math.ceil(n - 1e-9)) if n < MAX_GRID_CELLS else math.inf
+
+
 def _axis_cells(support, step: float):
-    """Midpoint cell centers and width for one axis.
+    """Midpoint cell centers and widths for one axis.
 
     Bounded axes adjust the width so support edges land exactly on cell
     boundaries (padded by one cell of zero density each side); unbounded
-    axes tile +-QUAD_HALF_WIDTH.
+    axes likewise fit their cells to [-SINH_U, SINH_U] in u, each at most
+    step / SINH_SCALE wide there and SINH_SCALE cosh(u) times that in
+    s = SINH_SCALE sinh(u), with s = 0 KINK_OFFSET of a cell from the
+    nearest center.
     """
-    if support is not None:
-        lo_s, hi_s = support
-        n = max(1, math.ceil((hi_s - lo_s) / step - 1e-9))
-        h = (hi_s - lo_s) / n
-        lo_edge, hi_edge = lo_s - h, hi_s + h
-    else:
-        lo_edge, hi_edge = -QUAD_HALF_WIDTH, QUAD_HALF_WIDTH
-        h = step
-    count = max(1, math.ceil((hi_edge - lo_edge) / h - 1e-9))
-    centers = lo_edge + h * (np.arange(count) + 0.5)
-    return centers, h
+    if support is None:
+        n = _unbounded_cells(step)
+        h = 2.0 * SINH_U / n
+        u = h * (np.arange(n) - n // 2 + KINK_OFFSET)
+        return SINH_SCALE * np.sinh(u), (h * SINH_SCALE) * np.cosh(u)
+    lo_s, hi_s = support
+    n = max(1, math.ceil((hi_s - lo_s) / step - 1e-9))
+    h = (hi_s - lo_s) / n
+    lo_edge = lo_s - h
+    return lo_edge + h * (np.arange(n + 2) + 0.5), np.full(n + 2, h)
 
 
 def _base_blocks(M: np.ndarray, sx: np.ndarray, sy: np.ndarray):
@@ -386,8 +424,8 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     least 1 - 1e-4 of both masses is captured and q's density is positive,
     not underflowed, at every point where p's is.
     """
-    sx, hx = _axis_cells(p.base_support[0], grid.step)
-    sy, hy = _axis_cells(p.base_support[1], grid.step)
+    sx, wx = _axis_cells(p.base_support[0], grid.step)
+    sy, wy = _axis_cells(p.base_support[1], grid.step)
     # P and Q are the bases' values: the densities times |det F| of p's
     # and q's frames, so their log ratio is ln P - ln Q + ln(det_q / det_p)
     det_p = abs(np.linalg.det(p.frame))
@@ -398,22 +436,33 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     # round-off, and KLD(p || p) is exactly 0 only on equal coordinates
     to_q = (np.eye(2) if np.array_equal(p.frame, q.frame)
             else np.linalg.solve(q.frame, p.frame))
-    for (_, log_p, P), (_, log_q, Q) in zip(_log_blocks(p, np.eye(2), sx, sy),
-                                            _log_blocks(q, to_q, sx, sy)):
+    for (rows, log_p, P), (_, log_q, Q) in zip(
+            _log_blocks(p, np.eye(2), sx, sy), _log_blocks(q, to_q, sx, sy)):
         np.exp(log_p, out=P)
         np.exp(log_q, out=Q)
         # Q = 0, or underflowed, where P > 0 makes the divergence infinite
         vanishes = vanishes or (Q.min() == 0 and P[Q == 0].any())
         np.subtract(_weighable(log_p, P), _weighable(log_q, Q), out=log_q)
-        sum_p += P.sum()
-        sum_p_log_ratio += np.vecdot(P, log_q).sum()
-    cell = hx * hy  # the cell in p's base coordinates
-    _check_mass(grid.step, sum_p * cell, _base_measure(q, grid)[0])
+        # each cell weighs its area: wy in place, a row's wx on its sums
+        P *= wy
+        sum_p += wx[rows] @ P.sum(axis=1)
+        sum_p_log_ratio += wx[rows] @ np.vecdot(P, log_q)
+    _check_mass(grid.step, sum_p, _base_mass(q, grid))
     if vanishes:
         raise InsufficientCoverage(
             f"q's density is 0 where p's is positive at step {grid.step:g}; "
             "the divergence is infinite or beyond the grid's range")
-    return float((sum_p_log_ratio + math.log(det_q / det_p) * sum_p) * cell)
+    return float(sum_p_log_ratio + math.log(det_q / det_p) * sum_p)
+
+
+def _base_mass(p: AnalyticDensity2D, grid: GridSpec) -> float:
+    """The mass of p's base density on its own base grid, unchecked."""
+    sx, wx = _axis_cells(p.base_support[0], grid.step)
+    sy, wy = _axis_cells(p.base_support[1], grid.step)
+    mass = 0.0
+    for rows, L, P in _log_blocks(p, np.eye(2), sx, sy):
+        mass += wx[rows] @ np.vecdot(np.exp(L, out=P), wy)
+    return float(mass)
 
 
 # -- the joint-identity report -------------------------------------------
@@ -422,50 +471,53 @@ def _check_mass(step: float, *masses: float):
     if not all(abs(m - 1.0) <= MASS_TOL for m in masses):
         raise InsufficientCoverage(
             f"grid captures mass {', '.join(f'{m:.6f}' for m in masses)} at "
-            f"step {step:g} in the +-{QUAD_HALF_WIDTH:g} box: the step is too "
-            "coarse for the density, or the density reaches beyond the box")
+            f"step {step:g}: the step is too coarse for the density, or the "
+            f"density reaches beyond the grid's +-{SINH_REACH:.3g}")
 
 
 def _grid_measure(p: AnalyticDensity2D, xs: np.ndarray, ys: np.ndarray,
-                  cell: float):
+                  wx: np.ndarray, wy: np.ndarray):
     """Sums of the normalized cell masses pi of p on the tensor grid
-    xs x ys of observation coordinates, in one walk of its row blocks: the
-    row and column sums of pi, the mass the grid captures (unchecked), the
-    uncentered second moments of pi, which its zero-mean Gaussian fit
-    matches, and sum pi ln pi."""
+    xs x ys of observation coordinates, whose cells are wx x wy wide, in
+    one walk of its row blocks: the row and column sums of pi, the mass
+    the grid captures (unchecked), the uncentered second moments of pi,
+    which its zero-mean Gaussian fit matches, and sum pi ln(pi / w), w
+    each cell's area, which is minus the entropy of the grid density."""
     rows = np.empty(len(xs))
     cols = np.zeros(len(ys))
     cross = p_log_p = 0.0
     for block, L, P in _log_blocks(p, np.linalg.inv(p.frame), xs, ys):
-        # P, p's base at the block's points, is its cell masses up to the
-        # one factor cell / |det F|
+        # P, p's base at the block's points, times each cell's area is its
+        # cell masses up to the one factor 1 / |det F|: wy is taken in
+        # place, and a row's wx on its sums
         np.exp(L, out=P)
-        rows[block] = P.sum(axis=1)
-        cols += P.sum(axis=0)
-        cross += xs[block] @ np.vecdot(P, ys)
-        p_log_p += np.vecdot(P, _weighable(L, P)).sum()
+        P *= wy
+        w = wx[block]
+        rows[block] = w * P.sum(axis=1)
+        cols += np.einsum("i,ij->j", w, P)
+        cross += (w * xs[block]) @ np.vecdot(P, ys)
+        p_log_p += w @ np.vecdot(P, _weighable(L, P))
     total = rows.sum()
-    mass = total * cell / abs(np.linalg.det(p.frame))
+    mass = total / abs(np.linalg.det(p.frame))
     total = total or math.nan  # no mass: pi is NaN, and the check fails
     rows /= total
     cols /= total
     cross /= total
     m2 = np.array([[rows @ (xs * xs), cross], [cross, cols @ (ys * ys)]])
-    # pi = P / total, so sum pi ln pi = sum P ln P / total - ln total
+    # pi / w = P / total, so sum pi ln(pi / w) = sum P w ln P / total - ln total
     return rows, cols, mass, m2, p_log_p / total - math.log(total)
 
 
-def _fit_cross_entropy(m2: np.ndarray, cell: float) -> float:
-    """sum pi ln(q cell) for a d-dimensional grid measure pi (d = 1 or 2)
-    with uncentered second moments m2 and cells of size cell, q its
-    zero-mean Gaussian fit: ln cell - (d + d ln 2 pi + ln det m2) / 2,
-    because q's quadratic form averages to d under pi."""
+def _fit_cross_entropy(m2: np.ndarray) -> float:
+    """sum pi ln q for a d-dimensional grid measure pi (d = 1 or 2) with
+    uncentered second moments m2, q its zero-mean Gaussian fit:
+    -(d + d ln 2 pi + ln det m2) / 2, because q's quadratic form averages
+    to d under pi."""
     d = len(m2)
     det = m2[0, 0] if d == 1 else m2[0, 0] * m2[1, 1] - m2[0, 1] ** 2
     if det <= 0:
         raise InvalidDistribution("grid covariance is not positive definite")
-    return math.log(cell) - 0.5 * (d + d * math.log(2.0 * math.pi)
-                                   + math.log(det))
+    return -0.5 * (d + d * math.log(2.0 * math.pi) + math.log(det))
 
 
 def verify_four_point_identity(p: AnalyticDensity2D,
@@ -474,23 +526,25 @@ def verify_four_point_identity(p: AnalyticDensity2D,
 
     All projection targets come from the same observation-aligned grid
     measure: marginals from row/column sums, Gaussian fits from the grid's
-    second moments, so every divergence to a fit is sum pi ln pi minus a
-    closed form.  lhs = mutual information plus marginal
-    non-Gaussianities; rhs = correlation plus joint non-Gaussianity; terms
-    also carry the shared hypotenuse (divergence to the independent
-    Gaussian fit) and the residual of each of its two decompositions.
+    second moments, so every divergence to a fit is sum pi ln(pi / w)
+    minus a closed form, w the cells' sizes.  lhs = mutual information
+    plus marginal non-Gaussianities; rhs = correlation plus joint
+    non-Gaussianity; terms also carry the shared hypotenuse (divergence to
+    the independent Gaussian fit) and the residual of each of its two
+    decompositions.
     """
-    xs, hx = _axis_cells(p.y_axis_support(0), grid.step)
-    ys, hy = _axis_cells(p.y_axis_support(1), grid.step)
-    px, py, mass, m2, neg_entropy = _grid_measure(p, xs, ys, hx * hy)
+    xs, wx = _axis_cells(p.y_axis_support(0), grid.step)
+    ys, wy = _axis_cells(p.y_axis_support(1), grid.step)
+    px, py, mass, m2, neg_entropy = _grid_measure(p, xs, ys, wx, wy)
     _check_mass(grid.step, mass)
-    h1 = _relative_entropy(px, 0.0)
-    h2 = _relative_entropy(py, 0.0)
-    f1 = _fit_cross_entropy(m2[:1, :1], hx)
-    f2 = _fit_cross_entropy(m2[1:, 1:], hy)
+    # each marginal's sum pi ln(pi / w)
+    h1 = _relative_entropy(px, np.log(wx))
+    h2 = _relative_entropy(py, np.log(wy))
+    f1 = _fit_cross_entropy(m2[:1, :1])
+    f2 = _fit_cross_entropy(m2[1:, 1:])
     mutual_info = neg_entropy - h1 - h2
     g1, g2 = h1 - f1, h2 - f2
-    g_joint = neg_entropy - _fit_cross_entropy(m2, hx * hy)
+    g_joint = neg_entropy - _fit_cross_entropy(m2)
     hyp = neg_entropy - f1 - f2
     corr = correlation_C(Covariance(m2))
 
@@ -510,22 +564,16 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     })
 
 
-def _base_measure(p: AnalyticDensity2D, grid: GridSpec):
-    """(mass, m2, sum pi ln pi, cell) of p's base density on its own base
-    grid, the mass unchecked: p's frame enters none of them."""
-    sx, hx = _axis_cells(p.base_support[0], grid.step)
-    sy, hy = _axis_cells(p.base_support[1], grid.step)
-    base = AnalyticDensity2D(p.log_base, np.eye(2), p.base_support)
-    _, _, mass, m2, neg_entropy = _grid_measure(base, sx, sy, hx * hy)
-    return mass, m2, neg_entropy, hx * hy
-
-
 def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
-    """Joint non-Gaussianity of p, measured on its base density: G does not
-    change under p's frame, an invertible linear map."""
-    mass, m2, neg_entropy, cell = _base_measure(p, grid)
+    """Joint non-Gaussianity of p, measured on its base density on its own
+    base grid: G does not change under p's frame, an invertible linear
+    map, and the frame enters none of the grid's sums."""
+    sx, wx = _axis_cells(p.base_support[0], grid.step)
+    sy, wy = _axis_cells(p.base_support[1], grid.step)
+    base = AnalyticDensity2D(p.log_base, np.eye(2), p.base_support)
+    _, _, mass, m2, neg_entropy = _grid_measure(base, sx, sy, wx, wy)
     _check_mass(grid.step, mass)
-    return neg_entropy - _fit_cross_entropy(m2, cell)
+    return neg_entropy - _fit_cross_entropy(m2)
 
 
 def gaussianity_invariance_check(p: AnalyticDensity2D, transform,

@@ -792,17 +792,17 @@ def test_verify_unusable_grid_step_is_input_error(tmp_path, capsys, args):
 
 
 def test_verify_coverage_error_names_the_step(tmp_path, capsys):
-    # the midpoint rule misses the Laplace cusp's mass at a coarse step
-    assert run(["verify", "--step", 0.05, "--output-dir", tmp_path]) == 1
-    assert ("at step 0.05 in the +-8 box: the step is too coarse for the "
-            "density, or the density reaches beyond the box"
+    # at a coarse step the midpoint rule misses mass at the cusps of the
+    # rotated Laplace pair, which cut the cells obliquely
+    assert run(["verify", "--step", 0.2, "--output-dir", tmp_path]) == 1
+    assert ("at step 0.2: the step is too coarse for the density, or the "
+            "density reaches beyond the grid's +-15.3"
             in capsys.readouterr().err)
 
 
 def test_verify_reruns_are_byte_identical(tmp_path, capsys):
     # the README's spec example, and a built-in suite coarse enough to be
-    # quick (at most steps from 0.035 up, the Laplace cusp's midpoint error
-    # exceeds the 1e-4 coverage tolerance)
+    # quick
     spec = tmp_path / "rotated.json"
     spec.write_text(json.dumps({
         "density": {"form": "rotated_product",

@@ -27,9 +27,12 @@ KLD_RHO_HALF = 0.14384103622589045
 UNIFORM_NEGENT = 0.1764852083106725
 LAPLACE_NEGENT = 0.07236494292469997
 
-# continuum mutual information of the 30-degree rotated Laplace pair,
-# from 1-D convolution quadrature of the marginal density
-ROT_LAP_MI_CONTINUUM = 0.080778593666615
+# continuum mutual information of the 30-degree rotated Laplace pair:
+# 2 h(y1) - 2 h(laplace), where y1 = s1 cos 30 - s2 sin 30 sums two
+# Laplace variables of scales a, c and has the density
+# (a e^(-|x|/a) - c e^(-|x|/c)) / (2 (a^2 - c^2)); h(y1) by 30-digit
+# quadrature of that density
+ROT_LAP_MI_CONTINUUM = 0.08077963654469523
 
 COARSE = GridSpec(step=0.02)
 
@@ -228,8 +231,8 @@ def test_quad_kld_of_a_density_with_itself_is_exactly_zero():
 
 
 def test_quad_kld_walks_only_grids_of_one_density(monkeypatch):
-    # p's grid covers p's +-8 box alone; widened to cover q's, it would
-    # span +-40 in p's coordinates, 4000 cells an axis
+    # p's grid holds 400 cells an axis at step 0.02; widened to cover q's,
+    # five times wider, it would reach +-76 in p's coordinates
     lengths = []
     axis_cells = oracle._axis_cells
 
@@ -241,7 +244,7 @@ def test_quad_kld_walks_only_grids_of_one_density(monkeypatch):
     monkeypatch.setattr(oracle, "_axis_cells", recorded)
     iso = gaussian_density(np.eye(2))
     kld = quad_kld_2d(iso, gaussian_density(25 * np.eye(2)), COARSE)
-    assert lengths and max(lengths) <= 16 / 0.02
+    assert lengths and max(lengths) <= 400
     assert abs(kld - gaussian_kld(Covariance(np.eye(2)),
                                   Covariance(25 * np.eye(2)))) <= 1e-4
 
@@ -257,13 +260,13 @@ def test_quad_kld_rotated_uniform_negentropy():
 
 
 def test_quad_kld_raises_when_box_too_small():
-    # a mixture's frame is the identity, so its base grid is the +-8 box,
-    # which keeps only 79% of a Gaussian of variance 25
+    # a mixture's frame is the identity, so its base grid reaches +-15.3,
+    # which keeps only 76% of a Gaussian of variance 100
     wide = gaussian_mixture_density([1.0], [[0.0, 0.0]],
-                                    [[[25.0, 0.0], [0.0, 25.0]]])
+                                    [[[100.0, 0.0], [0.0, 100.0]]])
     iso = gaussian_density([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(InsufficientCoverage, match="mass 0.792815, 1.000000 "
-                       "at step 0.02 in the [+]-8 box"):
+    with pytest.raises(InsufficientCoverage, match="mass 0.764165, 1.000000 "
+                       "at step 0.02: .* beyond the grid's [+]-15.3$"):
         quad_kld_2d(wide, iso, COARSE)
 
 
@@ -280,6 +283,36 @@ def test_grid_spec_rejects_unbounded_work():
             GridSpec(step=step)
     # the finest grid the tests build stays admitted
     assert GridSpec(step=0.005).step == 0.005
+    # 5715**2 cells are admitted, 5798**2 are more than MAX_GRID_CELLS
+    assert GridSpec(step=0.0014).step == 0.0014
+    with pytest.raises(InvalidDistribution, match=r"holds 3.36e\+07 cells"):
+        GridSpec(step=0.00138)
+
+
+def test_default_unbounded_axis_is_800_cells_with_step_wide_center():
+    step = GridSpec().step
+    centers, widths = oracle._axis_cells(None, step)
+    assert len(centers) == len(widths) <= 800
+    # the central cell holds s = 0, KINK_OFFSET of a cell from its center
+    mid = np.argmin(np.abs(centers))
+    assert_allclose(widths[mid], step, rtol=1e-4)
+    assert_allclose(centers[mid] / widths[mid], oracle.KINK_OFFSET, rtol=1e-4)
+    # the cells widen towards both tails and reach past 15
+    assert (np.diff(widths[mid:]) > 0).all() and (np.diff(widths[:mid]) < 0).all()
+    assert centers[0] < -15.0 and centers[-1] > 15.0
+
+
+@pytest.mark.parametrize("family, bound", [
+    # measured -8.4e-8, mostly the variance beyond the grid's reach; the
+    # +-8 box of equal cells read 6.27e-4 below
+    ("laplace", 1e-7),
+    # measured -9.4e-9; the +-8 box read 2.1e-4 below
+    ("cosh-reciprocal", 2e-8),
+])
+def test_negentropy_quad_reaches_heavy_tails(family, bound):
+    s = SourceSpec(family)
+    g = oracle._negentropy_quad(product_density(s, s), GridSpec())
+    assert abs(g - 2 * s.negentropy_nats()) < bound
 
 
 # -- the four-point identity ----------------------------------------------------------
@@ -330,15 +363,17 @@ def test_four_point_terms_converge_to_continuum():
     lap = SourceSpec("laplace")
     dens = rotated_product_density(lap, lap, math.radians(30.0))
     mi_by_step = {}
-    for step in (0.02, 0.01, 0.005):
+    for step in (0.04, 0.02, 0.01, 0.005):
         rep = verify_four_point_identity(dens, GridSpec(step=step))
         assert rep.residual < 1e-12  # identity holds at every resolution
         mi_by_step[step] = rep.terms["mutual_information"]
-    # independent continuum oracle pins the limit (box truncation allows 5e-4)
-    assert abs(mi_by_step[0.005] - ROT_LAP_MI_CONTINUUM) < 5e-4
-    # term error vs the finest run shrinks by at least 2x per halving
-    e_coarse = abs(mi_by_step[0.02] - mi_by_step[0.005])
-    e_mid = abs(mi_by_step[0.01] - mi_by_step[0.005])
+    # independent continuum oracle pins the limit: 5.4e-9 off at 0.005
+    assert abs(mi_by_step[0.005] - ROT_LAP_MI_CONTINUUM) < 1e-7
+    # term error vs the finest run shrinks by at least 2x per halving while
+    # the step limits it; below about 1e-7 (from step 0.02) the midpoint
+    # error of the cusps, which cut the cells obliquely, oscillates
+    e_coarse = abs(mi_by_step[0.04] - mi_by_step[0.005])
+    e_mid = abs(mi_by_step[0.02] - mi_by_step[0.005])
     assert e_mid < 0.5 * e_coarse
 
 

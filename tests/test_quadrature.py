@@ -7,9 +7,9 @@ positive.  The blocked code evaluates the log of each density's base at
 the grid's base coordinates and sums the same terms in another order, so
 every value must agree to 1e-12, and the coverage check must fail on the
 same inputs.
-The built-in suite must also keep the values recorded in
-builtin_suite_values.json from the quadrature that evaluated every density
-at observation points.
+Every cell is weighted by its own area, the product of its two axis
+widths.  The built-in suite must also keep the values recorded in
+builtin_suite_values.json.
 """
 import json
 import math
@@ -87,27 +87,26 @@ def reference_gaussian_mixture_density(weights, means, covs):
 
 
 def reference_base_grid(p, grid):
-    sx, hx = _axis_cells(p.base_support[0], grid.step)
-    sy, hy = _axis_cells(p.base_support[1], grid.step)
+    """The observation points of p's base grid, and each one's cell area
+    in observation coordinates."""
+    sx, wx = _axis_cells(p.base_support[0], grid.step)
+    sy, wy = _axis_cells(p.base_support[1], grid.step)
     S = np.stack(np.meshgrid(sx, sy, indexing="ij"), axis=-1)
-    Y = S @ p.frame.T
-    return sx, sy, hx, hy, Y
+    return S @ p.frame.T, np.outer(wx, wy) * abs(np.linalg.det(p.frame))
 
 
 def reference_quad_kld_2d(p, q, grid):
     # the divergence over p's base grid; q's mass on q's own base grid
-    _, _, hx, hy, Y = reference_base_grid(p, grid)
-    cell = hx * hy * abs(np.linalg.det(p.frame))
-    _, _, qx, qy, Yq = reference_base_grid(q, grid)
-    q_cell = qx * qy * abs(np.linalg.det(q.frame))
+    Y, cell = reference_base_grid(p, grid)
+    Yq, q_cell = reference_base_grid(q, grid)
     P = p.pdf(Y)
     Q = q.pdf(Y)
-    check_mass(float(P.sum() * cell), float(q.pdf(Yq).sum() * q_cell))
+    check_mass(float((P * cell).sum()), float((q.pdf(Yq) * q_cell).sum()))
     mask = P > 0
     if (Q[mask] == 0).any():
         raise InsufficientCoverage("q vanishes where p does not")
-    vals = P[mask] * (np.log(P[mask]) - np.log(Q[mask]))
-    return float(vals.sum() * cell)
+    vals = (P * cell)[mask] * (np.log(P[mask]) - np.log(Q[mask]))
+    return float(vals.sum())
 
 
 def reference_log_gauss_1d(x, var):
@@ -125,12 +124,12 @@ def reference_log_gauss_2d(xx, yy, m2):
 
 def reference_four_point(p, grid):
     """lhs, rhs, residual and terms of the whole-grid joint identity."""
-    xs, hx = _axis_cells(p.y_axis_support(0), grid.step)
-    ys, hy = _axis_cells(p.y_axis_support(1), grid.step)
+    xs, wx = _axis_cells(p.y_axis_support(0), grid.step)
+    ys, wy = _axis_cells(p.y_axis_support(1), grid.step)
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     P = p.pdf(np.stack([xx, yy], axis=-1))
-    w = hx * hy
-    mass = float(P.sum() * w)
+    w = np.outer(wx, wy)
+    mass = float((P * w).sum())
     check_mass(mass)
     pi = P * w
     pi /= pi.sum()
@@ -140,9 +139,9 @@ def reference_four_point(p, grid):
     m2[0, 0] = float(np.sum(px * xs * xs))
     m2[1, 1] = float(np.sum(py * ys * ys))
     m2[0, 1] = m2[1, 0] = float(np.sum(pi * xx * yy))
-    log_phi1 = reference_log_gauss_1d(xs, m2[0, 0]) + math.log(hx)
-    log_phi2 = reference_log_gauss_1d(ys, m2[1, 1]) + math.log(hy)
-    log_phi_joint = reference_log_gauss_2d(xx, yy, m2) + math.log(w)
+    log_phi1 = reference_log_gauss_1d(xs, m2[0, 0]) + np.log(wx)
+    log_phi2 = reference_log_gauss_1d(ys, m2[1, 1]) + np.log(wy)
+    log_phi_joint = reference_log_gauss_2d(xx, yy, m2) + np.log(w)
     log_phi_indep = log_phi1[:, None] + log_phi2[None, :]
     mask = pi > 0
     log_pi = np.log(pi[mask])
@@ -169,10 +168,9 @@ def reference_four_point(p, grid):
 
 
 def reference_negentropy_quad(p, grid):
-    sx, sy, hx, hy, Y = reference_base_grid(p, grid)
-    cell = hx * hy * abs(np.linalg.det(p.frame))
+    Y, cell = reference_base_grid(p, grid)
     P = p.pdf(Y)
-    check_mass(float(P.sum() * cell))
+    check_mass(float((P * cell).sum()))
     pi = P * cell
     pi /= pi.sum()
     y1 = Y[..., 0]
@@ -181,7 +179,7 @@ def reference_negentropy_quad(p, grid):
     m2[0, 0] = float(np.sum(pi * y1 * y1))
     m2[1, 1] = float(np.sum(pi * y2 * y2))
     m2[0, 1] = m2[1, 0] = float(np.sum(pi * y1 * y2))
-    log_phi = reference_log_gauss_2d(y1, y2, m2) + math.log(cell)
+    log_phi = reference_log_gauss_2d(y1, y2, m2) + np.log(cell)
     mask = pi > 0
     return float(np.sum(pi[mask] * (np.log(pi[mask]) - log_phi[mask])))
 
@@ -199,9 +197,9 @@ def build(case):
         cov = [[v1, r * math.sqrt(v1 * v2)], [r * math.sqrt(v1 * v2), v2]]
         pair = gaussian_density(cov), reference_gaussian_density(cov)
     elif kind == "mixture":
-        # "wide" is one Gaussian of variance 25, of which the +-8 box
-        # keeps 79%: every quadrature of it fails the coverage check
-        parts = (([1.0], [[0.0, 0.0]], [[[25.0, 0.0], [0.0, 25.0]]])
+        # "wide" is one Gaussian of variance 100, of which a grid reaching
+        # +-15.3 keeps 76%: every quadrature of it fails the coverage check
+        parts = (([1.0], [[0.0, 0.0]], [[[100.0, 0.0], [0.0, 100.0]]])
                  if args == "wide" else
                  ([0.4, 0.6], [[1.2, 0.6], [-0.8, -0.4]],
                   [[[0.5, 0.1], [0.1, 0.4]], [[0.6, -0.1], [-0.1, 0.5]]]))
@@ -275,7 +273,7 @@ def test_quad_kld_2d_matches_whole_grid(case, target, step):
 
 
 @pytest.mark.parametrize("p, q, grid", [
-    # q underflows beyond |y1| of about 38.6, inside p's grid of +-80;
+    # q underflows beyond |y1| of about 38.6, inside p's grid of +-153;
     # flooring ln q there gave 47.178 against the closed form 47.197
     (gaussian_density([[100.0, 0.0], [0.0, 1.0]]), gaussian_density(np.eye(2)),
      GridSpec()),
