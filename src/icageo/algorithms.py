@@ -34,11 +34,19 @@ HESSIAN_EIGENVALUE_FLOOR = 1e-2
 NO_IMPROVEMENT_FLOOR = 0.02
 # hard cap on Jacobi sweeps
 MAX_SWEEPS = 50
-# angle resolution of the refined pair search, radians
-ANGLE_TOL = 1e-4
+# the refined pair search resolves a T-row pair's angle to
+# ANGLE_TOL / sqrt(T) radians (_angle_tol), as the estimated angle's own
+# error falls as 1 / sqrt(T) (Cardoso 1994).  At 5e4 rows the gain 1.2e-3
+# rad from the peak is only about 1e-5 nats lower, and within 4e-4 rad
+# Brent compared estimator jitter; at 1e6 rows a fixed 1e-3 read a worse
+# Amari index than 2e-4
+ANGLE_TOL = 0.2
 # an applied rotation smaller than this (radians) does not reopen the
-# rejected pairs that share its columns
-REOPEN_ANGLE = 20 * ANGLE_TOL
+# rejected pairs that share its columns.  It is fixed, not tied to the
+# search's resolution: a pair's gain is quadratic about its peak, 3e-5 to
+# 5e-5 nats lower 2e-3 rad from it at 5e4 rows, below the default
+# acceptance tol of 1e-4 nats
+REOPEN_ANGLE = 2e-3
 # coarse Givens angles of the pair search: 16 steps of pi/32 over
 # (-pi/4, pi/4]; the eighth is exactly 0
 COARSE_ANGLES = (-0.25 * math.pi
@@ -388,16 +396,23 @@ def _coarse_peak(gain) -> tuple[float, float]:
     return COARSE_ANGLES[k], values[k]
 
 
+def _angle_tol(T: int) -> float:
+    """Angle resolution, radians, of the search of a pair of T rows."""
+    return ANGLE_TOL / math.sqrt(T)
+
+
 def _search_pair(yi: np.ndarray, yj: np.ndarray) -> tuple[float, float]:
     """Givens angle and gain of the best rotation of one output pair.
 
     The gain (_pair_gain) is scanned at the 15 nonzero COARSE_ANGLES and
     refined by _brent_max on the best coarse angle +- COARSE_SPAN to
-    ANGLE_TOL, starting from that angle and its gain.  A pair longer than
-    COARSE_ROWS is scanned on every stride-th row, stride = ceil(T /
-    COARSE_ROWS), and Brent starts from the full pair's gain at the
-    subsample's peak, so the returned gain is always a full-data value; a
-    subsample with a zero variance is not scanned, the full pair is.
+    _angle_tol(T) = ANGLE_TOL / sqrt(T) radians, starting from that angle
+    and its gain: the estimated angle's own error falls as 1 / sqrt(T), and
+    Brent's last steps below it would compare estimator jitter.  A pair
+    longer than COARSE_ROWS is scanned on every stride-th row, stride =
+    ceil(T / COARSE_ROWS), and Brent starts from the full pair's gain at
+    the subsample's peak, so the returned gain is always a full-data value;
+    a subsample with a zero variance is not scanned, the full pair is.
     """
     stride = -(-yi.size // COARSE_ROWS)
     if stride > 1:
@@ -412,7 +427,7 @@ def _search_pair(yi: np.ndarray, yj: np.ndarray) -> tuple[float, float]:
     else:
         value = gain(peak) if peak else 0.0
     return _brent_max(gain, peak, value, peak - COARSE_SPAN,
-                      peak + COARSE_SPAN, ANGLE_TOL)
+                      peak + COARSE_SPAN, _angle_tol(yi.size))
 
 
 def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
@@ -421,9 +436,11 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     Jacobi sweeps over channel pairs in lexicographic order; each pair's
     Givens angle is located by _search_pair: a scan of 15 coarse angles
     over (-pi/4, pi/4] on every ceil(T / COARSE_ROWS)-th row, then Brent's
-    method on the full pair to ANGLE_TOL around the best one.  The pair
-    gain is the m-spacing negentropy of float32 sort keys of the centred,
-    float64-rotated pair (within about 1e-8 nats of the float64 estimate).
+    method on the full pair around the best one, to ANGLE_TOL / sqrt(T)
+    radians (8.9e-4 at 5e4 rows, 2e-4 at 1e6), which shrinks with the
+    angle's own estimation error.  The pair gain is the m-spacing
+    negentropy of float32 sort keys of the centred, float64-rotated pair
+    (within about 1e-8 nats of the float64 estimate).
     A rotation is kept when it improves the pair's negentropy sum by more
     than config.tol; sweeping stops when no pair improves by that much, or
     after config.max_iter sweeps (never more than MAX_SWEEPS).  A rejected

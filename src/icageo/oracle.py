@@ -322,7 +322,9 @@ class GridSpec:
     """Width of a quadrature grid's central cells.  A bounded axis takes
     cells of about the step whose edges meet the support's ends; an
     unbounded axis's cells widen as about step * cosh(u) towards its reach
-    of +-SINH_REACH."""
+    of +-SINH_REACH.  A step whose grid of two unbounded axes holds more
+    than MAX_GRID_CELLS cells is refused here, and every grid a quadrature
+    walks is checked again on its own supports (_grid_axes)."""
 
     step: float = 0.01
 
@@ -333,20 +335,35 @@ class GridSpec:
                 or not 0 < self.step < math.inf):
             raise InvalidDistribution("grid step must be a number, finite "
                                       "and > 0")
-        # a unit-variance source's bounded support holds fewer cells than
-        # an unbounded axis
-        cells = _unbounded_cells(self.step) ** 2
-        if not cells <= MAX_GRID_CELLS:
-            raise InvalidDistribution(
-                f"grid at step {self.step:g} holds {cells:.3g} cells, "
-                f"more than {MAX_GRID_CELLS}; coarsen the step")
+        _check_cells(None, None, self.step)
 
 
-def _unbounded_cells(step: float):
-    """Cells of an unbounded axis at the step; inf for a step too fine to
-    count them."""
-    n = 2.0 * SINH_SCALE * SINH_U / step
-    return max(1, math.ceil(n - 1e-9)) if n < MAX_GRID_CELLS else math.inf
+def _axis_count(support, step: float):
+    """Cells of one axis at the step, a bounded axis's two padding cells
+    included; inf for a step too fine to count them."""
+    n = (2.0 * SINH_SCALE * SINH_U if support is None
+         else support[1] - support[0]) / step
+    if not n < MAX_GRID_CELLS:
+        return math.inf
+    return max(1, math.ceil(n - 1e-9)) + (0 if support is None else 2)
+
+
+def _check_cells(xsupport, ysupport, step: float):
+    # a grid of more than MAX_GRID_CELLS cells is InvalidDistribution
+    cells = _axis_count(xsupport, step) * _axis_count(ysupport, step)
+    if not cells <= MAX_GRID_CELLS:
+        raise InvalidDistribution(
+            f"grid at step {step:g} holds {cells:.3g} cells, more than "
+            f"{MAX_GRID_CELLS}; coarsen the step")
+
+
+def _grid_axes(xsupport, ysupport, step: float):
+    """(sx, wx, sy, wy): _axis_cells of both axes of a grid, refused with
+    InvalidDistribution before either is built if the grid holds more than
+    MAX_GRID_CELLS cells: a bounded support that a diagonal frame has
+    stretched can hold more cells than an unbounded axis."""
+    _check_cells(xsupport, ysupport, step)
+    return (*_axis_cells(xsupport, step), *_axis_cells(ysupport, step))
 
 
 def _axis_cells(support, step: float):
@@ -359,16 +376,14 @@ def _axis_cells(support, step: float):
     s = SINH_SCALE sinh(u), with s = 0 KINK_OFFSET of a cell from the
     nearest center.
     """
+    n = _axis_count(support, step)
     if support is None:
-        n = _unbounded_cells(step)
         h = 2.0 * SINH_U / n
         u = h * (np.arange(n) - n // 2 + KINK_OFFSET)
         return SINH_SCALE * np.sinh(u), (h * SINH_SCALE) * np.cosh(u)
     lo_s, hi_s = support
-    n = max(1, math.ceil((hi_s - lo_s) / step - 1e-9))
-    h = (hi_s - lo_s) / n
-    lo_edge = lo_s - h
-    return lo_edge + h * (np.arange(n + 2) + 0.5), np.full(n + 2, h)
+    h = (hi_s - lo_s) / (n - 2)
+    return lo_s - h + h * (np.arange(n) + 0.5), np.full(n, h)
 
 
 def _base_blocks(M: np.ndarray, sx: np.ndarray, sy: np.ndarray):
@@ -424,8 +439,7 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
     least 1 - 1e-4 of both masses is captured and q's density is positive,
     not underflowed, at every point where p's is.
     """
-    sx, wx = _axis_cells(p.base_support[0], grid.step)
-    sy, wy = _axis_cells(p.base_support[1], grid.step)
+    sx, wx, sy, wy = _grid_axes(*p.base_support, grid.step)
     # P and Q are the bases' values: the densities times |det F| of p's
     # and q's frames, so their log ratio is ln P - ln Q + ln(det_q / det_p)
     det_p = abs(np.linalg.det(p.frame))
@@ -457,8 +471,7 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
 
 def _base_mass(p: AnalyticDensity2D, grid: GridSpec) -> float:
     """The mass of p's base density on its own base grid, unchecked."""
-    sx, wx = _axis_cells(p.base_support[0], grid.step)
-    sy, wy = _axis_cells(p.base_support[1], grid.step)
+    sx, wx, sy, wy = _grid_axes(*p.base_support, grid.step)
     mass = 0.0
     for rows, L, P in _log_blocks(p, np.eye(2), sx, sy):
         mass += wx[rows] @ np.vecdot(np.exp(L, out=P), wy)
@@ -533,8 +546,8 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     the independent Gaussian fit) and the residual of each of its two
     decompositions.
     """
-    xs, wx = _axis_cells(p.y_axis_support(0), grid.step)
-    ys, wy = _axis_cells(p.y_axis_support(1), grid.step)
+    xs, wx, ys, wy = _grid_axes(p.y_axis_support(0), p.y_axis_support(1),
+                                grid.step)
     px, py, mass, m2, neg_entropy = _grid_measure(p, xs, ys, wx, wy)
     _check_mass(grid.step, mass)
     # each marginal's sum pi ln(pi / w)
@@ -568,8 +581,7 @@ def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
     """Joint non-Gaussianity of p, measured on its base density on its own
     base grid: G does not change under p's frame, an invertible linear
     map, and the frame enters none of the grid's sums."""
-    sx, wx = _axis_cells(p.base_support[0], grid.step)
-    sy, wy = _axis_cells(p.base_support[1], grid.step)
+    sx, wx, sy, wy = _grid_axes(*p.base_support, grid.step)
     base = AnalyticDensity2D(p.log_base, np.eye(2), p.base_support)
     _, _, mass, m2, neg_entropy = _grid_measure(base, sx, sy, wx, wy)
     _check_mass(grid.step, mass)

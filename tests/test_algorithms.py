@@ -18,9 +18,9 @@ from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
                     sample_covariance, score_table, simulate,
                     stationarity_matrix)
 from icageo import algorithms
-from icageo.algorithms import (ANGLE_TOL, COARSE_ANGLES, COARSE_ROWS,
-                               COARSE_SPAN, NO_IMPROVEMENT_FLOOR,
-                               OUTER_CADENCE, REOPEN_ANGLE, SCORE_NAMES)
+from icageo.algorithms import (COARSE_ANGLES, COARSE_ROWS, COARSE_SPAN,
+                               NO_IMPROVEMENT_FLOOR, OUTER_CADENCE,
+                               REOPEN_ANGLE, SCORE_NAMES, _angle_tol)
 from icageo.gaussian import whitener
 
 
@@ -569,6 +569,11 @@ def test_orthogonal_search_holds_few_full_size_arrays():
     assert peak < 2.5 * X.samples.nbytes
 
 
+# the fixed angle resolution, radians, of the pair search before it
+# scaled with the rows: the golden-section reference searches to it, and
+# Brent's method is checked at it
+FIXED_ANGLE_TOL = 1e-4
+
 FOUR_CHANNEL_FAMILIES = [
     ("laplace", "uniform", "cosh-reciprocal", "generalized-gaussian(4)"),
     ("gaussian", "gaussian", "laplace", "uniform"),
@@ -609,7 +614,7 @@ def golden_pair_search(yi, yj):
     values = [gain(t) for t in COARSE_ANGLES]
     k = int(np.argmax(values))
     return golden_section(gain, COARSE_ANGLES[k] - COARSE_SPAN,
-                          COARSE_ANGLES[k] + COARSE_SPAN, ANGLE_TOL)
+                          COARSE_ANGLES[k] + COARSE_SPAN, FIXED_ANGLE_TOL)
 
 
 def reference_pair_gain(yi, yj, float32):
@@ -640,14 +645,14 @@ def reference_pair_gain(yi, yj, float32):
 def full_pair_search(yi, yj):
     """The pair search before the subsampled coarse scan, which every pair
     of at most COARSE_ROWS rows still takes: the 15 nonzero coarse angles
-    of the gain on the full pair, then Brent's method; returns (angle,
-    gain)."""
+    of the gain on the full pair, then Brent's method to the solver's
+    angle resolution at the pair's rows; returns (angle, gain)."""
     gain = reference_pair_gain(yi, yj, float32=True)
     values = [gain(t) if t else 0.0 for t in COARSE_ANGLES]
     k = int(np.argmax(values))
     peak = COARSE_ANGLES[k]
     return algorithms._brent_max(gain, peak, values[k], peak - COARSE_SPAN,
-                                 peak + COARSE_SPAN, ANGLE_TOL)
+                                 peak + COARSE_SPAN, _angle_tol(yi.size))
 
 
 def recorded_pair_searches(X, monkeypatch):
@@ -685,7 +690,7 @@ SHAPES = {
        offset=st.floats(-1.0, 1.0))
 def test_brent_locates_the_peak_of_smooth_objectives(shape, a, b, k, offset):
     # a unimodal objective peaking at theta* inside the bracket around the
-    # coarse angle k: Brent's method finds theta* to ANGLE_TOL
+    # coarse angle k: Brent's method finds theta* to FIXED_ANGLE_TOL
     peak = COARSE_ANGLES[k]
     star = peak + offset * COARSE_SPAN
     f0 = SHAPES[shape](a, b)
@@ -696,8 +701,8 @@ def test_brent_locates_the_peak_of_smooth_objectives(shape, a, b, k, offset):
         return f0(t - star)
 
     theta, value = algorithms._brent_max(f, peak, f(peak), peak - COARSE_SPAN,
-                                         peak + COARSE_SPAN, ANGLE_TOL)
-    assert abs(theta - star) <= ANGLE_TOL
+                                         peak + COARSE_SPAN, FIXED_ANGLE_TOL)
+    assert abs(theta - star) <= FIXED_ANGLE_TOL
     assert value == f0(theta - star) and value >= f0(peak - star)
     assert all(abs(t - peak) <= COARSE_SPAN for t in evaluated)
 
@@ -783,9 +788,23 @@ def workload_mixture(seed):
 
 
 def test_pair_search_sort_budget_at_workload_size(monkeypatch):
+    # the subsampled coarse scan read 0.55 of the full scan's samples;
+    # Brent stopping at the angle's resolution at 5e4 rows reads about 0.43
     searches, calls = recorded_pair_searches(workload_mixture(4),
                                              monkeypatch)
-    assert sum(calls) <= 0.7 * FULL_SCAN_SORTED_PER_SEARCH * len(searches)
+    assert sum(calls) <= 0.5 * FULL_SCAN_SORTED_PER_SEARCH * len(searches)
+
+
+def test_angle_tol_stays_inside_the_coarse_bracket():
+    # a solve takes T > 10 N rows and N >= 2, so at least 21; the
+    # resolution only shrinks from there, so Brent always has a bracket of
+    # more than two resolutions on each side of the coarse peak to refine
+    rows = [21, 22, 100, 5000, COARSE_ROWS, 20_000, 50_000, 10 ** 6, 10 ** 9]
+    tols = [_angle_tol(T) for T in rows]
+    assert all(t < 0.5 * COARSE_SPAN for t in tols)
+    assert tols == sorted(tols, reverse=True)
+    assert _angle_tol(50_000) == pytest.approx(8.94e-4, rel=1e-3)
+    assert _angle_tol(10 ** 6) == pytest.approx(2e-4, rel=1e-12)
 
 
 @pytest.mark.parametrize("families", [("laplace", "uniform"),

@@ -289,6 +289,26 @@ def test_grid_spec_rejects_unbounded_work():
         GridSpec(step=0.00138)
 
 
+def test_a_stretched_bounded_grid_above_the_cell_cap_is_refused(monkeypatch):
+    # diag(20, 20) stretches the uniform square's +-sqrt(3) to +-34.6 on
+    # both observation axes: 6931**2 cells at the default step, more than
+    # MAX_GRID_CELLS, refused before any axis is built
+    built = []
+    monkeypatch.setattr(oracle, "_axis_cells",
+                        lambda *args: built.append(args))
+    uniform = SourceSpec("uniform")
+    wide = linear_image(product_density(uniform, uniform),
+                        np.diag([20.0, 20.0]))
+    with pytest.raises(InvalidDistribution, match=r"holds 4.8e\+07 cells"):
+        verify_four_point_identity(wide)
+    assert not built
+    monkeypatch.undo()
+    # diag(14, 14) holds 4852**2 cells, under the cap
+    ok = linear_image(product_density(uniform, uniform),
+                      np.diag([14.0, 14.0]))
+    assert verify_four_point_identity(ok).terms["mass"] == pytest.approx(1.0)
+
+
 def test_default_unbounded_axis_is_800_cells_with_step_wide_center():
     step = GridSpec().step
     centers, widths = oracle._axis_cells(None, step)
