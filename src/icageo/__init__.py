@@ -18,9 +18,8 @@ from .rng import Rng
 from .sources import FAMILIES, SourceSpec, parse_source
 from .data import (Dataset, MixingModel, random_mixing, read_csv, simulate,
                    write_csv)
-from .gaussian import (Covariance, WhiteningTransform, correlation_C,
-                       gaussian_kld, sample_covariance,
-                       verify_gaussian_pythagoras, whitener)
+from .gaussian import (Covariance, correlation_C, gaussian_kld,
+                       sample_covariance, verify_gaussian_pythagoras, whitener)
 from .estimators import (entropy_scalar, mutual_information,
                          negentropy_scalar, score_table)
 from .oracle import (AnalyticDensity2D, DiscreteJoint, GridSpec,
@@ -45,9 +44,8 @@ __all__ = [
     "FAMILIES", "SourceSpec", "parse_source",
     "Dataset", "MixingModel", "simulate", "random_mixing",
     "read_csv", "write_csv",
-    "Covariance", "WhiteningTransform",
-    "sample_covariance", "gaussian_kld", "correlation_C", "whitener",
-    "verify_gaussian_pythagoras",
+    "Covariance", "sample_covariance", "gaussian_kld", "correlation_C",
+    "whitener", "verify_gaussian_pythagoras",
     "entropy_scalar", "negentropy_scalar", "mutual_information",
     "score_table",
     "DiscreteJoint", "IdentityReport", "discrete_mi",

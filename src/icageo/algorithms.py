@@ -243,7 +243,7 @@ def relative_gradient_ica(data: Dataset, config: SolverConfig) -> SeparationResu
     if adaptive and data.T < SCORE_TABLE_MIN_SAMPLES:
         raise TooFewSamples(f"the adaptive score needs T >= "
                             f"{SCORE_TABLE_MIN_SAMPLES} samples, got {data.T}")
-    B = whitener(sample_covariance(data)).matrix.copy()
+    B = whitener(sample_covariance(data)).copy()
     # iteration 0's demixing: its proxy is first needed at iteration
     # OUTER_CADENCE, which most runs stop before
     start = B
@@ -389,11 +389,10 @@ def _pair_gain(yi: np.ndarray, yj: np.ndarray):
     return gain
 
 
-def _coarse_peak(gain) -> tuple[float, float]:
-    # the best of the COARSE_ANGLES and its gain, exactly 0 at theta = 0
+def _coarse_peak(gain) -> float:
+    # the best of the COARSE_ANGLES; the gain at theta = 0 is exactly 0
     values = [gain(t) if t else 0.0 for t in COARSE_ANGLES]
-    k = int(np.argmax(values))
-    return COARSE_ANGLES[k], values[k]
+    return COARSE_ANGLES[int(np.argmax(values))]
 
 
 def _angle_tol(T: int) -> float:
@@ -404,30 +403,26 @@ def _angle_tol(T: int) -> float:
 def _search_pair(yi: np.ndarray, yj: np.ndarray) -> tuple[float, float]:
     """Givens angle and gain of the best rotation of one output pair.
 
-    The gain (_pair_gain) is scanned at the 15 nonzero COARSE_ANGLES and
-    refined by _brent_max on the best coarse angle +- COARSE_SPAN to
-    _angle_tol(T) = ANGLE_TOL / sqrt(T) radians, starting from that angle
-    and its gain: the estimated angle's own error falls as 1 / sqrt(T), and
-    Brent's last steps below it would compare estimator jitter.  A pair
-    longer than COARSE_ROWS is scanned on every stride-th row, stride =
-    ceil(T / COARSE_ROWS), and Brent starts from the full pair's gain at
-    the subsample's peak, so the returned gain is always a full-data value;
-    a subsample with a zero variance is not scanned, the full pair is.
+    One coarse scan reads the gain (_pair_gain) at the 15 nonzero
+    COARSE_ANGLES on every stride-th row, stride = ceil(T / COARSE_ROWS)
+    (1 up to COARSE_ROWS rows); a subsample with a zero variance is not
+    scanned, the full pair is.  _brent_max then refines the best coarse
+    angle +- COARSE_SPAN on the full pair to _angle_tol(T) = ANGLE_TOL /
+    sqrt(T) radians, starting from the full pair's gain at that angle: the
+    estimated angle's own error falls as 1 / sqrt(T), and Brent's last
+    steps below it would compare estimator jitter.  The returned gain is
+    always a full-data value.
     """
     stride = -(-yi.size // COARSE_ROWS)
-    if stride > 1:
-        try:
-            peak = _coarse_peak(_pair_gain(yi[::stride], yj[::stride]))[0]
-        except DegenerateSample:
-            # every stride-th row can be constant where the pair is not
-            stride = 1
+    try:
+        peak = _coarse_peak(_pair_gain(yi[::stride], yj[::stride]))
+    except DegenerateSample:
+        # every stride-th row can be constant where the pair is not
+        peak = _coarse_peak(_pair_gain(yi, yj))
     gain = _pair_gain(yi, yj)
-    if stride == 1:
-        peak, value = _coarse_peak(gain)
-    else:
-        value = gain(peak) if peak else 0.0
-    return _brent_max(gain, peak, value, peak - COARSE_SPAN,
-                      peak + COARSE_SPAN, _angle_tol(yi.size))
+    return _brent_max(gain, peak, gain(peak) if peak else 0.0,
+                      peak - COARSE_SPAN, peak + COARSE_SPAN,
+                      _angle_tol(yi.size))
 
 
 def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
@@ -455,7 +450,7 @@ def orthogonal_ica(data: Dataset, config: SolverConfig) -> SeparationResult:
     n = data.N
     if data.T <= 10 * n:
         raise TooFewSamples("need T > 10 N for separation")
-    W = whitener(sample_covariance(data)).matrix
+    W = whitener(sample_covariance(data))
     Y = X @ W.T
     U = np.eye(n)
     sweep_gains = []

@@ -320,17 +320,14 @@ class ScoreTable:
         for name in ("grid", "density", "psi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    def _locate(self, s: np.ndarray):
-        # the grid is uniform, so the node left of s is found by arithmetic:
-        # (position in node steps clamped to the grid, left node, node step)
+    def __call__(self, s: np.ndarray):
+        """(psi, derivative) at s from one lookup."""
+        # the grid is uniform, so the node k left of s is found by
+        # arithmetic from s's position in node steps, clamped to the grid
         last = self.grid.size - 1
         step = (self.grid[-1] - self.grid[0]) / last
         pos = np.clip((s - self.grid[0]) / step, 0.0, last)
-        return pos, np.minimum(pos.astype(np.intp), last - 1), step
-
-    def __call__(self, s: np.ndarray):
-        """(psi, derivative) at s from one lookup."""
-        pos, k, step = self._locate(s)
+        k = np.minimum(pos.astype(np.intp), last - 1)
         w = pos - k
         psi = (1.0 - w) * self.psi[k] + w * self.psi[k + 1]
         d = (np.diff(self.psi) / step)[k]

@@ -39,21 +39,6 @@ class Covariance:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class WhiteningTransform:
-    """Matrix W with W source_cov W^T = identity."""
-
-    matrix: np.ndarray
-    source_cov: Covariance
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
-        W, n = self.matrix, self.source_cov.N
-        resid = W @ self.source_cov.matrix @ W.T - np.eye(n)
-        if np.linalg.norm(resid) > 1e-10 * math.sqrt(n):
-            raise SingularCovariance("whitening residual exceeds tolerance")
-
-
 def sample_covariance(data: Dataset) -> Covariance:
     """Second-moment matrix (1/T) sum_t x_t x_t^T.
 
@@ -97,12 +82,13 @@ def correlation_C(cov: Covariance) -> float:
     return 0.5 * (logdiag - _logdet(cov.matrix))
 
 
-def whitener(cov: Covariance) -> WhiteningTransform:
-    """Symmetric-decomposition whitener W = Lambda^(-1/2) V^T.
+def whitener(cov: Covariance) -> np.ndarray:
+    """Symmetric-decomposition whitener W = Lambda^(-1/2) V^T, read-only.
 
     Eigenvalues are sorted descending and each eigenvector's sign is fixed
     so its largest-magnitude entry is positive, making the result a unique
-    deterministic function of the covariance.
+    deterministic function of the covariance.  W is checked before it is
+    returned: ||W cov W^T - I||_F above 1e-10 sqrt(N) is SingularCovariance.
     """
     lam, V = np.linalg.eigh(cov.matrix)
     order = np.argsort(lam)[::-1]
@@ -114,8 +100,11 @@ def whitener(cov: Covariance) -> WhiteningTransform:
         k = int(np.argmax(np.abs(V[:, j])))
         if V[k, j] < 0.0:
             V[:, j] = -V[:, j]
-    W = (V / np.sqrt(lam)).T
-    return WhiteningTransform(W, cov)
+    W = _frozen((V / np.sqrt(lam)).T)
+    n = cov.N
+    if np.linalg.norm(W @ cov.matrix @ W.T - np.eye(n)) > 1e-10 * math.sqrt(n):
+        raise SingularCovariance("whitening residual exceeds tolerance")
+    return W
 
 
 def verify_gaussian_pythagoras(data_cov: Covariance, target: Covariance) -> float:

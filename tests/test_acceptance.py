@@ -207,7 +207,7 @@ def test_acceptance_5_objective_is_rotation_invariant_sum():
         parse_source("laplace").sample(rng.child(1).generator(), T)])
     A = np.array([[1.0, 0.6], [-0.4, 1.0]])
     X = S @ A.T
-    W = whitener(sample_covariance(Dataset(X))).matrix
+    W = whitener(sample_covariance(Dataset(X)))
     Z = X @ W.T
 
     gen = np.random.default_rng(506)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from icageo import (Dataset, Diverged, InvalidConfig, MixingModel, Rng,
-                    SolverConfig, SourceSpec, TooFewSamples,
+from icageo import (Dataset, DegenerateSample, Diverged, InvalidConfig,
+                    MixingModel, Rng, SolverConfig, SourceSpec, TooFewSamples,
                     amari_index, correlation_C, diagnose, make_score,
                     orthogonal_ica, parse_source, random_mixing, relative_gradient_ica,
                     sample_covariance, score_table, simulate,
@@ -214,7 +214,7 @@ def test_relative_gradient_step_solves_the_exact_blocks(score, families,
     A = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.1], [0.1, 0.0, 1.0]])
     specs = tuple(SourceSpec(f) for f in families)
     X, _ = simulate(MixingModel(A, specs), 20000, Rng(3))
-    W = whitener(sample_covariance(X)).matrix
+    W = whitener(sample_covariance(X))
     B1 = relative_gradient_ica(X, SolverConfig(score=score, max_iter=1)).demixing
     D = np.eye(3) - B1 @ np.linalg.inv(W)
     model = make_score(score)
@@ -416,7 +416,7 @@ def test_objective_proxy_is_evaluated_only_where_it_is_compared(monkeypatch):
     result = relative_gradient_ica(X, SolverConfig(score="cube"))
     comparisons = (result.iterations - 1) // OUTER_CADENCE
     assert comparisons >= 2 and len(evaluated) == comparisons + 1
-    start = whitener(sample_covariance(X)).matrix
+    start = whitener(sample_covariance(X))
     assert_array_equal(evaluated[0], X.samples @ start.T)
 
 
@@ -482,7 +482,7 @@ def reference_orthogonal_ica(data, config):
     sweep: (demixing, trajectory, iterations, no_improvement)."""
     X = data.samples
     n = data.N
-    W = whitener(sample_covariance(data)).matrix
+    W = whitener(sample_covariance(data))
     Y = X @ W.T
     U = np.eye(n)
     sweep_gains = []
@@ -643,10 +643,10 @@ def reference_pair_gain(yi, yj, float32):
 
 
 def full_pair_search(yi, yj):
-    """The pair search before the subsampled coarse scan, which every pair
-    of at most COARSE_ROWS rows still takes: the 15 nonzero coarse angles
-    of the gain on the full pair, then Brent's method to the solver's
-    angle resolution at the pair's rows; returns (angle, gain)."""
+    """The pair search before the subsampled coarse scan, whose result
+    every pair of at most COARSE_ROWS rows still gets: the 15 nonzero
+    coarse angles of the gain on the full pair, then Brent's method to the
+    solver's angle resolution at the pair's rows; returns (angle, gain)."""
     gain = reference_pair_gain(yi, yj, float32=True)
     values = [gain(t) if t else 0.0 for t in COARSE_ANGLES]
     k = int(np.argmax(values))
@@ -827,6 +827,29 @@ def test_orthogonal_separates_when_the_subsample_is_constant():
     result = orthogonal_ica(Dataset(samples), SolverConfig())
     assert result.converged
     assert amari_index(result.demixing @ A) < 0.05
+
+
+def test_search_of_a_constant_subsample_is_the_full_scan(monkeypatch):
+    # two sources that are both zero on every third row, rotated by 0.3:
+    # at 2e4 rows the stride-3 subsample of the first column has a zero
+    # variance, so the coarse scan reads the full pair, exactly as it does
+    # at stride 1, and the search undoes the rotation
+    T = 20000
+    gen = np.random.default_rng(12)
+    s = np.column_stack([gen.laplace(size=T) / math.sqrt(2.0),
+                         gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), T)])
+    s[::3] = 0.0
+    c, sn = math.cos(0.3), math.sin(0.3)
+    yi, yj = c * s[:, 0] - sn * s[:, 1], sn * s[:, 0] + c * s[:, 1]
+    stride = -(-T // COARSE_ROWS)
+    assert stride == 3
+    with pytest.raises(DegenerateSample):
+        algorithms._pair_gain(yi[::stride], yj[::stride])
+    theta, gain = algorithms._search_pair(yi, yj)
+    assert theta == pytest.approx(-0.3, abs=0.01)
+    assert gain > NO_IMPROVEMENT_FLOOR
+    monkeypatch.setattr(algorithms, "COARSE_ROWS", T + 1)
+    assert algorithms._search_pair(yi, yj) == (theta, gain)
 
 
 @settings(max_examples=20)

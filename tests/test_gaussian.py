@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from icageo import (Covariance, Dataset, DimensionMismatch,
-                    SingularCovariance, WhiteningTransform, correlation_C,
-                    gaussian_kld, sample_covariance,
-                    verify_gaussian_pythagoras, whitener)
+                    SingularCovariance, correlation_C, gaussian_kld,
+                    sample_covariance, verify_gaussian_pythagoras, whitener)
 
 # closed forms: KLD(N(S)||N(I)) for 2x2 with unit diagonal and rho=.5,
 # and the 1-D variance-2 vs variance-1 case
@@ -135,15 +134,14 @@ def test_correlation_invariant_under_diagonal_scaling(seed, logs):
 def test_whitener_produces_identity_covariance():
     for seed in range(10):
         S = spd(seed, 4)
-        w = whitener(Covariance(S))
-        assert isinstance(w, WhiteningTransform)
-        assert_allclose(w.matrix @ S @ w.matrix.T, np.eye(4), atol=1e-10)
+        W = whitener(Covariance(S))
+        assert_allclose(W @ S @ W.T, np.eye(4), atol=1e-10)
 
 
 def test_whitener_deterministic_sign_convention():
     S = spd(3, 3)
-    w1 = whitener(Covariance(S)).matrix
-    w2 = whitener(Covariance(S)).matrix
+    w1 = whitener(Covariance(S))
+    w2 = whitener(Covariance(S))
     assert_allclose(w1, w2, rtol=0, atol=0)
     # each row has a positive leading entry by convention
     lead = [row[np.argmax(np.abs(row))] for row in w1]
@@ -158,7 +156,7 @@ def test_whitener_normal_form_on_random_covariances(n, seed, data):
     q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
     S = (q * 10.0 ** np.array(logs)) @ q.T
     S = 0.5 * (S + S.T)
-    W = whitener(Covariance(S)).matrix
+    W = whitener(Covariance(S))
     assert_allclose(W @ S @ W.T, np.eye(n), rtol=0, atol=1e-10)
     # row k is the k-th eigenvector over sqrt(lam_k), eigenvalues descending:
     # W S = diag(lam) W
@@ -167,13 +165,27 @@ def test_whitener_normal_form_on_random_covariances(n, seed, data):
                     atol=1e-10 * lam[0] / math.sqrt(lam[-1]))
     # the sign convention: each row's largest-magnitude entry is positive
     assert (W[np.arange(n), np.argmax(np.abs(W), axis=1)] > 0.0).all()
-    assert whitener(Covariance(S)).matrix.tobytes() == W.tobytes()
+    assert whitener(Covariance(S)).tobytes() == W.tobytes()
 
 
-def test_whitening_transform_validates_pair():
-    S = spd(5, 2)
-    with pytest.raises(Exception):
-        WhiteningTransform(np.eye(2), Covariance(S))  # identity does not whiten S
+def test_whitener_returns_a_read_only_float64_array():
+    W = whitener(Covariance(spd(5, 2)))
+    assert type(W) is np.ndarray
+    assert W.dtype == np.float64 and W.shape == (2, 2)
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = 1.0
+
+
+def test_whitener_rejects_a_basis_that_does_not_whiten(monkeypatch):
+    # spd(5, 2) is not diagonal, so its true eigenvalues with the identity
+    # basis give a W with W S W^T far from the identity
+    cov = Covariance(spd(5, 2))
+    lam = np.linalg.eigvalsh(cov.matrix)
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (lam, np.eye(2)))
+    with pytest.raises(SingularCovariance,
+                       match="whitening residual exceeds tolerance"):
+        whitener(cov)
 
 
 # -- Pythagorean decomposition -------------------------------------------------------
