@@ -2,11 +2,14 @@
 
 Four subcommands: simulate (draw a mixture with ground truth), separate
 (run a separation algorithm), diagnose (estimate the decomposition terms),
-verify (run the identity suite).  Outputs are CSV for data and JSON for
-reports; every run with a fixed seed writes byte-identical files.  Exit
-codes: 0 success, 1 algorithmic failure, 2 bad input.
+verify (run the identity suite).  Outputs are CSV for data, each with the
+binary sidecar `<csv>.bin` that read_csv takes in place of the text while
+the CSV is unchanged, and JSON for reports; every run with a fixed seed
+writes byte-identical files.  Exit codes: 0 success, 1 algorithmic
+failure, 2 bad input.
 """
 import argparse
+import csv
 import json
 import os
 import sys
@@ -230,12 +233,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     out = _outdir(args)
     _json_dump(out / "report.json", report.to_json())
     with open_text(out / "plotdata.csv", "w") as fh:
-        fh.write("channel,position,density,score\n")
+        # the csv module quotes a name holding a comma or a quote
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(("channel", "position", "density", "score"))
         if data.T >= SCORE_TABLE_MIN_SAMPLES:
             for i, name in enumerate(data.names()):
                 table = score_table(data.column(i))
-                for g, d, p in zip(table.grid, table.density, table.psi):
-                    fh.write(f"{name},{g:.17g},{d:.17g},{p:.17g}\n")
+                rows.writerows((name, f"{g:.17g}", f"{d:.17g}", f"{p:.17g}")
+                               for g, d, p in zip(table.grid, table.density,
+                                                  table.psi))
     parts = [f"correlation={report.correlation:.4f}",
              f"sum_negentropy={sum(report.marginal_negentropies):.4f}"]
     if report.mi is not None:

@@ -159,13 +159,15 @@ def random_mixing(n: int, rng: Rng, cond: float = 5.0) -> np.ndarray:
 
 @contextlib.contextmanager
 def open_text(path, mode: str = "r"):
-    """Open `path` as UTF-8 text, "r" or "w", line ends untranslated.  Any
-    failure to open, read, write or decode it raises IoError naming `path`."""
+    """Open `path` as UTF-8 text, "r" or "w", line ends untranslated, or
+    as bytes, "rb" or "wb".  Any failure to open, read, write or decode it
+    raises IoError naming `path`."""
     try:
-        with open(path, mode, newline="", encoding="utf-8") as fh:
+        with (open(path, mode) if "b" in mode
+              else open(path, mode, newline="", encoding="utf-8")) as fh:
             yield fh
     except OSError as exc:
-        verb = "write" if mode == "w" else "read"
+        verb = "write" if "w" in mode else "read"
         raise IoError(f"cannot {verb} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: not a UTF-8 text file") from exc
@@ -189,6 +191,14 @@ def read_json(path, error: type[IcageoError] = InvalidConfig) -> dict:
 # Header row of channel names, one observation per row, '.' decimal point,
 # '\r\n' line ends (the csv module's).  %.17g round-trips float64 exactly,
 # keeping reruns byte-identical.
+#
+# Beside each CSV, write_csv leaves a sidecar, `<csv path>.bin`: a magic
+# line, the SHA-256 of the CSV's bytes followed by the payload's, and the
+# payload, the samples as an `np.lib.format` 1.0 stream.  read_csv returns
+# the stored samples only while that digest matches the CSV it is about to
+# read: a match proves the CSV is exactly the text written from them, and
+# that text parses back to the same bits.  Like a checked hash-based .pyc
+# (PEP 552), a sidecar that is missing or stale costs only speed.
 
 # rows formatted per array pass; bounds the text held in memory
 CSV_BLOCK_ROWS = 2048
@@ -198,14 +208,41 @@ CSV_BLOCK_ROWS = 2048
 _CELL_BYTES = 26
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 
+_SIDECAR_MAGIC = b"icageo csv sidecar 1\n"
+# bytes of the CSV hashed per read while a sidecar is checked
+_HASH_CHUNK = 1 << 16
+
+
+def _sidecar(path) -> str:
+    return f"{path}.bin"
+
 
 def write_csv(path, data: Dataset) -> None:
     """Write `data` as CSV, every value in `%.17g`, blocks of CSV_BLOCK_ROWS
-    rows formatted by array operations (see _format_rows)."""
-    with open_text(path, "w") as fh:
-        csv.writer(fh).writerow(data.names())
+    rows formatted by array operations (see _format_rows), then its sidecar
+    `<path>.bin` (see read_csv)."""
+    import hashlib  # here, so that importing the package loads no hash library
+    digest = hashlib.sha256()
+    head = io.StringIO()
+    csv.writer(head).writerow(data.names())
+    with open_text(path, "wb") as fh:
+        text = head.getvalue().encode("utf-8")
+        digest.update(text)
+        fh.write(text)
         for start in range(0, data.T, CSV_BLOCK_ROWS):
-            fh.write(_format_rows(data.samples[start:start + CSV_BLOCK_ROWS]))
+            text = _format_rows(data.samples[start:start + CSV_BLOCK_ROWS])
+            digest.update(text)
+            fh.write(text)
+    samples = np.ascontiguousarray(data.samples)
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, np.lib.format.header_data_from_array_1_0(samples))
+    header = buf.getvalue()
+    digest.update(header)
+    digest.update(samples)
+    with open_text(_sidecar(path), "wb") as fh:
+        fh.write(_SIDECAR_MAGIC + digest.digest() + header)
+        fh.write(samples)
 
 
 @functools.cache
@@ -229,9 +266,10 @@ def _csv_tables():
     return quads.view(np.uint32)[:, 0], kept, pow10, pow_hi, pow10 - pow_hi
 
 
-def _format_rows(block: np.ndarray) -> str:
-    """The `%.17g` text of a block of rows, ',' between cells and '\\r\\n'
-    after each row: the same text as `"%.17g" % x` cell by cell.
+def _format_rows(block: np.ndarray) -> bytes:
+    """The `%.17g` text of a block of rows as ASCII bytes, ',' between cells
+    and '\\r\\n' after each row: the same text as `"%.17g" % x` cell by
+    cell.
 
     Cells with 1e-4 <= |x| < 1e16 print in fixed notation and are laid out
     by array operations (_fixed_cells).  Every other cell takes
@@ -269,7 +307,7 @@ def _format_rows(block: np.ndarray) -> str:
     out[:, :-1, -2:] = (ord(","), 0)
     out[:, -1, -2:] = (ord("\r"), ord("\n"))
     out = out.ravel()
-    return str(out[out != 0], "ascii")
+    return out[out != 0].tobytes()
 
 
 def _fixed_cells(x: np.ndarray, e: np.ndarray,
@@ -339,9 +377,14 @@ def _fixed_cells(x: np.ndarray, e: np.ndarray,
 def read_csv(path) -> Dataset:
     """Read a CSV written by write_csv, or any file of that shape.
 
-    The numeric body is parsed in C; a file that parse refuses is read again
-    row by row, which names the offending line in its IoError.
+    While the sidecar write_csv left beside the CSV matches its bytes, the
+    stored samples are returned and no text is parsed (_read_sidecar).
+    Otherwise the numeric body is parsed in C; a file that parse refuses is
+    read again row by row, which names the offending line in its IoError.
     """
+    data = _read_sidecar(path)
+    if data is not None:
+        return data
     with open_text(path) as fh:
         data = _load_numeric(fh)
         if data is None:
@@ -350,13 +393,67 @@ def read_csv(path) -> Dataset:
         return data
 
 
+def _read_sidecar(path) -> Dataset | None:
+    # The samples stored in the sidecar of `path`, named by the CSV's header
+    # as _load_numeric names them.  None, so that the text is read, when
+    # the sidecar is missing, malformed or foreign, when its digest does not
+    # match, and when the header is not one line of non-empty names.
+    import hashlib
+    fmt = np.lib.format
+    digest = hashlib.sha256()
+    try:
+        with (open_text(_sidecar(path), "rb") as side,
+              open_text(path, "rb") as fh):
+            if side.read(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
+                return None
+            stored = side.read(digest.digest_size)
+            start = side.tell()
+            if fmt.read_magic(side) != (1, 0):
+                return None
+            shape, fortran_order, dtype = fmt.read_array_header_1_0(side)
+            end = side.tell()
+            size = side.seek(0, io.SEEK_END)
+            if (fortran_order or dtype != np.float64 or len(shape) != 2
+                    or size != end + dtype.itemsize * math.prod(shape)):
+                return None
+            line = fh.readline()
+            # strict: a quoted name that runs past the line is an error
+            names = _header_names(line.decode("utf-8"), strict=True)
+            if names is None:
+                return None
+            digest.update(line)
+            buf = bytearray(_HASH_CHUNK)
+            while n := fh.readinto(buf):
+                digest.update(memoryview(buf)[:n])
+            side.seek(start)
+            digest.update(side.read(end - start))
+            samples = np.empty(shape)
+            if side.readinto(samples) != samples.nbytes:
+                return None
+            digest.update(samples)
+    except (IoError, ValueError, csv.Error):
+        return None
+    if digest.digest() != stored:
+        return None
+    samples.flags.writeable = False
+    return Dataset(samples, names)
+
+
+def _header_names(line: str, strict: bool = False) -> tuple[str, ...] | None:
+    # the stripped names of a one-line header row; None when one is empty,
+    # which _parse_csv judges
+    names = tuple(h.strip() for h in next(csv.reader([line], strict=strict),
+                                          []))
+    return names if names and all(names) else None
+
+
 def _load_numeric(fh: io.TextIOBase) -> Dataset | None:
     # None for any file _parse_csv must judge: an empty header name, no
     # data rows, or a body loadtxt cannot read as a T x N matrix of floats
     # (wrong field count, quoted, empty or non-numeric field).  A quoted
     # header name spanning lines leaves its closing quote in the body.
-    names = tuple(h.strip() for h in next(csv.reader([fh.readline()]), []))
-    if not names or any(not n for n in names):
+    names = _header_names(fh.readline())
+    if names is None:
         return None
     with warnings.catch_warnings():
         # loadtxt warns on a body without rows

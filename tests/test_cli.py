@@ -2,6 +2,7 @@
 import argparse
 import ast
 import contextlib
+import csv
 import io
 import json
 import math
@@ -552,6 +553,19 @@ def test_diagnose_correlated_gaussian(tmp_path):
     assert channels == {"a", "b"}
 
 
+def test_diagnose_plotdata_quotes_names_with_a_comma_or_a_quote(tmp_path):
+    x = np.random.default_rng(5).laplace(size=(2000, 2))
+    src = tmp_path / "x.csv"
+    src.write_text('"a,b","c ""q"""\n' + "".join(f"{r[0]:.17g},{r[1]:.17g}\n"
+                                                for r in x))
+    out = tmp_path / "diag"
+    assert run(["diagnose", src, "--output-dir", out]) == 0
+    with open(out / "plotdata.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {4}
+    assert {row[0] for row in rows[1:]} == {"a,b", 'c "q"'}
+
+
 def test_diagnose_five_channels_omits_mi(tmp_path):
     gen = np.random.default_rng(11)
     x = gen.standard_normal((3000, 5))
@@ -863,7 +877,7 @@ def test_chain_reruns_in_one_process_are_byte_identical(tmp_path, capsys,
                                                         seed):
     base = tmp_path / f"{'-'.join(sources)}-{samples}-{seed}"
     first = chain_files(base / "r1", sources, samples, seed)
-    assert len(first) == 3 + 6 * len(CHAIN_SOLVERS)
+    assert len(first) == 5 + 7 * len(CHAIN_SOLVERS)
     assert chain_files(base / "r2", sources, samples, seed) == first
     capsys.readouterr()
 
@@ -1023,8 +1037,12 @@ def test_model_file_semantic_error_is_input_error_naming_it(
 
 @pytest.mark.parametrize("command,name", [
     (["separate", "{csv}", "--max-iter", 5], "trace.csv"),
-    (["diagnose", "{csv}"], "plotdata.csv")],
-    ids=["separate-trace", "diagnose-plotdata"])
+    (["diagnose", "{csv}"], "plotdata.csv"),
+    (["simulate", "--sources", "laplace,uniform", "--samples", 500],
+     "X.csv.bin"),
+    (["separate", "{csv}", "--max-iter", 5], "Y.csv.bin")],
+    ids=["separate-trace", "diagnose-plotdata", "simulate-sidecar",
+         "separate-sidecar"])
 def test_unwritable_output_is_io_error_naming_its_path(tmp_path, capsys,
                                                        command, name):
     csv = tmp_path / "x.csv"
@@ -1361,6 +1379,11 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # only the commands that draw (simulate, and diagnose to break ties)
     # need numpy.random; no annotation evaluated at import loads it
     assert not loaded_by_cli_import("numpy.random")
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # only writing a CSV and checking a sidecar take a digest
+    assert not loaded_by_cli_import("hashlib")
 
 
 def test_cli_import_builds_no_csv_formatting_tables():
