@@ -233,15 +233,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     out = _outdir(args)
     _json_dump(out / "report.json", report.to_json())
     with open_text(out / "plotdata.csv", "w") as fh:
-        # the csv module quotes a name holding a comma or a quote
+        # the csv module quotes a name holding a comma or a quote, but not
+        # one holding a bare '\r': that name's rows are quoted whole
         rows = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         rows.writerow(("channel", "position", "density", "score"))
         if data.T >= SCORE_TABLE_MIN_SAMPLES:
             for i, name in enumerate(data.names()):
                 table = score_table(data.column(i))
-                rows.writerows((name, f"{g:.17g}", f"{d:.17g}", f"{p:.17g}")
-                               for g, d, p in zip(table.grid, table.density,
-                                                  table.psi))
+                (quoted if "\r" in name else rows).writerows(
+                    (name, f"{g:.17g}", f"{d:.17g}", f"{p:.17g}")
+                    for g, d, p in zip(table.grid, table.density, table.psi))
     parts = [f"correlation={report.correlation:.4f}",
              f"sum_negentropy={sum(report.marginal_negentropies):.4f}"]
     if report.mi is not None:

@@ -193,12 +193,14 @@ def read_json(path, error: type[IcageoError] = InvalidConfig) -> dict:
 # keeping reruns byte-identical.
 #
 # Beside each CSV, write_csv leaves a sidecar, `<csv path>.bin`: a magic
-# line, the SHA-256 of the CSV's bytes followed by the payload's, and the
-# payload, the samples as an `np.lib.format` 1.0 stream.  read_csv returns
-# the stored samples only while that digest matches the CSV it is about to
-# read: a match proves the CSV is exactly the text written from them, and
-# that text parses back to the same bits.  Like a checked hash-based .pyc
-# (PEP 552), a sidecar that is missing or stale costs only speed.
+# line, the SHA-256 of the CSV's bytes, the SHA-256 of the payload, and the
+# payload, the samples as raw C-order float64 rows.  The CSV's header gives
+# the column count and the sidecar's size the row count.  read_csv returns
+# the stored samples only while the first digest matches the CSV it is
+# about to read and the second the rows: a match proves the CSV is exactly
+# the text written from them, and that text parses back to the same bits.
+# Like a checked hash-based .pyc (PEP 552), a sidecar that is missing or
+# stale costs only speed.
 
 # rows formatted per array pass; bounds the text held in memory
 CSV_BLOCK_ROWS = 2048
@@ -208,7 +210,9 @@ CSV_BLOCK_ROWS = 2048
 _CELL_BYTES = 26
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 
-_SIDECAR_MAGIC = b"icageo csv sidecar 1\n"
+_SIDECAR_MAGIC = b"icageo csv sidecar 2\n"
+# the magic, then the SHA-256 digests of the CSV and of the payload
+_SIDECAR_HEAD = len(_SIDECAR_MAGIC) + 64
 # bytes of the CSV hashed per read while a sidecar is checked
 _HASH_CHUNK = 1 << 16
 
@@ -234,14 +238,9 @@ def write_csv(path, data: Dataset) -> None:
             digest.update(text)
             fh.write(text)
     samples = np.ascontiguousarray(data.samples)
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, np.lib.format.header_data_from_array_1_0(samples))
-    header = buf.getvalue()
-    digest.update(header)
-    digest.update(samples)
     with open_text(_sidecar(path), "wb") as fh:
-        fh.write(_SIDECAR_MAGIC + digest.digest() + header)
+        fh.write(_SIDECAR_MAGIC + digest.digest()
+                 + hashlib.sha256(samples).digest())
         fh.write(samples)
 
 
@@ -395,45 +394,39 @@ def read_csv(path) -> Dataset:
 
 def _read_sidecar(path) -> Dataset | None:
     # The samples stored in the sidecar of `path`, named by the CSV's header
-    # as _load_numeric names them.  None, so that the text is read, when
-    # the sidecar is missing, malformed or foreign, when its digest does not
-    # match, and when the header is not one line of non-empty names.
+    # as _load_numeric names them: as many columns as names, and as many
+    # rows as the payload holds.  None, so that the text is read, when the
+    # sidecar is missing, foreign or not a whole number of rows, when either
+    # digest does not match, and when the header is not one line of
+    # non-empty names.
     import hashlib
-    fmt = np.lib.format
     digest = hashlib.sha256()
     try:
         with (open_text(_sidecar(path), "rb") as side,
               open_text(path, "rb") as fh):
-            if side.read(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
-                return None
-            stored = side.read(digest.digest_size)
-            start = side.tell()
-            if fmt.read_magic(side) != (1, 0):
-                return None
-            shape, fortran_order, dtype = fmt.read_array_header_1_0(side)
-            end = side.tell()
-            size = side.seek(0, io.SEEK_END)
-            if (fortran_order or dtype != np.float64 or len(shape) != 2
-                    or size != end + dtype.itemsize * math.prod(shape)):
-                return None
+            head = side.read(_SIDECAR_HEAD)
             line = fh.readline()
             # strict: a quoted name that runs past the line is an error
             names = _header_names(line.decode("utf-8"), strict=True)
-            if names is None:
+            if not head.startswith(_SIDECAR_MAGIC) or names is None:
+                return None
+            T, extra = divmod(side.seek(0, io.SEEK_END) - _SIDECAR_HEAD,
+                              8 * len(names))
+            if T < 1 or extra:
                 return None
             digest.update(line)
             buf = bytearray(_HASH_CHUNK)
             while n := fh.readinto(buf):
                 digest.update(memoryview(buf)[:n])
-            side.seek(start)
-            digest.update(side.read(end - start))
-            samples = np.empty(shape)
+            if digest.digest() != head[-64:-32]:
+                return None
+            side.seek(_SIDECAR_HEAD)
+            samples = np.empty((T, len(names)))
             if side.readinto(samples) != samples.nbytes:
                 return None
-            digest.update(samples)
     except (IoError, ValueError, csv.Error):
         return None
-    if digest.digest() != stored:
+    if hashlib.sha256(samples).digest() != head[-32:]:
         return None
     samples.flags.writeable = False
     return Dataset(samples, names)

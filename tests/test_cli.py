@@ -566,6 +566,22 @@ def test_diagnose_plotdata_quotes_names_with_a_comma_or_a_quote(tmp_path):
     assert {row[0] for row in rows[1:]} == {"a,b", 'c "q"'}
 
 
+def test_diagnose_plotdata_quotes_a_name_holding_a_carriage_return(tmp_path):
+    x = np.random.default_rng(5).laplace(size=(1500, 2))
+    src = tmp_path / "x.csv"
+    src.write_bytes(b'"a\rb",c\n' + "".join(
+        f"{r[0]:.17g},{r[1]:.17g}\n" for r in x).encode())
+    out = tmp_path / "diag"
+    assert run(["diagnose", src, "--output-dir", out]) == 0
+    with open(out / "plotdata.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 513 and {len(row) for row in rows} == {4}
+    assert [row[0] for row in rows[1:]] == ["a\rb"] * 256 + ["c"] * 256
+    # the plain name keeps its unquoted bytes
+    text = (out / "plotdata.csv").read_bytes()
+    assert text.count(b"\nc,") == 256 and text.count(b'"a\rb","') == 256
+
+
 def test_diagnose_five_channels_omits_mi(tmp_path):
     gen = np.random.default_rng(11)
     x = gen.standard_normal((3000, 5))
@@ -1052,6 +1068,17 @@ def test_unwritable_output_is_io_error_naming_its_path(tmp_path, capsys,
     args = [csv if a == "{csv}" else a for a in command]
     assert run([*args, "--output-dir", tmp_path / "out"]) == 2
     assert f"cannot write {blocked}" in capsys.readouterr().err
+
+
+def test_output_dir_naming_a_file_is_io_error(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    write_csv(csv, Dataset(np.random.default_rng(3).laplace(size=(2000, 2))))
+    taken = tmp_path / "out"
+    taken.write_text("not a directory\n")
+    assert run(["separate", csv, "--max-iter", 5, "--output-dir", taken]) == 2
+    assert (f"cannot create output directory {taken}"
+            in capsys.readouterr().err)
+    assert taken.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", [

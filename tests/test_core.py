@@ -1,6 +1,7 @@
 """Tests for errors, seeding, source families, and dataset handling."""
 import argparse
 import csv
+import hashlib
 import json
 import math
 import tracemalloc
@@ -739,10 +740,18 @@ def resize_sidecar(path):
     side.write_bytes(side.read_bytes()[:-8])
 
 
-def relabel_sidecar_shape(path):
-    # the same payload size, so only the digest tells
+def flip_a_payload_byte(path):
+    # the same size and CSV digest, so only the payload's digest tells
+    side = bytearray(sidecar(path).read_bytes())
+    side[-1] ^= 1
+    sidecar(path).write_bytes(bytes(side))
+
+
+def older_magic(path):
+    # a sidecar of another version is not read, whatever follows its magic
     side = sidecar(path)
-    side.write_bytes(side.read_bytes().replace(b"(40, 2)", b"(20, 4)"))
+    side.write_bytes(side.read_bytes().replace(b"sidecar 2\n", b"sidecar 1\n",
+                                               1))
 
 
 def foreign_sidecar(path):
@@ -758,10 +767,10 @@ def garbage_sidecar(path):
 
 @pytest.mark.parametrize("change", [
     change_a_digit, append(b"1,2\r\n"), append(b"1,2,3\r\n"),
-    resize_sidecar, relabel_sidecar_shape, foreign_sidecar, garbage_sidecar,
-    lambda path: sidecar(path).unlink()],
-    ids=["digit", "row", "bad-row", "truncated", "shape", "foreign",
-         "garbage", "missing"])
+    resize_sidecar, flip_a_payload_byte, older_magic, foreign_sidecar,
+    garbage_sidecar, lambda path: sidecar(path).unlink()],
+    ids=["digit", "row", "bad-row", "truncated", "payload", "version",
+         "foreign", "garbage", "missing"])
 def test_read_csv_reads_the_text_when_the_sidecar_does_not_match(tmp_path,
                                                                  change):
     path = tmp_path / "d.csv"
@@ -772,3 +781,16 @@ def test_read_csv_reads_the_text_when_the_sidecar_does_not_match(tmp_path,
     got, caught = outcome(read_csv, path)
     assert caught == []
     assert got == outcome(reference_read_csv, path)[0]
+
+
+@pytest.mark.parametrize("T,N", [(2, 1), (40, 3)])
+def test_sidecar_is_the_magic_two_digests_and_the_rows(tmp_path, T, N):
+    samples = np.random.default_rng(T).laplace(size=(T, N))
+    path = tmp_path / "d.csv"
+    write_csv(path, Dataset(samples))
+    side = sidecar(path).read_bytes()
+    assert len(side) == 85 + 8 * T * N
+    assert side[:21] == b"icageo csv sidecar 2\n"
+    assert side[21:53] == hashlib.sha256(path.read_bytes()).digest()
+    assert side[53:85] == hashlib.sha256(side[85:]).digest()
+    assert side[85:] == samples.tobytes()

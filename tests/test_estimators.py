@@ -11,7 +11,7 @@ from scipy.special import digamma, rel_entr
 
 from icageo import (Dataset, DegenerateSample, DimensionMismatch,
                     DimensionTooHigh, EstimatorFailure, InvalidConfig,
-                    SourceSpec,
+                    NonFinite, SourceSpec,
                     TooFewSamples, entropy_scalar, mutual_information,
                     negentropy_scalar, score_table)
 from icageo.estimators import (SCORE_TABLE_BINS, _negentropy_raw,
@@ -55,6 +55,8 @@ def test_entropy_input_validation():
         entropy_scalar(np.arange(5.0))
     with pytest.raises(DegenerateSample):
         entropy_scalar(np.full(100, 2.5))
+    with pytest.raises(NonFinite):
+        entropy_scalar(np.r_[draw("laplace", 100, 0), np.nan])
 
 
 # -- negentropy --------------------------------------------------------------
@@ -411,6 +413,9 @@ def test_score_table_validation():
         score_table(np.random.default_rng(0).standard_normal(999))
     with pytest.raises(DegenerateSample):
         score_table(np.full(2000, 1.0))
+    # not constant, but its standard deviation underflows to zero
+    with pytest.raises(DegenerateSample, match="zero variance"):
+        score_table(np.r_[np.zeros(1500), 5e-324])
 
 
 def test_score_table_is_deterministic():

@@ -32,6 +32,8 @@ def test_covariance_accepts_spd_and_rejects_defects():
         Covariance(np.array([[1.0, 1.0], [1.0, 1.0]]))  # rank 1
     with pytest.raises(SingularCovariance):
         Covariance(np.array([[1.0, 0.3], [0.1, 1.0]]))  # asymmetric
+    with pytest.raises(SingularCovariance):
+        Covariance(np.zeros((2, 2)))
     with pytest.raises(DimensionMismatch):
         Covariance(np.ones((2, 3)))
 
@@ -197,3 +199,5 @@ def test_gaussian_pythagoras_residual_small():
         Q = spd(gen.integers(1 << 30), 3)
         residual = verify_gaussian_pythagoras(Covariance(S), Covariance(Q))
         assert residual < 1e-10
+    with pytest.raises(DimensionMismatch):
+        verify_gaussian_pythagoras(Covariance(np.eye(2)), Covariance(np.eye(3)))

@@ -4,9 +4,10 @@ only `data.py`, whose opener maps every file failure onto IoError, calls
 the builtin `open`, every public name has a user, every parameter with a
 default of a public function or dataclass, or of a module-level private
 function, is passed by the package itself, every option the CLI reads is
-one its parser defines, and every option a command defines is read.  The
-benchmark's tracer (`bench/tracing.py`, read here as text) wraps names
-that all exist."""
+one its parser defines, every option a command defines is read, and every
+module parses under Python 3.10's grammar, the oldest version README and
+`pyproject.toml` promise.  The benchmark's tracer (`bench/tracing.py`,
+read here as text) wraps names that all exist."""
 import argparse
 import ast
 import dataclasses
@@ -49,6 +50,27 @@ def test_unused_import_check_flags_an_unused_name(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path) == []
+
+
+def newer_syntax(path: Path) -> str | None:
+    """Where a module uses syntax that Python 3.10 does not parse, if it
+    does.  Grammar only: a library call added after 3.10 goes unseen."""
+    try:
+        ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+    except SyntaxError as exc:
+        return f"{path.name}:{exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_newer_syntax_check_flags_an_exception_group(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert newer_syntax(mod).startswith("mod.py:4: ")
+
+
+def test_every_module_parses_as_python_3_10():
+    paths = sorted(Path(icageo.__file__).parent.glob("*.py"))
+    assert [where for where in map(newer_syntax, paths) if where] == []
 
 
 def dead_names(paths) -> list[str]:

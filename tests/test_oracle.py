@@ -18,7 +18,7 @@ from icageo import (Covariance, DimensionMismatch, DiscreteJoint, GridSpec,
                     random_discrete_joint, rotated_product_density,
                     verify_four_point_identity, verify_product_pythagoras)
 from icageo import oracle
-from icageo.oracle import _report_check
+from icageo.oracle import AnalyticDensity2D, _report_check
 
 # hand-computed sum p ln(p/(px py)) for the 2x2 table below
 TABLE = [[0.30, 0.10], [0.05, 0.55]]
@@ -166,6 +166,9 @@ def test_gaussian_mixture_validation():
     with pytest.raises(InvalidDistribution):
         gaussian_mixture_density([0.5, 0.5], [[1.0, 0.0], [-0.5, 0.0]],
                                  [eye, eye])  # overall mean not zero
+    with pytest.raises(InvalidDistribution):
+        gaussian_mixture_density([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]],
+                                 [eye])  # one covariance for two parts
 
 
 @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]],
@@ -199,6 +202,11 @@ def test_linear_image_matches_transformed_gaussian():
     assert_allclose(img.pdf(pts), direct.pdf(pts), rtol=1e-12)
     with pytest.raises(SingularTransform):
         linear_image(gaussian_density(S), [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularTransform):
+        linear_image(gaussian_density(S), [[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(SingularTransform):
+        AnalyticDensity2D(lambda s1, s2, out: out, [[1.0, 2.0], [2.0, 4.0]],
+                          (None, None))
 
 
 @pytest.mark.parametrize("degrees", [30.0, 45.0])
