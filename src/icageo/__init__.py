@@ -23,15 +23,15 @@ from .gaussian import (Covariance, correlation_C, gaussian_kld,
 from .estimators import (entropy_scalar, mutual_information,
                          negentropy_scalar, score_table)
 from .oracle import (AnalyticDensity2D, DiscreteJoint, GridSpec,
-                     IdentityReport, builtin_suite, discrete_mi,
-                     gaussian_density, gaussian_mixture_density,
-                     gaussianity_invariance_check, linear_image,
-                     load_verify_spec, product_density, quad_kld_2d,
-                     random_discrete_joint, rotated_product_density,
-                     verify_four_point_identity, verify_product_pythagoras)
+                     builtin_suite, discrete_mi, gaussian_density,
+                     gaussian_mixture_density, gaussianity_invariance_check,
+                     linear_image, load_verify_spec, product_density,
+                     quad_kld_2d, random_discrete_joint,
+                     rotated_product_density, verify_four_point_identity,
+                     verify_product_pythagoras)
 from .algorithms import (SolverConfig, make_score, orthogonal_ica,
                          relative_gradient_ica, stationarity_matrix)
-from .evaluation import DecompositionReport, amari_index, diagnose
+from .evaluation import amari_index, diagnose
 
 __all__ = [
     "__version__",
@@ -48,7 +48,7 @@ __all__ = [
     "whitener", "verify_gaussian_pythagoras",
     "entropy_scalar", "negentropy_scalar", "mutual_information",
     "score_table",
-    "DiscreteJoint", "IdentityReport", "discrete_mi",
+    "DiscreteJoint", "discrete_mi",
     "verify_product_pythagoras", "random_discrete_joint",
     "AnalyticDensity2D", "GridSpec", "gaussian_density",
     "gaussian_mixture_density", "product_density",
@@ -57,5 +57,5 @@ __all__ = [
     "builtin_suite", "load_verify_spec",
     "SolverConfig", "make_score",
     "stationarity_matrix", "relative_gradient_ica", "orthogonal_ica",
-    "amari_index", "DecompositionReport", "diagnose",
+    "amari_index", "diagnose",
 ]

@@ -119,9 +119,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidConfig(
             "simulate needs --sources, e.g. "
             "`icageo simulate --sources laplace,uniform --samples 20000`")
-    specs = [parse_source(tok) for tok in args.sources.split(",") if tok]
-    if not specs:
-        raise InvalidConfig("--sources lists no source families")
+    specs = [parse_source(tok) for tok in args.sources.split(",")]
     rng = Rng(args.seed)
     if args.mixing:
         if args.cond is not None:
@@ -231,7 +229,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     data = _read_input(args)
     report = diagnose(data, seed=args.seed)
     out = _outdir(args)
-    _json_dump(out / "report.json", report.to_json())
+    _json_dump(out / "report.json", report)
     with open_text(out / "plotdata.csv", "w") as fh:
         # the csv module quotes a name holding a comma or a quote, but not
         # one holding a bare '\r': that name's rows are quoted whole
@@ -244,11 +242,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 (quoted if "\r" in name else rows).writerows(
                     (name, f"{g:.17g}", f"{d:.17g}", f"{p:.17g}")
                     for g, d, p in zip(table.grid, table.density, table.psi))
-    parts = [f"correlation={report.correlation:.4f}",
-             f"sum_negentropy={sum(report.marginal_negentropies):.4f}"]
-    if report.mi is not None:
-        parts.insert(0, f"mi={report.mi.value:.4f}")
-    print(" ".join(parts))
+    mi = f"mi={report['mi']:.4f} " if "mi" in report else ""
+    print(f"{mi}correlation={report['correlation']:.4f} "
+          f"sum_negentropy={sum(report['marginal_negentropies']):.4f}")
     return 0
 
 

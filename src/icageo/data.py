@@ -160,11 +160,13 @@ def random_mixing(n: int, rng: Rng, cond: float = 5.0) -> np.ndarray:
 @contextlib.contextmanager
 def open_text(path, mode: str = "r"):
     """Open `path` as UTF-8 text, "r" or "w", line ends untranslated, or
-    as bytes, "rb" or "wb".  Any failure to open, read, write or decode it
-    raises IoError naming `path`."""
+    as bytes, "rb" or "wb".  A read skips a leading byte-order mark, also
+    after seek(0); a write adds none.  Any failure to open, read, write or
+    decode it raises IoError naming `path`."""
     try:
         with (open(path, mode) if "b" in mode
-              else open(path, mode, newline="", encoding="utf-8")) as fh:
+              else open(path, mode, newline="", encoding="utf-8-sig"
+                        if mode == "r" else "utf-8")) as fh:
             yield fh
     except OSError as exc:
         verb = "write" if "w" in mode else "read"

@@ -4,16 +4,14 @@ The Amari index scores a gain matrix (demixing times mixing) against the
 ideal of a scaled permutation.  diagnose assembles the estimable pieces of
 the joint divergence identity for a dataset: mutual information (low
 dimension only), correlation, and marginal negentropies, plus the
-correlation-minus-negentropy objective proxy.
+correlation-minus-negentropy objective proxy.  The report is a plain dict,
+the very object `icageo diagnose` writes to report.json.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateGain, TooFewSamples
-from .estimators import (MI_MIN_SAMPLES, MIEstimate, mutual_information,
-                         negentropy_scalar)
+from .estimators import MI_MIN_SAMPLES, mutual_information, negentropy_scalar
 from .gaussian import correlation_C, sample_covariance
 from .rng import Rng
 
@@ -43,40 +41,19 @@ def amari_index(gain) -> float:
     return float((rows + cols) / (2.0 * n * (n - 1)))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Estimated pieces of I(Y) + sum G(Y_i) = C(Y) + G(Y).
+def diagnose(data: Dataset, seed: int = 0) -> dict:
+    """Estimate the pieces of I(Y) + sum G(Y_i) = C(Y) + G(Y) for a dataset
+    (zero-mean convention: center the data first if its mean is not
+    structurally zero), as the dict `icageo diagnose` writes to report.json.
 
-    mi is estimated for 2 or 3 channels and at least MI_MIN_SAMPLES rows,
-    and is None otherwise.  The joint non-Gaussianity G(Y) needs joint
-    density estimation and is never estimated from samples; the oracle
-    module audits the identity on analytic densities.  objective_proxy is
-    C(Y) - sum G(Y_i) = I(Y) - G(Y), the quantity the solvers minimize.
-    """
-
-    correlation: float
-    marginal_negentropies: tuple[float, ...]
-    objective_proxy: float
-    mi: MIEstimate | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "correlation": self.correlation,
-            "marginal_negentropies": list(self.marginal_negentropies),
-            "objective_proxy": self.objective_proxy,
-        }
-        if self.mi is not None:
-            out["mi"] = self.mi.value
-            out["mi_raw"] = self.mi.raw
-            out["mi_method"] = self.mi.method
-            out["near_deterministic_dependence"] = \
-                self.mi.near_deterministic_dependence
-        return out
-
-
-def diagnose(data: Dataset, seed: int = 0) -> DecompositionReport:
-    """Estimate the decomposition terms for a dataset (zero-mean convention:
-    center the data first if its mean is not structurally zero).
+    Its keys are correlation, marginal_negentropies (a list, one per
+    channel) and objective_proxy, C(Y) - sum G(Y_i) = I(Y) - G(Y), the
+    quantity the solvers minimize.  For 2 or 3 channels and at least
+    MI_MIN_SAMPLES rows, the mutual information estimate adds mi, mi_raw,
+    mi_method and near_deterministic_dependence (see MIEstimate).  The
+    joint non-Gaussianity G(Y) needs joint density estimation and is never
+    estimated from samples; the oracle module audits the identity on
+    analytic densities.
 
     The seed only feeds deterministic tie-breaking inside the mutual
     information estimator; every term is otherwise a pure function of the
@@ -87,8 +64,12 @@ def diagnose(data: Dataset, seed: int = 0) -> DecompositionReport:
         raise TooFewSamples(f"need more observations than channels, got "
                             f"{data.T} rows of {data.N} channels")
     corr = correlation_C(sample_covariance(data))
-    negs = tuple(negentropy_scalar(data.column(i)) for i in range(data.N))
-    proxy = corr - sum(negs)
-    mi = (mutual_information(data, seed=seed)
-          if 2 <= data.N <= 3 and data.T >= MI_MIN_SAMPLES else None)
-    return DecompositionReport(corr, negs, proxy, mi)
+    negs = [negentropy_scalar(data.column(i)) for i in range(data.N)]
+    report = {"correlation": corr, "marginal_negentropies": negs,
+              "objective_proxy": corr - sum(negs)}
+    if 2 <= data.N <= 3 and data.T >= MI_MIN_SAMPLES:
+        mi = mutual_information(data, seed=seed)
+        report.update(
+            mi=mi.value, mi_raw=mi.raw, mi_method=mi.method,
+            near_deterministic_dependence=mi.near_deterministic_dependence)
+    return report

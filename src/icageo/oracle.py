@@ -32,7 +32,7 @@ given density, need the grid's cells.
 """
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,16 +114,6 @@ class DiscreteJoint:
         return p.sum(axis=1), p.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of one identity plus every constituent divergence."""
-
-    lhs: float
-    rhs: float
-    residual: float
-    terms: dict = field(default_factory=dict)
-
-
 def discrete_mi(joint: DiscreteJoint) -> float:
     """Exact mutual information of a bivariate table, in nats."""
     px, py = joint.marginals()
@@ -132,9 +122,11 @@ def discrete_mi(joint: DiscreteJoint) -> float:
 
 
 def verify_product_pythagoras(joint: DiscreteJoint,
-                              target_marginals) -> IdentityReport:
+                              target_marginals) -> dict:
     """Divergence to a product target vs. mutual information plus marginal
-    divergences; the two sides agree to round-off for any valid inputs."""
+    divergences; the two sides agree to round-off for any valid inputs.
+    Returns the identity's lhs, rhs, residual |lhs - rhs| and the terms
+    of its right side."""
     p = joint.probabilities
     tx = np.asarray(target_marginals[0], dtype=float)
     ty = np.asarray(target_marginals[1], dtype=float)
@@ -152,11 +144,11 @@ def verify_product_pythagoras(joint: DiscreteJoint,
     ky = _relative_entropy(py, np.log(ty))
     lhs = _relative_entropy(p, np.log(tx)[:, None] + np.log(ty))
     rhs = mi + kx + ky
-    return IdentityReport(lhs, rhs, abs(lhs - rhs), {
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "terms": {
         "mutual_information": mi,
         "marginal_kld_1": kx,
         "marginal_kld_2": ky,
-    })
+    }}
 
 
 def random_discrete_joint(k1: int, k2: int,
@@ -534,7 +526,7 @@ def _fit_cross_entropy(m2: np.ndarray) -> float:
 
 
 def verify_four_point_identity(p: AnalyticDensity2D,
-                               grid: GridSpec = GridSpec()) -> IdentityReport:
+                               grid: GridSpec = GridSpec()) -> dict:
     """Check the joint divergence identity on one density.
 
     All projection targets come from the same observation-aligned grid
@@ -542,9 +534,10 @@ def verify_four_point_identity(p: AnalyticDensity2D,
     second moments, so every divergence to a fit is sum pi ln(pi / w)
     minus a closed form, w the cells' sizes.  lhs = mutual information
     plus marginal non-Gaussianities; rhs = correlation plus joint
-    non-Gaussianity; terms also carry the shared hypotenuse (divergence to
-    the independent Gaussian fit) and the residual of each of its two
-    decompositions.
+    non-Gaussianity.  Returns lhs, rhs, residual |lhs - rhs| and terms:
+    every divergence of both sides, the shared hypotenuse (divergence to
+    the independent Gaussian fit), the residual of each of its two
+    decompositions and the grid's mass.
     """
     xs, wx, ys, wy = _grid_axes(p.y_axis_support(0), p.y_axis_support(1),
                                 grid.step)
@@ -563,7 +556,7 @@ def verify_four_point_identity(p: AnalyticDensity2D,
 
     lhs = mutual_info + g1 + g2
     rhs = corr + g_joint
-    return IdentityReport(lhs, rhs, abs(lhs - rhs), {
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "terms": {
         "mutual_information": mutual_info,
         "marginal_negentropy_1": g1,
         "marginal_negentropy_2": g2,
@@ -574,7 +567,7 @@ def verify_four_point_identity(p: AnalyticDensity2D,
         "residual_product_route": abs(hyp - lhs),
         "residual_gaussian_route": abs(hyp - rhs),
         "mass": mass,
-    })
+    }}
 
 
 def _negentropy_quad(p: AnalyticDensity2D, grid: GridSpec) -> float:
@@ -611,11 +604,12 @@ def _check(name, lhs, rhs, threshold, terms=None):
             "terms": {k: float(v) for k, v in (terms or {}).items()}}
 
 
-def _report_check(name, report: IdentityReport, threshold):
-    entry = _check(name, report.lhs, report.rhs, threshold, report.terms)
+def _report_check(name, report: dict, threshold):
+    terms = report["terms"]
+    entry = _check(name, report["lhs"], report["rhs"], threshold, terms)
     # the two route residuals must independently clear the threshold
-    extra = max(report.terms.get("residual_product_route", 0.0),
-                report.terms.get("residual_gaussian_route", 0.0))
+    extra = max(terms.get("residual_product_route", 0.0),
+                terms.get("residual_gaussian_route", 0.0))
     entry["passed"] = bool(entry["passed"] and extra < threshold)
     return entry
 

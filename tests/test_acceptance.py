@@ -73,8 +73,8 @@ def test_acceptance_1_exact_identity_suite():
         tx = gen.uniform(0.1, 1.0, size=k1)
         ty = gen.uniform(0.1, 1.0, size=k2)
         rand = verify_product_pythagoras(joint, (tx / tx.sum(), ty / ty.sum()))
-        worst_discrete = max(worst_discrete, abs(own.residual),
-                             abs(rand.residual))
+        worst_discrete = max(worst_discrete, abs(own["residual"]),
+                             abs(rand["residual"]))
     worst_gauss = 0.0
     for _ in range(100):
         n = int(gen.integers(2, 6))
@@ -105,15 +105,15 @@ def test_acceptance_2_quadrature_identity_suite():
         rep_c = verify_four_point_identity(density, coarse)
         rep_f = verify_four_point_identity(density, fine)
         for rep in (rep_c, rep_f):
-            worst = max(worst, abs(rep.residual),
-                        abs(rep.terms["residual_product_route"]),
-                        abs(rep.terms["residual_gaussian_route"]))
+            worst = max(worst, abs(rep["residual"]),
+                        abs(rep["terms"]["residual_product_route"]),
+                        abs(rep["terms"]["residual_gaussian_route"]))
         # identity residuals sit at round-off, hence the epsilon floor
-        halving_ok &= abs(rep_f.residual) <= abs(rep_c.residual) + 1e-9
+        halving_ok &= abs(rep_f["residual"]) <= abs(rep_c["residual"]) + 1e-9
     # a genuinely step-limited quantity must improve when the step halves:
     # the mutual-information term versus its fine-step reference
     mi_err = [abs(verify_four_point_identity(densities["rotated"], g)
-                  .terms["mutual_information"] - ROT_LAP_MI_FINE)
+                  ["terms"]["mutual_information"] - ROT_LAP_MI_FINE)
               for g in (coarse, fine)]
     # and the quadrature negentropy of a rotated uniform pair vs closed form
     rot_unif = rotated_product_density(parse_source("uniform"),
@@ -327,7 +327,7 @@ def test_acceptance_9_gaussian_non_identifiability_control():
     # the Amari index is deliberately NOT checked: any rotation of a white
     # Gaussian vector is an equally valid answer
     report = diagnose(result.recovered, seed=0)
-    gsum = sum(g for g in report.marginal_negentropies)
+    gsum = sum(g for g in report["marginal_negentropies"])
     ok = (result.report["no_improvement"] is True and result.converged is True
           and gsum < 0.02)
     _gate(9, "gaussian-only mixtures flag no improvement and show no "

@@ -927,7 +927,7 @@ def test_objective_proxy_has_one_value(n):
     Y = X.samples @ B.T
     value = algorithms._objective_value(Y)
     assert math.isfinite(value)
-    assert diagnose(Dataset(Y)).objective_proxy == value
+    assert diagnose(Dataset(Y))["objective_proxy"] == value
 
 
 def test_objective_proxy_of_singular_outputs_is_inf():

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from icageo import (Dataset, NonFinite, make_score, read_csv,
-                    stationarity_matrix, write_csv)
+from icageo import (Dataset, DiscreteJoint, GridSpec, NonFinite, diagnose,
+                    gaussian_density, make_score, read_csv,
+                    stationarity_matrix, verify_four_point_identity,
+                    verify_product_pythagoras, write_csv)
 from icageo.algorithms import COARSE_ROWS, SCORE_NAMES
 from icageo.cli import build_parser, main
 
@@ -174,6 +176,18 @@ def test_unknown_source_family_is_input_error(tmp_path, capsys):
     assert run(["simulate", "--sources", "cauchy,uniform",
                 "--output-dir", tmp_path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sources", ["laplace,,uniform", "laplace,uniform,",
+                                     ","])
+def test_empty_source_entry_is_input_error(tmp_path, capsys, sources):
+    # every comma-separated entry is parsed; an empty one used to be dropped
+    out = tmp_path / "out"
+    assert run(["simulate", "--sources", sources, "--samples", 500,
+                "--output-dir", out]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "icageo simulate: error: cannot parse source spec ''"
+    assert not out.exists()
 
 
 def test_infinite_generalized_gaussian_shape_is_input_error(tmp_path, capsys):
@@ -620,6 +634,31 @@ def test_separate_non_utf8_csv_is_io_error(tmp_path, capsys):
     assert "bad.csv: not a UTF-8 text file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["csv", "config", "mixing"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, capsys, kind):
+    # each input read once as written and once behind a UTF-8 BOM; no
+    # sidecar beside the CSV, so its text is parsed
+    rows = np.random.default_rng(6).laplace(size=(1500, 2))
+    text = {"csv": "a,b\n" + "".join(f"{x:.17g},{y:.17g}\n"
+                                      for x, y in rows),
+            "config": "sources = laplace,uniform\nsamples = 500\n",
+            "mixing": json.dumps({"mixing": [[1.0, 0.5], [0.0, 1.0]]})}[kind]
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / f"in{len(bom)}.{kind}"
+        path.write_bytes(bom + text.encode())
+        out = tmp_path / f"out{len(bom)}"
+        args = {"csv": ["diagnose", path],
+                "config": ["simulate", "--config", path],
+                "mixing": [*SIMULATE, "--mixing", path]}[kind]
+        assert run([*args, "--output-dir", out]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert not any(data.startswith(b"\xef\xbb\xbf")
+                   for data in outputs[0].values())
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["diagnose", "separate"])
 def test_repeated_channel_name_is_input_error(tmp_path, capsys, command):
     # diagnose used to write plotdata.csv rows that all named channel x
@@ -693,6 +732,40 @@ def test_verify_user_joint_reports_exact_mi(tmp_path, capsys):
     (check,) = doc["checks"]
     assert check["terms"]["mutual_information"] == pytest.approx(
         TABLE_MI, abs=1e-15)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_diagnose_report_json_is_the_library_report(tmp_path, capsys, N):
+    # mutual information is estimated on 2 and 3 channels only
+    src = tmp_path / "x.csv"
+    write_csv(src, Dataset(np.random.default_rng(N).laplace(size=(1500, N))))
+    out = tmp_path / "diag"
+    assert run(["diagnose", src, "--seed", 3, "--output-dir", out]) == 0
+    written = json.loads((out / "report.json").read_text())
+    assert written == diagnose(read_csv(src), seed=3)
+    assert ("mi" in written) == (N < 4)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec,report", [
+    ({"joint": [[0.4, 0.1], [0.1, 0.4]], "targets": [[0.3, 0.7], [0.5, 0.5]]},
+     lambda: verify_product_pythagoras(
+         DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]), ([0.3, 0.7], [0.5, 0.5]))),
+    ({"density": {"form": "gaussian", "cov": [[1.0, 0.3], [0.3, 1.0]]},
+      "step": 0.05},
+     lambda: verify_four_point_identity(
+         gaussian_density([[1.0, 0.3], [0.3, 1.0]]), GridSpec(step=0.05))),
+], ids=["joint", "density"])
+def test_verify_spec_entry_carries_the_library_report(tmp_path, capsys, spec,
+                                                      report):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "ver"
+    assert run(["verify", "--spec", path, "--output-dir", out]) == 0
+    (check,) = json.loads((out / "identities.json").read_text())["checks"]
+    assert {key: check[key] for key in ("lhs", "rhs", "residual",
+                                        "terms")} == report()
     capsys.readouterr()
 
 

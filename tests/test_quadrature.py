@@ -290,8 +290,8 @@ def test_quad_kld_2d_refuses_where_q_vanishes_and_p_does_not(p, q, grid):
 
 def four_point(p, grid):
     rep = verify_four_point_identity(p, grid)
-    return {"lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
-            **rep.terms}
+    return {"lhs": rep["lhs"], "rhs": rep["rhs"], "residual": rep["residual"],
+            **rep["terms"]}
 
 
 @QUAD_SETTINGS
