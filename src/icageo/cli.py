@@ -127,6 +127,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                 f"only; {args.mixing} gives the matrix")
         model = _load_model(args.mixing, specs)
     else:
+        if args.cond is not None and len(specs) == 1:
+            raise InvalidConfig("--cond needs at least two sources: the "
+                                "mixing matrix of one source is [[1]]")
         cond = [] if args.cond is None else [args.cond]
         model = MixingModel(random_mixing(len(specs), rng.child(1000), *cond),
                             specs)

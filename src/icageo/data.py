@@ -42,9 +42,9 @@ class Dataset:
 
     Construction validates: EmptyChannels unless the samples form a 2-D
     matrix with N >= 1 and the channel names, if given, are N distinct
-    names; TooFewSamples for T < 2; and NonFinite(row, col) naming the
-    first non-finite entry.  The shape and entries never change after
-    construction.
+    names, each non-empty and equal to its own strip(); TooFewSamples for
+    T < 2; and NonFinite(row, col) naming the first non-finite entry.  The
+    shape and entries never change after construction.
 
     The samples are copied into a read-only float64 array, except that a
     float64, C-contiguous array that is already read-only and owns its
@@ -69,6 +69,11 @@ class Dataset:
             names = tuple(str(n) for n in self.channel_names)
             if len(names) != self.samples.shape[1]:
                 raise EmptyChannels("channel_names length must equal N")
+            # a CSV header row would lose such a name, or read it stripped
+            for i, n in enumerate(names):
+                if not n or n != n.strip():
+                    raise EmptyChannels(f"channel {i + 1} name {n!r} is empty "
+                                        "or has surrounding whitespace")
             repeated = sorted({n for n in names if names.count(n) > 1})
             if repeated:
                 raise EmptyChannels("repeated channel name "
@@ -142,7 +147,8 @@ def random_mixing(n: int, rng: Rng, cond: float = 5.0) -> np.ndarray:
     Built as U diag(s) V^T with Haar-random orthogonal factors and singular
     values geometrically spaced so max(s)/min(s) = cond and the geometric
     mean is 1.  cond must be finite and below 1 / EPS_DET, where
-    MixingModel would call the matrix singular.
+    MixingModel would call the matrix singular.  n = 1 gives [[1]],
+    whatever cond is.
     """
     # written so that NaN, which fails every comparison, is refused
     if not 1.0 <= cond < 1.0 / EPS_DET:

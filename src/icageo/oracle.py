@@ -258,14 +258,19 @@ def gaussian_density(cov) -> AnalyticDensity2D:
 def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
     """Mixture of bivariate Gaussians with overall mean zero."""
     w = np.asarray(weights, dtype=float)
-    mu = np.asarray(means, dtype=float).reshape(len(w), 2)
+    mu = np.asarray(means, dtype=float)
+    if w.ndim != 1 or mu.shape != (len(w), 2):
+        raise InvalidDistribution("mixture needs one 2-vector mean per weight")
     parts = [gaussian_density(c) for c in covs]
-    if len(parts) != len(w) or (w <= 0).any():
+    # written so that NaN, which fails every comparison, is refused; an
+    # infinite weight makes the sum infinite
+    if len(parts) != len(w) or not (w > 0).all():
         raise InvalidDistribution("mixture needs one positive weight per part")
-    if abs(w.sum() - 1.0) > 1e-12:
+    if not abs(w.sum() - 1.0) <= 1e-12:
         raise InvalidDistribution("mixture weights must sum to 1")
-    if np.abs(w @ mu).max() > 1e-12:
-        raise InvalidDistribution("mixture must have overall mean zero")
+    if not (np.isfinite(mu).all() and np.abs(w @ mu).max() <= 1e-12):
+        raise InvalidDistribution("mixture means must be finite, with overall "
+                                  "mean zero")
 
     def log_base(s1, s2, out):
         # log-sum-exp of ln wi + ln gi(s - mi) around the largest term,
@@ -378,40 +383,28 @@ def _axis_cells(support, step: float):
     return lo_s - h + h * (np.arange(n) + 0.5), np.full(n, h)
 
 
-def _base_blocks(M: np.ndarray, sx: np.ndarray, sy: np.ndarray):
-    """(rows, s1, s2) for each row block of the tensor grid sx x sy: the
-    coordinates s = M u of its points u, broadcastable to (rows, len(sy)).
-    Both are scratch for the block's consumer: for a diagonal M, s1 is a
-    column and s2 a row, made afresh for each block; otherwise both are
-    views of two buffers that each block overwrites."""
+def _log_blocks(p: AnalyticDensity2D, M: np.ndarray, sx: np.ndarray,
+                sy: np.ndarray):
+    """(rows, L, E) for each row block of the tensor grid sx x sy: L holds
+    ln of p's base at the base coordinates s = M u of the block's points u,
+    and E is an array of L's shape for the consumer's exp(L); both are views
+    of buffers that each block overwrites.  log_base gets the coordinates as
+    scratch: for a diagonal M a column and a row made afresh for each
+    block, otherwise two more reused full planes."""
     step = max(1, QUAD_BLOCK_POINTS // len(sy))
     diagonal = M[0, 1] == 0 and M[1, 0] == 0
-    if not diagonal:
-        row0 = M[0, 1] * sy
-        row1 = M[1, 1] * sy
-        b1, b2 = np.empty((2, min(step, len(sx)), len(sy)))
+    row0 = M[0, 1] * sy
+    row1 = M[1, 1] * sy
+    buffers = np.empty((2 if diagonal else 4, min(step, len(sx)), len(sy)))
     for start in range(0, len(sx), step):
         rows = slice(start, start + step)
         u1 = sx[rows, None]
+        L, E, *planes = buffers[:, :len(u1)]
         if diagonal:
-            yield rows, M[0, 0] * u1, M[1, 1] * sy
+            s1, s2 = M[0, 0] * u1, M[1, 1] * sy
         else:
-            n = len(u1)
-            yield (rows, np.add(M[0, 0] * u1, row0, out=b1[:n]),
-                   np.add(M[1, 0] * u1, row1, out=b2[:n]))
-
-
-def _log_blocks(p: AnalyticDensity2D, M: np.ndarray, sx: np.ndarray,
-                sy: np.ndarray):
-    """(rows, L, E) for each row block of the tensor grid sx x sy, L holding
-    ln of p's base at the base coordinates s = M u of its points u, and E
-    an array of L's shape for the consumer's exp(L).  Both are views of
-    buffers that each block overwrites."""
-    buffers = None
-    for rows, s1, s2 in _base_blocks(M, sx, sy):
-        if buffers is None:  # the first block is the largest
-            buffers = np.empty((2, len(s1), len(sy)))
-        L, E = buffers[:, :len(s1)]
+            s1 = np.add(M[0, 0] * u1, row0, out=planes[0])
+            s2 = np.add(M[1, 0] * u1, row1, out=planes[1])
         yield rows, p.log_base(s1, s2, L), E
 
 
@@ -453,21 +446,16 @@ def quad_kld_2d(p: AnalyticDensity2D, q: AnalyticDensity2D,
         P *= wy
         sum_p += wx[rows] @ P.sum(axis=1)
         sum_p_log_ratio += wx[rows] @ np.vecdot(P, log_q)
-    _check_mass(grid.step, sum_p, _base_mass(q, grid))
+    # q's mass on q's own base grid
+    qx, qwx, qy, qwy = _grid_axes(*q.base_support, grid.step)
+    mass_q = sum(qwx[rows] @ np.vecdot(np.exp(L, out=Q), qwy)
+                 for rows, L, Q in _log_blocks(q, np.eye(2), qx, qy))
+    _check_mass(grid.step, sum_p, mass_q)
     if vanishes:
         raise InsufficientCoverage(
             f"q's density is 0 where p's is positive at step {grid.step:g}; "
             "the divergence is infinite or beyond the grid's range")
     return float(sum_p_log_ratio + math.log(det_q / det_p) * sum_p)
-
-
-def _base_mass(p: AnalyticDensity2D, grid: GridSpec) -> float:
-    """The mass of p's base density on its own base grid, unchecked."""
-    sx, wx, sy, wy = _grid_axes(*p.base_support, grid.step)
-    mass = 0.0
-    for rows, L, P in _log_blocks(p, np.eye(2), sx, sy):
-        mass += wx[rows] @ np.vecdot(np.exp(L, out=P), wy)
-    return float(mass)
 
 
 # -- the joint-identity report -------------------------------------------

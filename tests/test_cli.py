@@ -100,6 +100,19 @@ def test_simulate_cond_with_mixing_is_input_error(tmp_path, capsys, where):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_simulate_cond_with_one_source_is_input_error(tmp_path, capsys, where):
+    # one source's mixing matrix is [[1]], which no --cond can change
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cond = 10\n")
+    cond = ["--cond", 10] if where == "flag" else ["--config", cfg]
+    out = tmp_path / "sim"
+    assert run(["simulate", "--sources", "laplace", *cond,
+                "--output-dir", out]) == 2
+    assert "--cond needs at least two sources" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_env_var_is_the_default(tmp_path, monkeypatch):
     monkeypatch.setenv("ICAGEO_SEED", "7")
     env_dir = tmp_path / "env"
@@ -830,11 +843,17 @@ GAUSS_EYE = {"form": "gaussian", "cov": [[1, 0], [0, 1]]}
     {"density": {**GAUSS_EYE, "angle_deg": 30}},  # gaussian reads no angle
     {"joint": [[0.4, 0.1], [0.1, 0.4]],
      "targets": [[0.5, 0.5], [0.5, math.nan]]},
+    {"density": {"form": "gaussian_mixture", "weights": [math.nan, 0.5],
+                 "means": [[1, 0], [-1, 0]],
+                 "covs": [np.eye(2).tolist()] * 2}},
+    {"density": {"form": "gaussian_mixture", "weights": [0.5, 0.5],
+                 "means": [[math.nan, 0], [0, 0]],
+                 "covs": [np.eye(2).tolist()] * 2}},
 ], ids=["step-text", "step-null", "step-true", "angle-text", "cov-not-pd",
         "mixture-singular-cov", "cov-ragged", "cov-3x3", "one-source",
         "sources-text", "step-too-fine", "one-target", "infinite-shape",
         "misspelt-step", "step-beside-joint", "unread-density-field",
-        "nan-target"])
+        "nan-target", "mixture-nan-weight", "mixture-nan-mean"])
 def test_verify_malformed_density_spec_is_input_error(tmp_path, capsys, spec):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))

@@ -7,7 +7,9 @@ function, is passed by the package itself, every option the CLI reads is
 one its parser defines, every option a command defines is read, and every
 module parses under Python 3.10's grammar, the oldest version README and
 `pyproject.toml` promise.  The benchmark's tracer (`bench/tracing.py`,
-read here as text) wraps names that all exist."""
+read here as text) wraps names that all exist, and the output sizes its
+workloads expect (`bench/workloads.py`, read the same way) are the
+program's."""
 import argparse
 import ast
 import dataclasses
@@ -429,3 +431,50 @@ def test_mutual_information_has_what_the_tracer_counts():
     x = np.random.default_rng(0).laplace(size=(1000, 2))
     out = icageo.mutual_information(icageo.Dataset(x))
     assert out.method == "knn_kl" and out.n == 1000
+
+
+# -- the benchmark's output checks --------------------------------------------
+
+WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads.py"
+
+
+def module_constants(path: Path, names) -> dict:
+    """The values bound to `names` at module level in `path`, read from its
+    source without importing it."""
+    found = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in names):
+            found[node.targets[0].id] = ast.literal_eval(node.value)
+    missing = sorted(set(names) - found.keys())
+    assert not missing, f"{path.name} binds no {', '.join(missing)}"
+    return found
+
+
+def output_mismatches(bench: dict, checks: int, bins: int) -> list[str]:
+    """The benchmark's expected output sizes that the program's differ
+    from: `verify`'s check count and `diagnose`'s plot rows per channel."""
+    return [f"{name} = {bench[name]}, the program {got}"
+            for name, got in (("BUILTIN_CHECKS", checks), ("PLOT_BINS", bins))
+            if bench[name] != got]
+
+
+def test_output_mismatch_check_flags_a_mismatch(tmp_path):
+    bench = {"BUILTIN_CHECKS": 16, "PLOT_BINS": 256}
+    assert output_mismatches(bench, 16, 256) == []
+    assert output_mismatches(bench, 15, 128) == [
+        "BUILTIN_CHECKS = 16, the program 15",
+        "PLOT_BINS = 256, the program 128"]
+    path = tmp_path / "w.py"
+    path.write_text("BUILTIN_CHECKS = 16\n")
+    assert module_constants(path, ["BUILTIN_CHECKS"]) == {"BUILTIN_CHECKS": 16}
+    with pytest.raises(AssertionError, match="binds no PLOT_BINS"):
+        module_constants(path, ["BUILTIN_CHECKS", "PLOT_BINS"])
+
+
+def test_benchmark_output_checks_match_the_program():
+    # bench/workloads.py refuses a run whose outputs miss these sizes
+    bench = module_constants(WORKLOADS, ["BUILTIN_CHECKS", "PLOT_BINS"])
+    assert output_mismatches(bench, len(icageo.builtin_suite(step=0.03)),
+                             icageo.estimators.SCORE_TABLE_BINS) == []

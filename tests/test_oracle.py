@@ -168,6 +168,16 @@ def test_gaussian_mixture_validation():
     with pytest.raises(InvalidDistribution):
         gaussian_mixture_density([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]],
                                  [eye])  # one covariance for two parts
+    for weights, means in [
+            ([math.nan, 0.5], [[1.0, 0.0], [-1.0, 0.0]]),
+            ([math.inf, 0.5], [[0.0, 0.0], [0.0, 0.0]]),
+            ([0.5, 0.5], [[math.nan, 0.0], [0.0, 0.0]]),
+            ([0.5, 0.5], [[math.inf, 0.0], [-math.inf, 0.0]]),
+            ([0.5, 0.5], [[0.0, 0.0]]),  # one mean for two parts
+            ([0.5, 0.5], [1.0, 0.0, -1.0, 0.0]),  # not 2-vectors
+            ([0.5, 0.5], [[1.0], [-1.0]])]:
+        with pytest.raises(InvalidDistribution):
+            gaussian_mixture_density(weights, means, [eye, eye])
 
 
 @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]],

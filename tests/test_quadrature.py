@@ -26,7 +26,7 @@ from icageo import (GridSpec, IcageoError, InsufficientCoverage,
                     linear_image, product_density, quad_kld_2d,
                     rotated_product_density, verify_four_point_identity)
 from icageo.oracle import (MASS_TOL, QUAD_BLOCK_POINTS, AnalyticDensity2D,
-                           _axis_cells, _base_blocks, _negentropy_quad)
+                           _axis_cells, _log_blocks, _negentropy_quad)
 from icageo.sources import parse_source
 
 TOL = 1e-12
@@ -330,9 +330,16 @@ def test_base_blocks_tile_the_whole_grid(nx, ny, M):
     M = np.array(M)
     sx = np.linspace(-1.0, 1.0, nx)
     sy = np.linspace(-2.0, 2.0, ny)
-    # copied, since a non-diagonal M's blocks share two buffers
-    blocks = [(r, *(a.copy() for a in np.broadcast_arrays(s1, s2)))
-              for r, s1, s2 in _base_blocks(M, sx, sy)]
+    seen = []
+
+    def log_base(s1, s2, out):
+        # copied, since a non-diagonal M's blocks share two buffers
+        seen.append([a.copy() for a in np.broadcast_arrays(s1, s2)])
+        return out
+
+    p = AnalyticDensity2D(log_base, np.eye(2), (None, None))
+    rows = [r for r, _, _ in _log_blocks(p, M, sx, sy)]
+    blocks = [(r, *s) for r, s in zip(rows, seen)]
     rows = [range(nx)[r] for r, _, _ in blocks]
     assert [i for r in rows for i in r] == list(range(nx))
     for r, s1, s2 in blocks:
