@@ -169,10 +169,15 @@ def _newton_terms(Y: np.ndarray, scores):
                 Psi[:, i], dpsi = score(Y[:, i])
                 a[i] = np.mean(dpsi)
             F = Psi.T @ Y / T
-            v = np.mean(Y * Y, axis=0)
+            # with two or more columns, einsum sums the squares of
+            # np.mean(Y * Y, axis=0) in its row order with no T x N
+            # temporary, but ignores errstate (hence v's check below); a
+            # single column's mean is numpy's pairwise sum, kept as it is
+            v = (np.einsum("ti,ti->i", Y, Y) / T if n > 1
+                 else np.mean(Y * Y, axis=0))
         except FloatingPointError as exc:
             raise Diverged("score or stationarity overflow") from exc
-    if not np.isfinite(F).all():
+    if not (np.isfinite(F).all() and np.isfinite(v).all()):
         raise Diverged("score or stationarity overflow")
     return F, a, v, float(np.linalg.norm(F - np.diag(np.diag(F))))
 

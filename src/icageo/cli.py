@@ -10,6 +10,7 @@ failure, 2 bad input.
 """
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .algorithms import (SolverConfig, orthogonal_ica, relative_gradient_ica)
-from .data import (Dataset, MixingModel, open_text, random_mixing, read_csv,
-                   read_json, simulate, write_csv)
+from .data import (Dataset, MixingModel, _format_rows, open_text,
+                   random_mixing, read_csv, read_json, simulate, write_csv)
 from .errors import (DegenerateSample, DimensionMismatch, IcageoError,
                      InvalidConfig, InvalidDistribution, IoError, NonFinite,
                      SingularTransform, exit_code_for)
@@ -242,9 +243,19 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         if data.T >= SCORE_TABLE_MIN_SAMPLES:
             for i, name in enumerate(data.names()):
                 table = score_table(data.column(i))
-                (quoted if "\r" in name else rows).writerows(
-                    (name, f"{g:.17g}", f"{d:.17g}", f"{p:.17g}")
-                    for g, d, p in zip(table.grid, table.density, table.psi))
+                cols = (table.grid, table.density, table.psi)
+                if "\r" in name:
+                    quoted.writerows((name, *(f"{x:.17g}" for x in row))
+                                     for row in zip(*cols))
+                    continue
+                # any other name is csv-quoted once as each row's prefix,
+                # and the numbers are the array writer's %.17g text
+                head = io.StringIO()
+                csv.writer(head, lineterminator="\n").writerow((name, ""))
+                prefix = head.getvalue()[:-1]
+                text = _format_rows(np.column_stack(cols)).decode("ascii")
+                fh.write((prefix + text.replace("\r\n", "\n" + prefix))
+                         [:-len(prefix)])
     mi = f"mi={report['mi']:.4f} " if "mi" in report else ""
     print(f"{mi}correlation={report['correlation']:.4f} "
           f"sum_negentropy={sum(report['marginal_negentropies']):.4f}")

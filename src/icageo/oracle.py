@@ -235,12 +235,22 @@ def _log_product(a: SourceSpec, b: SourceSpec):
     return log_base
 
 
+def _float_array(x, error: type, message: str) -> np.ndarray:
+    """x as a new float array; a ragged or non-numeric x raises
+    error(message), the error its wrong shape raises."""
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError):
+        raise error(message) from None
+
+
 def gaussian_density(cov) -> AnalyticDensity2D:
     """Zero-mean bivariate Gaussian: the standard normal pair, whose log is
     -(s1² + s2²)/2 - ln 2π, under the Cholesky factor of cov."""
-    cov = np.array(cov, dtype=float)
+    message = "need a 2x2 covariance"
+    cov = _float_array(cov, DimensionMismatch, message)
     if cov.shape != (2, 2):
-        raise DimensionMismatch("need a 2x2 covariance")
+        raise DimensionMismatch(message)
     c00, c11 = cov[0, 0], cov[1, 1]
     c10 = 0.5 * (cov[0, 1] + cov[1, 0])
     # the lower-triangular L with cov = L Lᵀ; l11² is NaN, not positive,
@@ -257,15 +267,17 @@ def gaussian_density(cov) -> AnalyticDensity2D:
 
 def gaussian_mixture_density(weights, means, covs) -> AnalyticDensity2D:
     """Mixture of bivariate Gaussians with overall mean zero."""
-    w = np.asarray(weights, dtype=float)
-    mu = np.asarray(means, dtype=float)
+    per_part = "mixture needs one positive weight per part"
+    per_weight = "mixture needs one 2-vector mean per weight"
+    w = _float_array(weights, InvalidDistribution, per_part)
+    mu = _float_array(means, InvalidDistribution, per_weight)
     if w.ndim != 1 or mu.shape != (len(w), 2):
-        raise InvalidDistribution("mixture needs one 2-vector mean per weight")
+        raise InvalidDistribution(per_weight)
     parts = [gaussian_density(c) for c in covs]
     # written so that NaN, which fails every comparison, is refused; an
     # infinite weight makes the sum infinite
     if len(parts) != len(w) or not (w > 0).all():
-        raise InvalidDistribution("mixture needs one positive weight per part")
+        raise InvalidDistribution(per_part)
     if not abs(w.sum() - 1.0) <= 1e-12:
         raise InvalidDistribution("mixture weights must sum to 1")
     if not (np.isfinite(mu).all() and np.abs(w @ mu).max() <= 1e-12):
@@ -304,9 +316,10 @@ def rotated_product_density(s1: SourceSpec, s2: SourceSpec,
 def linear_image(p: AnalyticDensity2D, A) -> AnalyticDensity2D:
     """Pushforward of p through an invertible linear map y -> A y: the same
     base under the frame A F."""
-    A = np.array(A, dtype=float)
+    message = "transform must be a finite 2x2 matrix"
+    A = _float_array(A, SingularTransform, message)
     if A.shape != (2, 2) or not np.isfinite(A).all():
-        raise SingularTransform("transform must be a finite 2x2 matrix")
+        raise SingularTransform(message)
     if abs(np.linalg.det(A)) < 1e-12:
         raise SingularTransform("transform is singular")
     return AnalyticDensity2D(p.log_base, A @ p.frame, p.base_support)

@@ -113,6 +113,21 @@ def test_output_power_overflow_is_diverged_without_a_warning():
             stationarity_matrix(Y, [make_score("tanh")] * 2)
 
 
+@settings(max_examples=30)
+@given(T=st.integers(1, 20000), N=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-100.0, 100.0))
+def test_newton_terms_second_moments_are_the_mean_of_squares(T, N, seed,
+                                                             log_scale):
+    # v = E Y^2 equals np.mean(Y * Y, axis=0) bit for bit on the C-order
+    # outputs Y = X B^T the solver builds; one column included
+    gen = np.random.default_rng(seed)
+    Y = gen.standard_normal((T, N)) * 10.0 ** (log_scale
+                                               + gen.uniform(-3.0, 3.0, N))
+    assert Y.flags.c_contiguous
+    v = algorithms._newton_terms(Y, [make_score("tanh")] * N)[2]
+    assert v.tobytes() == np.mean(Y * Y, axis=0).tobytes()
+
+
 def test_stationarity_small_at_independence():
     # independent unit-variance channels: E{psi(Yi) Yj} = 0 off the diagonal
     gen = np.random.default_rng(3)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from icageo import (Dataset, DiscreteJoint, GridSpec, NonFinite, diagnose,
-                    gaussian_density, make_score, read_csv,
+                    gaussian_density, make_score, read_csv, score_table,
                     stationarity_matrix, verify_four_point_identity,
                     verify_product_pythagoras, write_csv)
 from icageo.algorithms import COARSE_ROWS, SCORE_NAMES
@@ -591,6 +591,24 @@ def test_diagnose_plotdata_quotes_names_with_a_comma_or_a_quote(tmp_path):
         rows = list(csv.reader(fh))
     assert {len(row) for row in rows} == {4}
     assert {row[0] for row in rows[1:]} == {"a,b", 'c "q"'}
+
+
+@pytest.mark.parametrize("name", ["y1", "a,b"], ids=["plain", "comma"])
+def test_diagnose_plotdata_numbers_are_the_score_table(tmp_path, name):
+    x = np.random.default_rng(6).laplace(size=(2000, 2))
+    src = tmp_path / "x.csv"
+    write_csv(src, Dataset(x, (name, "z")))
+    out = tmp_path / "diag"
+    assert run(["diagnose", src, "--output-dir", out]) == 0
+    text = (out / "plotdata.csv").read_bytes()
+    assert b"\r\n" not in text
+    with open(out / "plotdata.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for i, channel in enumerate((name, "z")):
+        table = score_table(x[:, i])
+        want = [[channel] + [f"{v:.17g}" for v in row] for row in
+                zip(table.grid, table.density, table.psi)]
+        assert rows[256 * i:256 * (i + 1)] == want
 
 
 def test_diagnose_plotdata_quotes_a_name_holding_a_carriage_return(tmp_path):

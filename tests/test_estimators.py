@@ -425,16 +425,22 @@ def test_score_table_is_deterministic():
     assert_array_equal(t1.grid, t2.grid)
 
 
+def reference_span(v, bins):
+    """sd, bandwidth and grid of a score table, taken from the unsorted
+    sample by np.percentile, v.min() and v.max()."""
+    sd = float(v.std())
+    q75, q25 = np.percentile(v, [75.0, 25.0])
+    scale = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
+    h = 1.5 * scale * v.size ** (-1.0 / 7.0)
+    return sd, h, np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, bins)
+
+
 def direct_score_table(x, bins):
     """The O(T bins) direct Gaussian-kernel sum, kept as the reference for
     the binned estimate: same bandwidth, grid and inflation correction."""
     v = np.asarray(x, dtype=float)
     n = v.size
-    sd = float(v.std())
-    q75, q25 = np.percentile(v, [75.0, 25.0])
-    scale = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
-    h = 1.5 * scale * n ** (-1.0 / 7.0)
-    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, bins)
+    sd, h, grid = reference_span(v, bins)
     q = np.zeros(bins)
     dq = np.zeros(bins)
     step = max(1, 2_000_000 // bins)
@@ -463,6 +469,25 @@ def test_score_table_matches_direct_kernel_sum(family, n, bins):
     assert np.max(np.abs(table.density - q)) <= 1e-4 * q.max()
     ref = np.interp(x, grid, psi)
     assert np.max(np.abs(table(x)[0] - ref)) <= 1e-3 * np.max(np.abs(ref))
+
+
+@settings(max_examples=25)
+@given(family=st.sampled_from(["laplace", "uniform", "gaussian"]),
+       n=st.integers(1000, 20000), seed=st.integers(0, 2**32 - 1),
+       digits=st.none() | st.integers(0, 2), log_scale=st.floats(-6.0, 6.0))
+def test_score_table_span_is_the_percentile_reference_bit_for_bit(
+        family, n, seed, digits, log_scale):
+    # the quartiles and ends read from one sorted copy are the bits that
+    # np.percentile, v.min() and v.max() give on the unsorted sample;
+    # rounded draws hold ties, at scales from 1e-6 to 1e6
+    x = draw(family, n, seed)
+    if digits is not None:
+        x = np.round(x, digits)
+    x = x * 10.0 ** log_scale
+    table = score_table(x)
+    _, h, grid = reference_span(x, SCORE_TABLE_BINS)
+    assert table.bandwidth == h
+    assert table.grid.tobytes() == grid.tobytes()
 
 
 def test_score_table_lookup_equals_linear_interpolation():

@@ -180,6 +180,29 @@ def test_gaussian_mixture_validation():
             gaussian_mixture_density(weights, means, [eye, eye])
 
 
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: gaussian_density([[1, 0], [0]]), DimensionMismatch,
+     "need a 2x2 covariance"),
+    (lambda: gaussian_mixture_density([0.5, 0.5], [[1, 0], [-1]], [EYE] * 2),
+     InvalidDistribution, "one 2-vector mean per weight"),
+    (lambda: gaussian_mixture_density(["a", "b"], [[1, 0], [-1, 0]], [EYE] * 2),
+     InvalidDistribution, "one positive weight per part"),
+    (lambda: linear_image(gaussian_density(EYE), [[1, 0], [0]]),
+     SingularTransform, "finite 2x2 matrix"),
+    (lambda: linear_image(gaussian_density(EYE), [["a", 0], [0, 1]]),
+     SingularTransform, "finite 2x2 matrix"),
+], ids=["cov-ragged", "means-ragged", "weights-text", "transform-ragged",
+        "transform-text"])
+def test_ragged_or_text_density_input_raises_its_shape_error(call, error,
+                                                               message):
+    # the error a wrong shape raises, not numpy's bare ValueError
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]],
                                  [[1.0, 0.0], [0.0, 0.0]],
                                  [[0.0, 0.0], [0.0, 1.0]]])
